@@ -4,15 +4,15 @@
 // The observability tooling exchanges small, well-formed JSON documents —
 // the metrics registry (MetricsRegistry::write_json) and the Chrome-trace
 // export — and bench/trace_compare needs to read them back without pulling
-// a JSON dependency into the image. The persistent sweep service (store
-// index/entries, serve protocol frames) additionally needs to *emit*
-// documents that parse back exactly, so write_json below is a strict
-// inverse of parse_json: strings escape every control byte (named escapes
-// for the common ones, \u00XX otherwise), \uXXXX decodes to UTF-8 on the
-// way back in (surrogate pairs included), and objects render with sorted
-// keys (JsonObject is a std::map), making the output canonical — equal
-// values always serialize to equal bytes. Neither direction validates
-// hostile input.
+// a JSON dependency into the image. The on-disk result store (its index
+// and object files) additionally needs to *emit* documents that parse
+// back exactly, so write_json below is a strict inverse of parse_json:
+// strings escape every control byte (named escapes for the common ones,
+// \u00XX otherwise), \uXXXX decodes to UTF-8 on the way back in
+// (surrogate pairs included), and objects render with sorted keys
+// (JsonObject is a std::map), making the output canonical — equal values
+// always serialize to equal bytes. Neither direction validates hostile
+// input.
 #pragma once
 
 #include <iosfwd>

@@ -64,10 +64,17 @@ struct HsummaMultilevelArgs {
 };
 
 /// SUMMA with every broadcast replaced by a multilevel hierarchical
-/// broadcast. With row_levels = {J} and col_levels = {I} this reproduces
-/// HSUMMA(I x J groups, b = B) exactly (asserted by tests). Fills the
-/// per-level communication split (trace::RankStats::level_comm_time, one
-/// slot per chain level plus the trailing remainder phase).
+/// broadcast. With row_levels = {J} and col_levels = {I} this issues the
+/// broadcasts of HSUMMA(I x J groups, b = B) in a different order: each
+/// step runs all of A's stages, then all of B's, where HSUMMA runs both
+/// outer broadcasts before the inner ones. At D = 0 messages and wire
+/// bytes match HSUMMA exactly, but virtual times only up to rounding: max
+/// comm, max comp and the outer/inner split can differ in the last bits,
+/// and on some grids the total does too (tests pin the grids where the
+/// total is bit-identical). At D >= 1 the two orders overlap differently
+/// and the totals differ outright. Fills the per-level communication split
+/// (trace::RankStats::level_comm_time, one slot per chain level plus the
+/// trailing remainder phase).
 desim::Task<void> hsumma_multilevel_rank(HsummaMultilevelArgs args);
 
 /// Balanced factor chain for a multilevel hierarchy over `extent` ranks

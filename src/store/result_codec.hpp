@@ -1,9 +1,9 @@
 // Bit-exact JSON codec for core::RunResult.
 //
-// The on-disk result store and the serve protocol both ship RunResults as
-// JSON, and both promise byte-identical downstream output (CSV cells,
-// best-G picks) whether a result came from an engine, the in-memory cache,
-// the disk store, or another client's run. That only holds if the codec is
+// The on-disk result store ships RunResults as JSON and promises
+// byte-identical downstream output (CSV cells, best-G picks) whether a
+// result came from an engine, the in-memory cache, or the disk store
+// (possibly written by another process). That only holds if the codec is
 // *exact*: every double is rendered as a hexfloat string (strtod parses %a
 // output to the identical bit pattern) and every 64-bit counter as a
 // decimal string (a JSON number would round through double above 2^53).

@@ -5,7 +5,7 @@
 // store keys completed core::RunResults by the same canonical
 // SimJob::cache_key() — hexfloat specs make keys byte-stable across runs —
 // and persists them under a directory any number of processes (benches,
-// the tuner, the hsummad job server) can share:
+// the tuner) can share:
 //
 //   <root>/<fingerprint>/objects/<hh>/<hash16>.json   one result per file
 //   <root>/<fingerprint>/index.json                   LRU clock index
@@ -29,7 +29,7 @@
 // of the LRU order, never correctness.
 //
 // All methods are thread-safe; one store instance may be shared by every
-// executor worker and server connection in a process.
+// executor worker in a process.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,6 @@
 // parse_json <-> write_json: the writer must be a strict, canonical
-// inverse of the parser — the store's object files and the serve
-// protocol's frames both rely on parse(write(v)) == v and on equal values
-// serializing to equal bytes.
+// inverse of the parser — the store's object files and index rely on
+// parse(write(v)) == v and on equal values serializing to equal bytes.
 #include "common/json.hpp"
 
 #include <gtest/gtest.h>

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace {
 
 TEST(Split, BasicAndEdgeCases) {
@@ -31,6 +33,18 @@ struct IntCase {
   bool ok;
   long long value;
 };
+
+// Without this gtest prints the raw struct bytes (a string pointer and
+// padding), which differ from run to run and so give the discovered ctest
+// cases a different name on every build.
+void PrintTo(const IntCase& c, std::ostream* os) {
+  *os << "parse_int(" << c.text << ") ";
+  if (c.ok) {
+    *os << "is " << c.value;
+  } else {
+    *os << "fails";
+  }
+}
 
 class ParseIntTest : public ::testing::TestWithParam<IntCase> {};
 

@@ -60,8 +60,8 @@ TEST(ResultCodec, RoundTripsEveryFieldBitExactly) {
 }
 
 TEST(ResultCodec, RoundTripsThroughSerializedText) {
-  // Full wire path: value -> JSON text -> value. This is what actually
-  // crosses the socket and the filesystem.
+  // Full path: value -> JSON text -> value. This is what actually
+  // crosses the filesystem.
   const RunResult original = awkward_result();
   const std::string text =
       hs::write_json(hs::store::run_result_to_json(original));
@@ -74,8 +74,8 @@ TEST(ResultCodec, RoundTripsThroughSerializedText) {
 }
 
 TEST(ResultCodec, EncodingIsCanonical) {
-  // Equal results -> equal bytes (the serve protocol's byte-identity
-  // guarantee rests on this).
+  // Equal results -> equal bytes (equal jobs publish byte-identical
+  // store objects).
   const std::string a =
       hs::write_json(hs::store::run_result_to_json(awkward_result()));
   const std::string b =

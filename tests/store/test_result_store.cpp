@@ -53,8 +53,8 @@ TEST_F(ResultStoreTest, SaveThenLoadRoundTrips) {
 }
 
 TEST_F(ResultStoreTest, SurvivesProcessRestart) {
-  // A second instance on the same root (what a new bench process or a
-  // restarted hsummad does) sees the first instance's objects.
+  // A second instance on the same root (what a new bench process does)
+  // sees the first instance's objects.
   {
     ResultStore store({.root = root_});
     store.save("key-a", result_with(2.5));

@@ -7,215 +7,31 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cctype>
 #include <map>
 #include <sstream>
 #include <string>
-#include <variant>
 #include <vector>
 
+#include "common/json.hpp"
 #include "exec/sim_job.hpp"
 
 namespace {
 
+using hs::JsonArray;
+using hs::JsonValue;
 using hs::trace::Recorder;
 using hs::trace::TraceSession;
 
-// --- minimal recursive-descent JSON parser (tests only) -------------------
-
-struct JsonValue;
-using JsonArray = std::vector<JsonValue>;
-using JsonObject = std::map<std::string, JsonValue>;
-
-struct JsonValue {
-  std::variant<std::nullptr_t, bool, double, std::string, JsonArray,
-               JsonObject>
-      value;
-  const JsonObject& object() const { return std::get<JsonObject>(value); }
-  const JsonArray& array() const { return std::get<JsonArray>(value); }
-  double number() const { return std::get<double>(value); }
-  const std::string& string() const { return std::get<std::string>(value); }
-  bool has(const std::string& key) const {
-    return std::holds_alternative<JsonObject>(value) &&
-           object().find(key) != object().end();
-  }
-  const JsonValue& at(const std::string& key) const {
-    return object().at(key);
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(std::string text) : text_(std::move(text)) {}
-
-  JsonValue parse() {
-    JsonValue value = parse_value();
-    skip_ws();
-    EXPECT_EQ(pos_, text_.size()) << "trailing bytes after JSON document";
-    return value;
-  }
-
-  bool failed() const { return failed_; }
-
- private:
-  void fail(const std::string& why) {
-    if (!failed_) ADD_FAILURE() << "JSON parse error at byte " << pos_ << ": "
-                                << why;
-    failed_ = true;
-  }
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])))
-      ++pos_;
-  }
-  char peek() { return pos_ < text_.size() ? text_[pos_] : '\0'; }
-  bool consume(char c) {
-    skip_ws();
-    if (peek() != c) {
-      fail(std::string("expected '") + c + "'");
-      return false;
-    }
-    ++pos_;
-    return true;
-  }
-
-  JsonValue parse_value() {
-    skip_ws();
-    if (failed_) return {};
-    switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
-      case '"': return {parse_string()};
-      case 't': return parse_literal("true", {true});
-      case 'f': return parse_literal("false", {false});
-      case 'n': return parse_literal("null", {nullptr});
-      default: return parse_number();
-    }
-  }
-
-  JsonValue parse_literal(const std::string& word, JsonValue value) {
-    if (text_.compare(pos_, word.size(), word) != 0) {
-      fail("bad literal");
-      return {};
-    }
-    pos_ += word.size();
-    return value;
-  }
-
-  JsonValue parse_number() {
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E'))
-      ++pos_;
-    if (pos_ == start) {
-      fail("expected number");
-      return {};
-    }
-    try {
-      return {std::stod(text_.substr(start, pos_ - start))};
-    } catch (...) {
-      fail("malformed number");
-      return {};
-    }
-  }
-
-  std::string parse_string() {
-    std::string out;
-    if (!consume('"')) return out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\') {
-        if (pos_ >= text_.size()) break;
-        const char escape = text_[pos_++];
-        switch (escape) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'u':
-            // Good enough for these tests: skip the 4 hex digits.
-            pos_ = std::min(pos_ + 4, text_.size());
-            out += '?';
-            break;
-          default: fail("bad escape"); return out;
-        }
-      } else {
-        out += c;
-      }
-    }
-    if (pos_ >= text_.size()) {
-      fail("unterminated string");
-      return out;
-    }
-    ++pos_;  // closing quote
-    return out;
-  }
-
-  JsonValue parse_array() {
-    JsonArray items;
-    consume('[');
-    skip_ws();
-    if (peek() == ']') {
-      ++pos_;
-      return {items};
-    }
-    while (!failed_) {
-      items.push_back(parse_value());
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      consume(']');
-      break;
-    }
-    return {items};
-  }
-
-  JsonValue parse_object() {
-    JsonObject object;
-    consume('{');
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      return {object};
-    }
-    while (!failed_) {
-      skip_ws();
-      std::string key = parse_string();
-      consume(':');
-      object.emplace(std::move(key), parse_value());
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      consume('}');
-      break;
-    }
-    return {object};
-  }
-
-  const std::string text_;
-  std::size_t pos_ = 0;
-  bool failed_ = false;
-};
-
 // --- helpers --------------------------------------------------------------
 
+// A malformed export fails the test through parse_json's diagnostic.
 JsonValue export_and_parse(const Recorder& recorder,
                            const std::string& label = "sim") {
   std::ostringstream out;
   hs::trace::write_chrome_trace(out, recorder, label);
-  JsonParser parser(out.str());
-  JsonValue doc = parser.parse();
-  EXPECT_FALSE(parser.failed());
+  std::string error;
+  JsonValue doc = hs::parse_json(out.str(), &error);
+  EXPECT_EQ(error, "");
   return doc;
 }
 
@@ -400,9 +216,9 @@ TEST(ChromeTrace, MultipleSessionsGetDistinctProcesses) {
                                            {&hsumma, "HSUMMA"}};
   std::ostringstream out;
   hs::trace::write_chrome_trace(out, sessions);
-  JsonParser parser(out.str());
-  const JsonValue doc = parser.parse();
-  ASSERT_FALSE(parser.failed());
+  std::string error;
+  const JsonValue doc = hs::parse_json(out.str(), &error);
+  ASSERT_EQ(error, "");
 
   bool saw_summa = false;
   bool saw_hsumma = false;
