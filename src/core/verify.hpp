@@ -3,7 +3,10 @@
 //
 // Inputs are pure functions of global indices (la::ElementFn), so the
 // reference C block of any rank can be recomputed locally from the
-// generators — no result shipping, no second distributed run.
+// generators — no result shipping, no second distributed run. Each
+// generator element is evaluated once per block: an A row panel
+// (rows x k) and a B column panel (k x cols), multiplied by la::gemm_ref.
+// Errors are NaN when any compared element is NaN (see la/norms.hpp).
 #pragma once
 
 #include "core/spec.hpp"

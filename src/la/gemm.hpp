@@ -4,8 +4,8 @@
 // module is our from-scratch substitute. `gemm` is a cache-blocked,
 // panel-packing implementation with a register-tiled micro-kernel;
 // `gemm_ref` is the obviously-correct triple loop used as the oracle in
-// tests. Both compute C += A * B (accumulating, as SUMMA's rank-b updates
-// require).
+// tests and by the real-payload verification (core/verify.hpp). Both compute
+// C += A * B (accumulating, as SUMMA's rank-b updates require).
 #pragma once
 
 #include "la/matrix.hpp"

@@ -22,7 +22,7 @@ double max_abs(ConstMatrixView a) {
   for (index_t i = 0; i < a.rows(); ++i) {
     const double* row = a.row(i);
     for (index_t j = 0; j < a.cols(); ++j)
-      best = std::max(best, std::fabs(row[j]));
+      best = max_propagating_nan(best, std::fabs(row[j]));
   }
   return best;
 }
@@ -34,7 +34,7 @@ double max_abs_diff(ConstMatrixView a, ConstMatrixView b) {
     const double* ra = a.row(i);
     const double* rb = b.row(i);
     for (index_t j = 0; j < a.cols(); ++j)
-      best = std::max(best, std::fabs(ra[j] - rb[j]));
+      best = max_propagating_nan(best, std::fabs(ra[j] - rb[j]));
   }
   return best;
 }

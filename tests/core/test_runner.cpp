@@ -5,9 +5,6 @@
 #include <memory>
 
 #include "core/kernel_registry.hpp"
-#include "core/verify.hpp"
-#include "la/gemm.hpp"
-#include "la/generate.hpp"
 
 namespace {
 
@@ -125,33 +122,6 @@ TEST(AlgorithmNames, RoundTrip) {
               kernel.kernel);
   EXPECT_THROW(hs::core::algorithm_from_string("strassen"),
                hs::PreconditionError);
-}
-
-TEST(Verify, ReferenceBlockMatchesFullProduct) {
-  const auto gen_a = hs::la::uniform_elements(3);
-  const auto gen_b = hs::la::uniform_elements(4);
-  const hs::la::Matrix a = hs::la::materialize(12, 8, gen_a);
-  const hs::la::Matrix b = hs::la::materialize(8, 10, gen_b);
-  hs::la::Matrix c(12, 10);
-  hs::la::gemm_ref(a.view(), b.view(), c.view());
-
-  // Check an interior block.
-  const auto block = hs::core::reference_c_block(gen_a, gen_b, 8, 4, 3, 5, 6);
-  for (int i = 0; i < 5; ++i)
-    for (int j = 0; j < 6; ++j)
-      EXPECT_NEAR(block(i, j), c(4 + i, 3 + j), 1e-13);
-}
-
-TEST(Verify, DetectsCorruptedResult) {
-  const auto gen_a = hs::la::uniform_elements(3);
-  const auto gen_b = hs::la::uniform_elements(4);
-  hs::la::Matrix c =
-      hs::core::reference_c_block(gen_a, gen_b, 16, 0, 0, 8, 8);
-  EXPECT_LT(hs::core::verify_c_block(c.view(), gen_a, gen_b, 16, 0, 0),
-            1e-13);
-  c(3, 3) += 0.5;
-  EXPECT_NEAR(hs::core::verify_c_block(c.view(), gen_a, gen_b, 16, 0, 0), 0.5,
-              1e-12);
 }
 
 }  // namespace

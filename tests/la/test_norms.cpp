@@ -35,6 +35,26 @@ TEST(Norms, MaxAbsDiff) {
   b(0, 1) = 1.5;
   b(1, 0) = -0.25;
   EXPECT_DOUBLE_EQ(hs::la::max_abs_diff(a.view(), b.view()), 0.5);
+
+  // A NaN difference anywhere makes the result NaN, so no bound accepts it.
+  Matrix nans(2, 2), zeros(2, 2);
+  nans(0, 0) = std::nan("");
+  nans(1, 1) = std::nan("");
+  EXPECT_TRUE(std::isnan(hs::la::max_abs_diff(nans.view(), zeros.view())));
+  EXPECT_TRUE(std::isnan(hs::la::max_abs_diff(zeros.view(), nans.view())));
+  EXPECT_FALSE(hs::la::approx_equal(nans.view(), zeros.view()));
+  EXPECT_FALSE(hs::la::approx_equal(zeros.view(), nans.view()));
+}
+
+TEST(Norms, MaxAbsPropagatesNan) {
+  Matrix m(2, 3);
+  m(0, 1) = std::nan("");
+  m(1, 2) = 7.0;  // a larger finite value after the NaN
+  EXPECT_TRUE(std::isnan(hs::la::max_abs(m.view())));
+  EXPECT_TRUE(std::isnan(hs::la::max_propagating_nan(1.0, std::nan(""))));
+  EXPECT_TRUE(std::isnan(hs::la::max_propagating_nan(std::nan(""), 1.0)));
+  EXPECT_EQ(hs::la::max_propagating_nan(1.0, 2.0), 2.0);
+  EXPECT_EQ(hs::la::max_propagating_nan(2.0, 1.0), 2.0);
 }
 
 TEST(Norms, MaxAbsDiffShapeMismatchThrows) {
