@@ -12,7 +12,9 @@
 #include <cstdio>
 #include <iostream>
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   long long n = 16384, block = 128, ranks = 1024;
   std::string platform_name = "bluegene-p-calibrated";
   std::string csv;
@@ -87,4 +89,10 @@ int main(int argc, char** argv) {
                               "hsumma_best_comm_seconds", "best_groups"});
   hs::bench::run_traced(traced_config, trace, traced_label);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hs::bench::run_main(argc, argv, bench_main);
 }

@@ -8,7 +8,9 @@
 #include <cstdio>
 #include <iostream>
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   long long n = 16384, block = 64, ranks = 1024, groups = 32;
   std::string platform_name = "bluegene-p-calibrated";
   std::string algo_name = "vandegeijn";
@@ -73,4 +75,10 @@ int main(int argc, char** argv) {
         traced_config, trace,
         "B=" + std::to_string(traced_config.problem.outer_block));
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hs::bench::run_main(argc, argv, bench_main);
 }

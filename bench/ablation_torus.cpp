@@ -45,9 +45,7 @@ double run_on_network(std::shared_ptr<const hs::net::NetworkModel> network,
   return comm;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   long long n = 2048, block = 64, ranks = 256;
   double hop_latency_us = 50.0;
   std::string csv;
@@ -123,4 +121,10 @@ int main(int argc, char** argv) {
         "torus G=" + std::to_string(traced_groups));
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hs::bench::run_main(argc, argv, bench_main);
 }

@@ -14,7 +14,9 @@
 #include "core/kernel_registry.hpp"
 #include "tune/group_tuner.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   long long n = 16384, block = 128, ranks = 1024;
   long long sample_steps = 2, max_candidates = 8, max_levels = 1;
   long long jobs = 0;
@@ -135,4 +137,10 @@ int main(int argc, char** argv) {
       best_groups, hs::format_seconds(best).c_str(),
       hs::format_seconds(tuned_full).c_str(), best / tuned_full);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hs::bench::run_main(argc, argv, bench_main);
 }

@@ -11,7 +11,9 @@
 
 #include "common/units.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   long long n = 8192, block = 128, ranks = 256;
   std::string platform_name = "bluegene-p-calibrated";
   std::string csv, hierarchy_spec;
@@ -115,4 +117,10 @@ int main(int argc, char** argv) {
   hs::bench::maybe_write_csv(
       csv, csv_rows, {"algorithm", "comm_seconds", "messages", "wire_bytes"});
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hs::bench::run_main(argc, argv, bench_main);
 }

@@ -14,6 +14,15 @@
 
 namespace hs::bench {
 
+int run_main(int argc, char** argv, int (*body)(int, char**)) {
+  try {
+    return body(argc, argv);
+  } catch (const PreconditionError& error) {
+    std::cerr << argv[0] << ": " << error.what() << "\n";
+    return 1;
+  }
+}
+
 exec::SimJob to_sim_job(const Config& config) {
   HS_REQUIRE(config.ranks >= 1);
   exec::SimJob job;

@@ -34,6 +34,11 @@
 
 namespace hs::bench {
 
+/// Every bench's main: runs `body` and turns an hs::PreconditionError that
+/// escapes it (a bad argument combination, say) into its message on stderr
+/// and exit status 1, instead of an abort.
+int run_main(int argc, char** argv, int (*body)(int, char**));
+
 struct Config {
   net::Platform platform;
   int ranks = 0;

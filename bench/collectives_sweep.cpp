@@ -24,9 +24,7 @@ double time_bcast(const hs::net::Platform& platform, int ranks,
   return hs::mpc::run_spmd(machine, program);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   long long ranks = 64;
   std::string platform_name = "grid5000";
   std::string csv;
@@ -79,4 +77,10 @@ int main(int argc, char** argv) {
                              {"bytes", "flat", "binomial", "vandegeijn",
                               "scatter_recdbl", "pipelined"});
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hs::bench::run_main(argc, argv, bench_main);
 }

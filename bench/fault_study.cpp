@@ -2,14 +2,14 @@
 // to stragglers?
 //
 // The paper's G-sweep assumes a homogeneous machine. This bench re-runs the
-// SUMMA-vs-HSUMMA comparison under scripted faults (fault/fault_plan.hpp):
-// k straggler ranks run `factor`x slower for the whole run, optionally with
-// flaky links retransmitting dropped messages. For every G and every
-// straggler factor it reports the communication-time inflation relative to
-// the fault-free run of the *same* configuration, so the curve isolates
-// fault sensitivity from the ordinary G-dependence of communication time.
-// Fault plans force point-to-point collectives, so the clean baselines run
-// point-to-point too — inflation never conflates collective modes.
+// SUMMA-vs-HSUMMA comparison under scripted stragglers
+// (fault/fault_plan.hpp): k ranks run `factor`x slower for the whole run.
+// For every G and every straggler factor it reports the communication-time
+// inflation relative to the straggler-free run of the *same*
+// configuration, so the curve isolates straggler sensitivity from the
+// ordinary G-dependence of communication time. Straggler plans force
+// point-to-point collectives, so the clean baselines run point-to-point
+// too — inflation never conflates collective modes.
 //
 // The punchline mirrors the paper's: G is a real tuning knob under faults.
 // A straggler inside one group slows that group's broadcasts only; with
@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <iostream>
 
+#include "common/strings.hpp"
 #include "fault/fault_plan.hpp"
 #include "tune/group_tuner.hpp"
 
@@ -32,23 +33,22 @@ std::vector<double> parse_factors(const std::string& text) {
     std::size_t comma = text.find(',', pos);
     if (comma == std::string::npos) comma = text.size();
     const std::string item = text.substr(pos, comma - pos);
-    HS_REQUIRE_MSG(!item.empty(), "empty entry in --factors");
-    factors.push_back(std::stod(item));
+    const std::optional<double> factor = hs::parse_double(item);
+    HS_REQUIRE_MSG(factor.has_value(),
+                   "--factors entry '" << item << "' is not a number");
+    factors.push_back(*factor);
     pos = comma + 1;
   }
   HS_REQUIRE_MSG(!factors.empty(), "--factors needs at least one value");
   return factors;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   long long n = 2048, block = 64, ranks = 64;
   long long stragglers = 1;
   long long seed = 2013;
   long long jobs = 0;
   std::string cache_dir;
-  double drop_rate = 0.0;
   std::string factors_text = "2,4,8,16";
   std::string platform_name = "grid5000-calibrated";
   std::string algo_name = "vandegeijn";
@@ -65,10 +65,6 @@ int main(int argc, char** argv) {
   cli.add_int("stragglers", "straggler rank count k", &stragglers);
   cli.add_string("factors", "comma-separated straggler slowdown factors",
                  &factors_text);
-  cli.add_double("drop-rate",
-                 "per-attempt message drop probability on every link "
-                 "(0 = no drops)",
-                 &drop_rate);
   cli.add_int("seed", "fault plan seed (picks the straggler ranks)", &seed);
   cli.add_string("platform", "platform preset", &platform_name);
   cli.add_string("bcast", "broadcast algorithm", &algo_name);
@@ -86,16 +82,14 @@ int main(int argc, char** argv) {
       "Fault study — straggler resilience vs group count",
       "platform=" + platform.name + "  p=" + std::to_string(ranks) +
           "  n=" + std::to_string(n) + "  b=B=" + std::to_string(block) +
-          "  stragglers=" + std::to_string(stragglers) + "  drop_rate=" +
-          hs::format_double(drop_rate, 4) + "  seed=" + std::to_string(seed));
+          "  stragglers=" + std::to_string(stragglers) +
+          "  seed=" + std::to_string(seed));
 
   auto make_plan = [&](double factor) {
-    auto plan = hs::fault::FaultPlan::stragglers(
-        static_cast<int>(ranks), static_cast<int>(stragglers), factor,
-        static_cast<std::uint64_t>(seed));
-    if (drop_rate > 0.0)
-      plan.drops.push_back({-1, -1, drop_rate});
-    return std::make_shared<const hs::fault::FaultPlan>(std::move(plan));
+    return std::make_shared<const hs::fault::FaultPlan>(
+        hs::fault::FaultPlan::stragglers(static_cast<int>(ranks),
+                                         static_cast<int>(stragglers), factor,
+                                         static_cast<std::uint64_t>(seed)));
   };
 
   hs::bench::Config base;
@@ -197,8 +191,7 @@ int main(int argc, char** argv) {
 
   if (trace.enabled()) {
     // Trace the strongest-fault run at its most resilient G: the Perfetto
-    // export grows a "faults" track with the slowdown windows and any
-    // drop/timeout instants.
+    // export grows a "faults" track with the slowdown windows.
     hs::bench::Config config = base;
     config.groups = best_groups.back();
     config.faults = make_plan(factors.back());
@@ -208,4 +201,10 @@ int main(int argc, char** argv) {
             hs::format_double(factors.back(), 3) + " stragglers");
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hs::bench::run_main(argc, argv, bench_main);
 }

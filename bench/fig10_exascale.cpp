@@ -28,7 +28,9 @@
 #include <cstdio>
 #include <iostream>
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   long long n = 1ll << 22, block = 256, ranks = 1 << 20;
   long long sim_steps = 0, sim_groups = 0;
   std::string algo_name = "vandegeijn";
@@ -233,4 +235,10 @@ int main(int argc, char** argv) {
     hs::bench::run_traced(config, trace, "HSUMMA exascale-scaled");
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hs::bench::run_main(argc, argv, bench_main);
 }

@@ -7,7 +7,9 @@
 // EXPERIMENTS.md); pass --platform grid5000 for the raw model parameters.
 #include "bench_util.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   long long n = 8192, block = 64, ranks = 128;
   long long jobs = 0;
   std::string cache_dir;
@@ -46,4 +48,10 @@ int main(int argc, char** argv) {
   params.executor = &executor;
   hs::bench::run_g_sweep(params);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hs::bench::run_main(argc, argv, bench_main);
 }

@@ -4,7 +4,9 @@
 // blocks mean fewer steps, so the latency saving shrinks relative to b=64.
 #include "bench_util.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   long long n = 8192, block = 512, ranks = 128;
   long long jobs = 0;
   std::string cache_dir;
@@ -43,4 +45,10 @@ int main(int argc, char** argv) {
   params.executor = &executor;
   hs::bench::run_g_sweep(params);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hs::bench::run_main(argc, argv, bench_main);
 }

@@ -10,7 +10,9 @@
 #include <cstdio>
 #include <iostream>
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   long long n = 8192, block = 512;
   long long jobs = 0;
   std::string cache_dir;
@@ -83,4 +85,10 @@ int main(int argc, char** argv) {
                           "HSUMMA p=" + std::to_string(traced_config.ranks) +
                               " G=" + std::to_string(traced_config.groups));
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hs::bench::run_main(argc, argv, bench_main);
 }

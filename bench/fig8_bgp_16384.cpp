@@ -9,7 +9,9 @@
 // machines.
 #include "bench_util.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   long long n = 65536, block = 256, ranks = 16384;
   long long jobs = 0;
   std::string cache_dir;
@@ -53,4 +55,10 @@ int main(int argc, char** argv) {
   params.executor = &executor;
   hs::bench::run_g_sweep(params);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hs::bench::run_main(argc, argv, bench_main);
 }

@@ -89,9 +89,7 @@ struct ModelRow {
   std::vector<double> level_comm;
 };
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   long long jobs = 0;
   std::string cache_dir;
   bool smoke = false;
@@ -387,4 +385,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hs::bench::run_main(argc, argv, bench_main);
 }

@@ -55,9 +55,7 @@ void print_sweep(const std::string& kernel_name,
   table.print(std::cout);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   long long n = 16384, block = 128, ranks = 1024, jobs = 1;
   std::string cache_dir;
   std::string platform_name = "bluegene-p-calibrated";
@@ -134,4 +132,10 @@ int main(int argc, char** argv) {
   hs::bench::maybe_write_csv(csv, csv_rows,
                              {"levels", "total_seconds", "comm_seconds"});
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hs::bench::run_main(argc, argv, bench_main);
 }

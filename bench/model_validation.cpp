@@ -35,9 +35,7 @@ void validate_platform(const hs::net::Platform& platform, long long n,
   std::printf("\n");
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   hs::CliParser cli(
       "Validate the Section IV analytical model on the paper's platform "
       "parameters (Sections V-A.1, V-B.1, V-C)");
@@ -90,4 +88,10 @@ int main(int argc, char** argv) {
       "\n(Exact agreement at perfect-square G; small deviations elsewhere "
       "come from the model's sqrt(G) x sqrt(G) idealization.)\n\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hs::bench::run_main(argc, argv, bench_main);
 }

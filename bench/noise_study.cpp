@@ -9,7 +9,9 @@
 #include <cstdio>
 #include <iostream>
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   long long n = 4096, block = 64, ranks = 256;
   long long repetitions = 30;
   long long jobs = 0;
@@ -78,4 +80,10 @@ int main(int argc, char** argv) {
   hs::bench::maybe_write_csv(
       csv, csv_rows, {"groups", "comm_mean_seconds", "comm_stddev_seconds"});
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hs::bench::run_main(argc, argv, bench_main);
 }

@@ -81,9 +81,7 @@ int sqrt_pow2(int p) {
   return side;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   long long frontier_p = 1024;
   long long headline_p = 1ll << 14;
   long long straggler_factor = 16;
@@ -300,4 +298,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hs::bench::run_main(argc, argv, bench_main);
 }

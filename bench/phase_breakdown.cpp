@@ -8,7 +8,9 @@
 #include <cstdio>
 #include <iostream>
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   long long n = 16384, block = 128, ranks = 1024;
   std::string platform_name = "bluegene-p-calibrated";
   std::string algo_name = "vandegeijn";
@@ -60,4 +62,10 @@ int main(int argc, char** argv) {
   hs::bench::maybe_write_csv(
       csv, csv_rows, {"groups", "outer_comm_seconds", "inner_comm_seconds"});
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hs::bench::run_main(argc, argv, bench_main);
 }

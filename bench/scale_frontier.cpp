@@ -76,9 +76,7 @@ void write_json(const std::string& path,
   std::cout << "JSON written to " << path << "\n";
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   long long min_p = 1ll << 14, max_p = 1ll << 20;
   long long n = 1ll << 22, block = 256, steps = 0;
   long long rss_budget_mb = 0;
@@ -224,4 +222,10 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hs::bench::run_main(argc, argv, bench_main);
 }

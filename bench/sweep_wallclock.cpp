@@ -86,9 +86,7 @@ void write_json(const std::string& path, const std::string& bench,
   std::cout << "JSON written to " << path << "\n";
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   long long n = 16384, block = 256, ranks = 1024;
   long long jobs = 0;
   std::string cache_dir;
@@ -307,4 +305,10 @@ int main(int argc, char** argv) {
              "(second pass on the warm executor). " + methodology,
              store_scenarios);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hs::bench::run_main(argc, argv, bench_main);
 }

@@ -42,9 +42,7 @@ void print_numeric(const char* platform_name, double n, double p, double b,
   std::printf("\n");
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   hs::CliParser cli("Reproduce Table I (binomial tree broadcast costs)");
   if (!cli.parse(argc, argv)) return 1;
 
@@ -60,4 +58,10 @@ int main(int argc, char** argv) {
       "with broadcasts whose latency grows super-logarithmically (Table "
       "II).\n\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hs::bench::run_main(argc, argv, bench_main);
 }

@@ -41,9 +41,7 @@ void print_numeric(const char* platform_name, double n, double p, double b,
   std::printf("\n");
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   hs::CliParser cli("Reproduce Table II (van de Geijn broadcast costs)");
   if (!cli.parse(argc, argv)) return 1;
 
@@ -55,4 +53,10 @@ int main(int argc, char** argv) {
   print_numeric("bluegene-p", 65536, 16384, 256, 512);
   print_numeric("bluegene-p-calibrated", 65536, 16384, 256, 512);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hs::bench::run_main(argc, argv, bench_main);
 }

@@ -153,9 +153,7 @@ bool compare_metrics(Comparison& cmp, const std::string& baseline_path,
   return true;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   std::string baseline_spans, candidate_spans;
   std::string baseline_metrics, candidate_metrics;
   double tolerance = 0.05;
@@ -223,4 +221,10 @@ int main(int argc, char** argv) {
               cmp.regressions > 0 ? "REGRESSION" : "OK", cmp.regressions,
               cmp.improvements, tolerance, floor);
   return cmp.regressions > 0 ? 1 : 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hs::bench::run_main(argc, argv, bench_main);
 }

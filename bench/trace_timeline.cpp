@@ -26,9 +26,7 @@ int default_groups(int ranks) {
   return best == 1 ? ranks : best;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   long long n = 2048, block = 64, ranks = 128, groups = 0;
   std::string platform_name = "grid5000-calibrated";
   std::string algo_name = "vandegeijn";
@@ -148,4 +146,10 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hs::bench::run_main(argc, argv, bench_main);
 }

@@ -5,7 +5,7 @@
 #include <string>
 
 #include "core/kernel_registry.hpp"
-#include "fault/injector.hpp"
+#include "fault/fault_plan.hpp"
 #include "trace/sample.hpp"
 
 namespace hs::core {
@@ -18,7 +18,6 @@ namespace {
 /// plan's slowdown windows (max factor per rank).
 trace::RankSampleSet resolve_trace_sample(const mpc::Machine& machine,
                                           const RunOptions& options,
-                                          const fault::FaultInjector* injector,
                                           int total_ranks) {
   const trace::TraceSample sample =
       trace::TraceSample::parse(options.trace_sample);
@@ -45,8 +44,8 @@ trace::RankSampleSet resolve_trace_sample(const mpc::Machine& machine,
     std::vector<double>& slow = inputs.rank_slowness;
     if (!machine.config().rank_gamma.empty())
       slow = machine.config().rank_gamma;
-    if (injector != nullptr) {
-      for (const fault::RankSlowdown& window : injector->plan().slowdowns) {
+    if (machine.faults() != nullptr) {
+      for (const fault::RankSlowdown& window : machine.faults()->slowdowns) {
         if (window.rank < 0 || window.rank >= total_ranks) continue;
         if (slow.size() < static_cast<std::size_t>(total_ranks))
           slow.resize(static_cast<std::size_t>(total_ranks), 1.0);
@@ -132,19 +131,12 @@ RunResult run(mpc::Machine& machine, const RunOptions& options) {
 
   trace::Recorder* const previous_recorder = machine.recorder();
   if (options.recorder != nullptr) machine.set_recorder(options.recorder);
-  fault::FaultInjector* const previous_injector = machine.fault_injector();
-  if (options.fault_injector != nullptr)
-    machine.set_fault_injector(options.fault_injector);
-  fault::FaultInjector* const injector = machine.fault_injector();
-  const std::uint64_t start_drops =
-      injector != nullptr ? injector->drops() : 0;
-  const std::uint64_t start_retries =
-      injector != nullptr ? injector->retries() : 0;
-  const std::uint64_t start_timeouts = machine.timeouts();
+  const fault::FaultPlan* const previous_faults = machine.faults();
+  if (options.faults != nullptr) machine.set_faults(options.faults);
 
   if (options.recorder != nullptr && !options.trace_sample.empty())
     options.recorder->set_sample(
-        resolve_trace_sample(machine, options, injector, total_ranks));
+        resolve_trace_sample(machine, options, total_ranks));
 
   machine.engine().reserve(static_cast<std::size_t>(total_ranks),
                            static_cast<std::size_t>(total_ranks));
@@ -162,13 +154,7 @@ RunResult run(mpc::Machine& machine, const RunOptions& options) {
       machine.engine().now() - start_time, stats);
   result.messages = machine.messages_transferred() - start_messages;
   result.wire_bytes = machine.bytes_transferred() - start_bytes;
-  if (injector != nullptr) {
-    result.fault_drops = injector->drops() - start_drops;
-    result.fault_retries = injector->retries() - start_retries;
-  }
-  result.fault_timeouts = machine.timeouts() - start_timeouts;
-  if (options.fault_injector != nullptr)
-    machine.set_fault_injector(previous_injector);
+  if (options.faults != nullptr) machine.set_faults(previous_faults);
   if (options.metrics != nullptr) {
     collect_rank_metrics(*options.metrics, stats);
     if (options.recorder != nullptr &&

@@ -66,11 +66,10 @@ struct RunOptions {
   /// exposed-wait histogram (trace.task.exposed_wait_s) when tracing.
   /// Works with or without a recorder; must outlive the run.
   trace::MetricsRegistry* metrics = nullptr;
-  /// Optional fault injector (see fault/injector.hpp). Attached to the
-  /// machine for the duration of the run, previous injector restored
-  /// afterwards; must outlive the run. The RunResult's fault counters
-  /// report this run's deltas.
-  fault::FaultInjector* fault_injector = nullptr;
+  /// Optional straggler plan (see fault/fault_plan.hpp). Attached to the
+  /// machine for the duration of the run, previous plan restored
+  /// afterwards; must outlive the run.
+  const fault::FaultPlan* faults = nullptr;
 };
 
 struct RunResult {
@@ -79,11 +78,6 @@ struct RunResult {
   double max_error = -1.0;
   std::uint64_t messages = 0;
   std::uint64_t wire_bytes = 0;
-  /// Fault-injection deltas for this run (zero without an injector):
-  /// dropped transmissions, retransmissions, and expired deadlines.
-  std::uint64_t fault_drops = 0;
-  std::uint64_t fault_retries = 0;
-  std::uint64_t fault_timeouts = 0;
 };
 
 /// The resolved look-ahead depth: options.lookahead when explicitly set

@@ -102,51 +102,6 @@ void Engine::schedule_at(SimTime time, std::coroutine_handle<> handle) {
   heap_push({time, seq, handle});
 }
 
-Engine::TimerId Engine::schedule_timer_at(SimTime time,
-                                          std::coroutine_handle<> handle) {
-  HS_REQUIRE(handle != nullptr);
-  HS_REQUIRE_MSG(time >= now_,
-                 "timer in the past: t=" << time << " now=" << now_);
-  const TimerId id = next_timer_id_++;
-  timer_heap_.push_back({time, id, handle});
-  std::push_heap(timer_heap_.begin(), timer_heap_.end(), timer_after);
-  ++live_timers_;
-  return id;
-}
-
-bool Engine::cancel_timer(TimerId id) {
-  // Timers are few (one per in-flight deadline-bounded op), so a linear
-  // scan beats maintaining handle->index maps. Cancellation nulls the
-  // handle in place; the heap shape is untouched and the corpse is dropped
-  // by purge_timers()/timer_pop() when it surfaces.
-  for (TimerEvent& timer : timer_heap_) {
-    if (timer.id == id && timer.handle != nullptr) {
-      timer.handle = nullptr;
-      HS_ASSERT(live_timers_ > 0);
-      --live_timers_;
-      return true;
-    }
-  }
-  return false;
-}
-
-void Engine::purge_timers() {
-  while (!timer_heap_.empty() && timer_heap_.front().handle == nullptr) {
-    std::pop_heap(timer_heap_.begin(), timer_heap_.end(), timer_after);
-    timer_heap_.pop_back();
-  }
-}
-
-Engine::TimerEvent Engine::timer_pop() {
-  HS_ASSERT(!timer_heap_.empty() && timer_heap_.front().handle != nullptr);
-  std::pop_heap(timer_heap_.begin(), timer_heap_.end(), timer_after);
-  const TimerEvent top = timer_heap_.back();
-  timer_heap_.pop_back();
-  HS_ASSERT(live_timers_ > 0);
-  --live_timers_;
-  return top;
-}
-
 std::int32_t Engine::bucket_alloc() {
   if (bucket_free_head_ >= 0) {
     const std::int32_t index = bucket_free_head_;
@@ -275,25 +230,7 @@ void Engine::run() {
   }
   running_ = true;
   for (;;) {
-    if (failure_) break;
-    purge_timers();
-    const bool have_regular = !queues_empty();
-    const bool have_timer = !timer_heap_.empty();
-    if (!have_regular && !have_timer) break;
-    // Timers at time T deliberately fire after every regular event at T
-    // (work finished exactly at a deadline is on time), so a timer wins
-    // only on a strictly earlier timestamp.
-    if (have_timer &&
-        (!have_regular || timer_heap_.front().time < regular_front_time())) {
-      const TimerEvent timer = timer_pop();
-      HS_ASSERT(timer.time >= now_);
-      now_ = timer.time;
-      ++events_processed_;
-      if ((events_processed_ & 255u) == 0)
-        queue_depth_.add(static_cast<double>(heap_.size()));
-      timer.handle.resume();
-      continue;
-    }
+    if (failure_ || queues_empty()) break;
     Event event = pop_next();
     HS_ASSERT(event.time >= now_);
     now_ = event.time;
@@ -303,11 +240,10 @@ void Engine::run() {
     event.handle.resume();
     // Batched same-timestamp delivery: when the popped event opened a
     // coalescing bucket, every handle in it is globally next (same time,
-    // contiguous seqs — see pop_next) and timers at this time fire only
-    // after all of them, so the per-event timer/queue checks above are
-    // provably no-ops. Drain the bucket in a tight loop instead of going
-    // around the full loop per handle — this is the collective-completion
-    // fan-out path, where one instant resumes thousands of ranks.
+    // contiguous seqs — see pop_next), so the per-event queue checks above
+    // are provably no-ops. Drain the bucket in a tight loop instead of
+    // going around the full loop per handle — this is the collective-
+    // completion fan-out path, where one instant resumes thousands of ranks.
     while (draining_ >= 0 && !failure_) {
       Bucket& bucket = bucket_pool_[static_cast<std::size_t>(draining_)];
       const std::coroutine_handle<> handle = bucket.handles[bucket.head++];

@@ -116,22 +116,6 @@ class Engine {
   /// Schedule a raw handle (used by awaitables and by Gate).
   void schedule_at(SimTime time, std::coroutine_handle<> handle);
 
-  /// Cancellable deadline timers (the primitive mpc's timeout-bounded
-  /// send/recv race against rendezvous matching). A timer resumes `handle`
-  /// at `time` like schedule_at, with two differences: it can be cancelled,
-  /// and timers at time T fire *after* every regular event at T — so work
-  /// completed exactly at the deadline still counts as on time. A cancelled
-  /// timer is discarded unfired: its handle is never resumed and — unlike a
-  /// parked regular event — it does not advance the virtual clock, so an
-  /// abandoned deadline never stretches a run's reported time.
-  using TimerId = std::uint64_t;
-  TimerId schedule_timer_at(SimTime time, std::coroutine_handle<> handle);
-  /// Returns true when the timer was still pending (its handle will not be
-  /// resumed); false when it already fired or was never known.
-  bool cancel_timer(TimerId id);
-  /// Timers scheduled and not yet fired or cancelled.
-  std::size_t live_timers() const noexcept { return live_timers_; }
-
   /// Awaitable: resume at absolute virtual time `time` (>= now).
   auto sleep_until(SimTime time) {
     struct Awaiter {
@@ -222,23 +206,6 @@ class Engine {
     cache_bucket_ = -1;
   }
 
-  // Deadline timers live in their own little binary heap: they are rare
-  // (one per timeout-bounded rendezvous), must be cancellable in place, and
-  // deliberately sort *after* same-time regular events, so folding them into
-  // the main (time, seq) order would buy nothing. Cancellation nulls the
-  // handle where it sits; purge_timers() drops dead tops lazily.
-  struct TimerEvent {
-    SimTime time;
-    std::uint64_t id;  // creation order: FIFO tie-break at equal times
-    std::coroutine_handle<> handle;  // nullptr = cancelled
-  };
-  static bool timer_after(const TimerEvent& a, const TimerEvent& b) noexcept {
-    if (a.time != b.time) return a.time > b.time;
-    return a.id > b.id;
-  }
-  void purge_timers();
-  TimerEvent timer_pop();
-
   void heap_push(const Event& event);
   Event heap_pop();
   /// The globally next event in (time, seq) order, drawn from whichever of
@@ -252,14 +219,6 @@ class Engine {
     now_queue_.clear();
     now_head_ = 0;
     bucket_reset();
-    timer_heap_.clear();
-    live_timers_ = 0;
-  }
-
-  /// Timestamp of the earliest regular event; requires !queues_empty().
-  SimTime regular_front_time() const noexcept {
-    if (draining_ >= 0 || now_head_ < now_queue_.size()) return now_;
-    return heap_.front().time;
   }
 
   // kHeapArity-ary min-heap over a flat vector, ordered by (time, seq).
@@ -281,11 +240,6 @@ class Engine {
   SimTime cache_time_ = 0.0;
   std::int32_t cache_bucket_ = -1;
   bool cache_valid_ = false;
-  // Deadline-timer lane (see schedule_timer_at). live_timers_ counts
-  // entries whose handle is still non-null.
-  std::vector<TimerEvent> timer_heap_;
-  std::uint64_t next_timer_id_ = 1;
-  std::size_t live_timers_ = 0;
   std::vector<ProcessRecord> records_;
   std::vector<std::string> name_prefixes_;  // interned spawn_indexed prefixes
   std::vector<Task<void>> supervisors_;
@@ -327,9 +281,8 @@ class Gate {
   void fire_at(SimTime time);
 
   /// Park `handle` as the gate's waiter without going through the awaitable
-  /// machinery. Used by deadline-bounded operations that race a timer
-  /// against the gate: the coroutine suspends once, and whichever side wins
-  /// resumes it (the loser must be cancelled/disarmed by the winner).
+  /// machinery. Used by mpc's blocking send/recv awaiter, which posts its
+  /// op and parks in one await_suspend.
   void attach_waiter(std::coroutine_handle<> handle) {
     HS_REQUIRE_MSG(!fired_, "attach_waiter on a fired Gate");
     HS_REQUIRE_MSG(!waiter_, "Gate supports a single waiter");

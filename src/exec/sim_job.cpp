@@ -1,10 +1,8 @@
 #include "exec/sim_job.hpp"
 
-#include <optional>
 #include <sstream>
 
 #include "core/kernel_registry.hpp"
-#include "fault/injector.hpp"
 
 namespace hs::exec {
 
@@ -121,23 +119,13 @@ core::RunResult run_sim_job(const SimJob& job) {
   options.recorder = job.recorder;
   options.trace_sample = job.trace_sample;
   options.metrics = job.metrics;
-  // One injector per job, living exactly as long as the run: determinism
-  // needs fresh per-link drop ordinals for every simulation.
-  std::optional<fault::FaultInjector> injector;
   if (faulty) {
-    injector.emplace(*job.faults);
-    if (job.recorder != nullptr) {
-      injector->set_recorder(job.recorder);
-      injector->emit_plan_spans(*job.recorder);
-    }
-    options.fault_injector = &*injector;
+    if (job.recorder != nullptr) job.faults->emit_plan_spans(*job.recorder);
+    options.faults = job.faults.get();
   }
   core::RunResult result = core::run(machine, options);
   if (job.metrics != nullptr) {
     machine.collect_metrics(*job.metrics);
-    // core::run detaches the injector before returning, so its counters
-    // must be harvested here, not through the machine.
-    if (injector.has_value()) injector->collect_metrics(*job.metrics);
     trace::collect_engine_metrics(engine, *job.metrics);
   }
   return result;

@@ -92,13 +92,13 @@ struct SimJob {
   std::uint64_t noise_seed = 0;
 
   // --- scripted faults ----------------------------------------------------
-  /// Non-empty fault plans run the job under a fresh fault::FaultInjector
-  /// and force CollectiveMode::PointToPoint (faulty networks are not
-  /// homogeneous Hockney, same reason as noise). The plan participates in
-  /// cache_key via its canonical string, so distinct plans never collide
-  /// in the sweep cache. Null or empty plans perturb nothing: results are
+  /// Non-empty straggler plans are attached to the job's machine and force
+  /// CollectiveMode::PointToPoint (a straggler machine is not homogeneous
+  /// Hockney, same reason as noise). The plan participates in cache_key
+  /// via its canonical string, so distinct plans never collide in the
+  /// sweep cache. Null or empty plans perturb nothing: results are
   /// byte-identical to a faultless run. Shared across concurrently running
-  /// jobs (plans are immutable; each job builds its own injector).
+  /// jobs (plans are immutable and only read).
   std::shared_ptr<const fault::FaultPlan> faults;
 
   // --- observability sinks (both optional; must outlive the run) ---------

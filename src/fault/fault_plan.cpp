@@ -3,18 +3,18 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
+#include "trace/recorder.hpp"
 
 namespace hs::fault {
 
 namespace {
 
 // Hexfloat rendering (same convention as net::describe_double): byte-exact
-// round-trip through strtod, locale-independent.
+// and locale-independent.
 std::string hex_double(double value) {
   if (std::isinf(value)) return value > 0 ? "inf" : "-inf";
   char buffer[64];
@@ -22,61 +22,19 @@ std::string hex_double(double value) {
   return buffer;
 }
 
-double parse_double(std::string_view text) {
-  const std::string owned(text);
-  char* end = nullptr;
-  const double value = std::strtod(owned.c_str(), &end);
-  HS_REQUIRE_MSG(end == owned.c_str() + owned.size() && !owned.empty(),
-                 "fault spec: bad number '" << owned << "'");
-  return value;
+bool window_matches_rank(const RankSlowdown& w, int src, int dst) {
+  return w.rank == src || (dst >= 0 && w.rank == dst);
 }
 
-long long parse_int(std::string_view text) {
-  const std::string owned(text);
-  char* end = nullptr;
-  const long long value = std::strtoll(owned.c_str(), &end, 10);
-  HS_REQUIRE_MSG(end == owned.c_str() + owned.size() && !owned.empty(),
-                 "fault spec: bad integer '" << owned << "'");
-  return value;
-}
-
-std::vector<std::string_view> split(std::string_view text, char sep) {
-  std::vector<std::string_view> parts;
-  while (!text.empty()) {
-    const std::size_t pos = text.find(sep);
-    parts.push_back(text.substr(0, pos));
-    if (pos == std::string_view::npos) break;
-    text.remove_prefix(pos + 1);
-  }
-  return parts;
-}
-
-[[noreturn]] void fail(const std::string& message) {
-  throw PreconditionError("fault plan: " + message);
-}
-
-struct KeyValue {
-  std::string_view key;
-  std::string_view value;
-};
-
-std::vector<KeyValue> parse_fields(std::string_view body,
-                                   std::string_view clause) {
-  std::vector<KeyValue> fields;
-  for (std::string_view field : split(body, ',')) {
-    if (field.empty()) continue;
-    const std::size_t eq = field.find('=');
-    HS_REQUIRE_MSG(eq != std::string_view::npos,
-                   "fault spec: field '" << field << "' in clause '" << clause
-                                         << "' is not key=value");
-    fields.push_back({field.substr(0, eq), field.substr(eq + 1)});
-  }
-  return fields;
-}
-
-[[noreturn]] void unknown_key(std::string_view key, std::string_view clause) {
-  fail("unknown key '" + std::string(key) + "' in clause '" +
-       std::string(clause) + "'");
+/// max over the windows active at time `t` on either endpoint (dst < 0:
+/// just `src`'s windows).
+double slowdown_factor(const std::vector<RankSlowdown>& slowdowns, int src,
+                       int dst, double t) {
+  double factor = 1.0;
+  for (const RankSlowdown& w : slowdowns)
+    if (window_matches_rank(w, src, dst) && t >= w.start && t < w.end)
+      factor = std::max(factor, w.factor);
+  return factor;
 }
 
 }  // namespace
@@ -109,299 +67,54 @@ FaultPlan FaultPlan::stragglers(int ranks, int k, double factor,
   return plan;
 }
 
-FaultPlan FaultPlan::flaky_links(double rate, std::uint64_t seed) {
-  HS_REQUIRE(rate >= 0.0 && rate < 1.0);
-  FaultPlan plan;
-  plan.seed = seed;
-  plan.drops.push_back({-1, -1, rate});
-  return plan;
-}
-
 std::string FaultPlan::canonical() const {
   if (empty()) return {};
   std::ostringstream out;
-  out << "seed=" << seed << ";retry:max=" << retry.max_attempts
-      << ",base=" << hex_double(retry.backoff_base_latencies)
-      << ",cap=" << hex_double(retry.backoff_cap_latencies);
+  out << "seed=" << seed << ";retry:max=16,base=0x1p+0,cap=0x1p+6";
   for (const RankSlowdown& s : slowdowns)
     out << ";slow:rank=" << s.rank << ",start=" << hex_double(s.start)
         << ",end=" << hex_double(s.end) << ",factor=" << hex_double(s.factor);
-  for (const LinkDegrade& d : degrades)
-    out << ";deg:src=" << d.src << ",dst=" << d.dst
-        << ",start=" << hex_double(d.start) << ",end=" << hex_double(d.end)
-        << ",alpha=" << hex_double(d.alpha_factor)
-        << ",beta=" << hex_double(d.beta_factor);
-  for (const MessageDrop& d : drops)
-    out << ";drop:src=" << d.src << ",dst=" << d.dst
-        << ",rate=" << hex_double(d.rate);
   return out.str();
 }
 
-FaultPlan FaultPlan::parse(std::string_view spec) {
-  FaultPlan plan;
-  for (std::string_view clause : split(spec, ';')) {
-    if (clause.empty()) continue;
-    const std::size_t colon = clause.find(':');
-    if (colon == std::string_view::npos) {
-      // Plan-level key=value (currently just the seed).
-      const std::size_t eq = clause.find('=');
-      HS_REQUIRE_MSG(eq != std::string_view::npos,
-                     "fault spec: bad clause '" << clause << "'");
-      const std::string_view key = clause.substr(0, eq);
-      if (key == "seed") {
-        plan.seed = static_cast<std::uint64_t>(parse_int(clause.substr(eq + 1)));
-      } else {
-        unknown_key(key, clause);
-      }
-      continue;
+double FaultPlan::stretch(int src, int dst, double t0, double base) const {
+  if (base <= 0.0) return base;
+  // Fast path: no relevant window can intersect [t0, ∞) — return the base
+  // untouched (bit-identical, not merely numerically equal).
+  bool relevant = false;
+  for (const RankSlowdown& w : slowdowns)
+    if (window_matches_rank(w, src, dst) && w.factor > 1.0 && w.end > t0) {
+      relevant = true;
+      break;
     }
-    const std::string_view kind = clause.substr(0, colon);
-    const auto fields = parse_fields(clause.substr(colon + 1), clause);
-    if (kind == "retry") {
-      for (const KeyValue& f : fields) {
-        if (f.key == "max")
-          plan.retry.max_attempts = static_cast<int>(parse_int(f.value));
-        else if (f.key == "base")
-          plan.retry.backoff_base_latencies = parse_double(f.value);
-        else if (f.key == "cap")
-          plan.retry.backoff_cap_latencies = parse_double(f.value);
-        else
-          unknown_key(f.key, clause);
-      }
-      HS_REQUIRE(plan.retry.max_attempts >= 1);
-    } else if (kind == "slow") {
-      RankSlowdown s;
-      for (const KeyValue& f : fields) {
-        if (f.key == "rank") s.rank = static_cast<int>(parse_int(f.value));
-        else if (f.key == "start") s.start = parse_double(f.value);
-        else if (f.key == "end") s.end = parse_double(f.value);
-        else if (f.key == "factor") s.factor = parse_double(f.value);
-        else unknown_key(f.key, clause);
-      }
-      HS_REQUIRE_MSG(s.rank >= 0, "fault spec: slow clause needs rank>=0");
-      HS_REQUIRE(s.factor >= 1.0 && s.start <= s.end);
-      plan.slowdowns.push_back(s);
-    } else if (kind == "deg") {
-      LinkDegrade d;
-      for (const KeyValue& f : fields) {
-        if (f.key == "src") d.src = static_cast<int>(parse_int(f.value));
-        else if (f.key == "dst") d.dst = static_cast<int>(parse_int(f.value));
-        else if (f.key == "start") d.start = parse_double(f.value);
-        else if (f.key == "end") d.end = parse_double(f.value);
-        else if (f.key == "alpha") d.alpha_factor = parse_double(f.value);
-        else if (f.key == "beta") d.beta_factor = parse_double(f.value);
-        else unknown_key(f.key, clause);
-      }
-      HS_REQUIRE(d.alpha_factor >= 0.0 && d.beta_factor >= 0.0 &&
-                 d.start <= d.end);
-      plan.degrades.push_back(d);
-    } else if (kind == "drop") {
-      MessageDrop d;
-      for (const KeyValue& f : fields) {
-        if (f.key == "src") d.src = static_cast<int>(parse_int(f.value));
-        else if (f.key == "dst") d.dst = static_cast<int>(parse_int(f.value));
-        else if (f.key == "rate") d.rate = parse_double(f.value);
-        else unknown_key(f.key, clause);
-      }
-      HS_REQUIRE(d.rate >= 0.0 && d.rate < 1.0);
-      plan.drops.push_back(d);
-    } else if (kind == "stragglers") {
-      // Generator shorthand: expands in place.
-      long long ranks = 0, k = 0;
-      double factor = 1.0;
-      std::uint64_t seed = plan.seed;
-      for (const KeyValue& f : fields) {
-        if (f.key == "ranks") ranks = parse_int(f.value);
-        else if (f.key == "k") k = parse_int(f.value);
-        else if (f.key == "factor") factor = parse_double(f.value);
-        else if (f.key == "seed")
-          seed = static_cast<std::uint64_t>(parse_int(f.value));
-        else unknown_key(f.key, clause);
-      }
-      FaultPlan sub = stragglers(static_cast<int>(ranks), static_cast<int>(k),
-                                 factor, seed);
-      plan.seed = sub.seed;
-      plan.slowdowns.insert(plan.slowdowns.end(), sub.slowdowns.begin(),
-                            sub.slowdowns.end());
-    } else if (kind == "flaky") {
-      double rate = 0.0;
-      std::uint64_t seed = plan.seed;
-      for (const KeyValue& f : fields) {
-        if (f.key == "rate") rate = parse_double(f.value);
-        else if (f.key == "seed")
-          seed = static_cast<std::uint64_t>(parse_int(f.value));
-        else unknown_key(f.key, clause);
-      }
-      FaultPlan sub = flaky_links(rate, seed);
-      plan.seed = sub.seed;
-      plan.drops.insert(plan.drops.end(), sub.drops.begin(), sub.drops.end());
-    } else {
-      fail("unknown clause kind '" + std::string(kind) + "'");
+  if (!relevant) return base;
+
+  // Piecewise integration: within a segment of constant factor f, `dt`
+  // virtual seconds accomplish dt/f of the base duration. Segment
+  // boundaries are the window starts/ends ahead of the clock.
+  double t = t0;
+  double remaining = base;
+  for (;;) {
+    const double factor = slowdown_factor(slowdowns, src, dst, t);
+    double boundary = kForever;
+    for (const RankSlowdown& w : slowdowns) {
+      if (!window_matches_rank(w, src, dst)) continue;
+      if (w.start > t) boundary = std::min(boundary, w.start);
+      if (w.end > t) boundary = std::min(boundary, w.end);
     }
+    if (boundary == kForever) return (t - t0) + remaining * factor;
+    const double segment = boundary - t;
+    const double progress = segment / factor;
+    if (progress >= remaining) return (t - t0) + remaining * factor;
+    remaining -= progress;
+    t = boundary;
   }
-  return plan;
 }
 
-namespace {
-
-// Minimal parser for the JSON subset to_json emits: one object of scalar
-// fields, a nested retry object, and arrays of flat objects. Doubles travel
-// as hexfloat strings.
-class JsonReader {
- public:
-  explicit JsonReader(std::string_view text) : text_(text) {}
-
-  void expect(char c) {
-    skip_ws();
-    HS_REQUIRE_MSG(!text_.empty() && text_.front() == c,
-                   "fault json: expected '" << c << "' near '"
-                                            << text_.substr(0, 16) << "'");
-    text_.remove_prefix(1);
-  }
-
-  bool consume(char c) {
-    skip_ws();
-    if (text_.empty() || text_.front() != c) return false;
-    text_.remove_prefix(1);
-    return true;
-  }
-
-  std::string_view string() {
-    expect('"');
-    const std::size_t end = text_.find('"');
-    HS_REQUIRE_MSG(end != std::string_view::npos,
-                   "fault json: unterminated string");
-    const std::string_view value = text_.substr(0, end);
-    text_.remove_prefix(end + 1);
-    return value;
-  }
-
-  long long integer() {
-    skip_ws();
-    std::size_t len = 0;
-    while (len < text_.size() &&
-           (text_[len] == '-' || (text_[len] >= '0' && text_[len] <= '9')))
-      ++len;
-    const long long value = parse_int(text_.substr(0, len));
-    text_.remove_prefix(len);
-    return value;
-  }
-
-  /// A double serialized as a hexfloat (or "inf") string.
-  double quoted_double() { return parse_double(string()); }
-
-  void skip_ws() {
-    while (!text_.empty() &&
-           (text_.front() == ' ' || text_.front() == '\n' ||
-            text_.front() == '\t' || text_.front() == '\r'))
-      text_.remove_prefix(1);
-  }
-
-  bool at_end() {
-    skip_ws();
-    return text_.empty();
-  }
-
- private:
-  std::string_view text_;
-};
-
-}  // namespace
-
-std::string FaultPlan::to_json() const {
-  std::ostringstream out;
-  out << "{\"seed\":" << seed << ",\"retry\":{\"max_attempts\":"
-      << retry.max_attempts << ",\"backoff_base\":\""
-      << hex_double(retry.backoff_base_latencies) << "\",\"backoff_cap\":\""
-      << hex_double(retry.backoff_cap_latencies) << "\"},\"slowdowns\":[";
-  for (std::size_t i = 0; i < slowdowns.size(); ++i) {
-    const RankSlowdown& s = slowdowns[i];
-    out << (i ? "," : "") << "{\"rank\":" << s.rank << ",\"start\":\""
-        << hex_double(s.start) << "\",\"end\":\"" << hex_double(s.end)
-        << "\",\"factor\":\"" << hex_double(s.factor) << "\"}";
-  }
-  out << "],\"degrades\":[";
-  for (std::size_t i = 0; i < degrades.size(); ++i) {
-    const LinkDegrade& d = degrades[i];
-    out << (i ? "," : "") << "{\"src\":" << d.src << ",\"dst\":" << d.dst
-        << ",\"start\":\"" << hex_double(d.start) << "\",\"end\":\""
-        << hex_double(d.end) << "\",\"alpha\":\"" << hex_double(d.alpha_factor)
-        << "\",\"beta\":\"" << hex_double(d.beta_factor) << "\"}";
-  }
-  out << "],\"drops\":[";
-  for (std::size_t i = 0; i < drops.size(); ++i) {
-    const MessageDrop& d = drops[i];
-    out << (i ? "," : "") << "{\"src\":" << d.src << ",\"dst\":" << d.dst
-        << ",\"rate\":\"" << hex_double(d.rate) << "\"}";
-  }
-  out << "]}";
-  return out.str();
-}
-
-FaultPlan FaultPlan::from_json(std::string_view json) {
-  FaultPlan plan;
-  JsonReader in(json);
-  in.expect('{');
-  bool first = true;
-  while (!in.consume('}')) {
-    if (!first) in.expect(',');
-    first = false;
-    const std::string_view key = in.string();
-    in.expect(':');
-    if (key == "seed") {
-      plan.seed = static_cast<std::uint64_t>(in.integer());
-    } else if (key == "retry") {
-      in.expect('{');
-      bool rf = true;
-      while (!in.consume('}')) {
-        if (!rf) in.expect(',');
-        rf = false;
-        const std::string_view rk = in.string();
-        in.expect(':');
-        if (rk == "max_attempts")
-          plan.retry.max_attempts = static_cast<int>(in.integer());
-        else if (rk == "backoff_base")
-          plan.retry.backoff_base_latencies = in.quoted_double();
-        else if (rk == "backoff_cap")
-          plan.retry.backoff_cap_latencies = in.quoted_double();
-        else
-          fail("unknown retry key '" + std::string(rk) + "'");
-      }
-    } else if (key == "slowdowns" || key == "degrades" || key == "drops") {
-      in.expect('[');
-      while (!in.consume(']')) {
-        if (in.consume(',')) continue;
-        in.expect('{');
-        RankSlowdown s;
-        LinkDegrade g;
-        MessageDrop d;
-        bool ef = true;
-        while (!in.consume('}')) {
-          if (!ef) in.expect(',');
-          ef = false;
-          const std::string_view ek = in.string();
-          in.expect(':');
-          if (ek == "rank") s.rank = static_cast<int>(in.integer());
-          else if (ek == "src") g.src = d.src = static_cast<int>(in.integer());
-          else if (ek == "dst") g.dst = d.dst = static_cast<int>(in.integer());
-          else if (ek == "start") s.start = g.start = in.quoted_double();
-          else if (ek == "end") s.end = g.end = in.quoted_double();
-          else if (ek == "factor") s.factor = in.quoted_double();
-          else if (ek == "alpha") g.alpha_factor = in.quoted_double();
-          else if (ek == "beta") g.beta_factor = in.quoted_double();
-          else if (ek == "rate") d.rate = in.quoted_double();
-          else fail("unknown event key '" + std::string(ek) + "'");
-        }
-        if (key == "slowdowns") plan.slowdowns.push_back(s);
-        else if (key == "degrades") plan.degrades.push_back(g);
-        else plan.drops.push_back(d);
-      }
-    } else {
-      fail("unknown json key '" + std::string(key) + "'");
-    }
-  }
-  HS_REQUIRE_MSG(in.at_end(), "fault json: trailing garbage");
-  return plan;
+void FaultPlan::emit_plan_spans(trace::Recorder& recorder) const {
+  for (const RankSlowdown& w : slowdowns)
+    recorder.add_fault({w.start, w.end, trace::FaultKind::RankSlowdown,
+                        w.rank, -1, w.factor});
 }
 
 }  // namespace hs::fault

@@ -1,25 +1,21 @@
-// Declarative, deterministic fault scripts.
+// Declarative, deterministic straggler scripts.
 //
-// A FaultPlan is a seed-stamped description of *what goes wrong* during a
-// simulated run: rank slowdown windows (a straggler computes and drains its
-// ports `factor`× slower over a virtual-time interval), link degradations
-// (α/β of selected src→dst pairs scale over an interval), and message-drop
-// rules (each matching transfer attempt is lost with probability `rate`,
-// decided by a deterministic per-message Bernoulli draw keyed off the plan
-// seed — never by mutable generator state, so replay is exact in any
-// execution order).
-//
-// Plans are pure data: they serialize to a canonical spec string (also the
-// CLI syntax and the sweep-cache identity — doubles render as hexfloats)
-// and to JSON, both of which parse back to an equal plan. The simulation
-// side lives in fault::FaultInjector; this header depends only on common/.
+// A FaultPlan is a seed-stamped list of rank slowdown windows: a straggler
+// computes and drains its ports `factor`× slower over a virtual-time
+// interval. Plans are pure data with a canonical spec string (the sweep-
+// cache identity — doubles render as hexfloats). mpc::Machine reads an
+// attached plan through stretch(); layering: depends on common/ and
+// trace/ only, and hs_mpc links hs_fault, never the reverse.
 #pragma once
 
 #include <cstdint>
 #include <limits>
 #include <string>
-#include <string_view>
 #include <vector>
+
+namespace hs::trace {
+class Recorder;
+}  // namespace hs::trace
 
 namespace hs::fault {
 
@@ -36,87 +32,40 @@ struct RankSlowdown {
   bool operator==(const RankSlowdown&) const = default;
 };
 
-/// The src→dst link's latency scales by alpha_factor and its bandwidth
-/// term by beta_factor over [start, end). -1 endpoints are wildcards.
-/// Factors are sampled at transfer start (a transfer in flight when the
-/// window closes keeps its degraded cost).
-struct LinkDegrade {
-  int src = -1;
-  int dst = -1;
-  double start = 0.0;
-  double end = kForever;
-  double alpha_factor = 1.0;
-  double beta_factor = 1.0;
-  bool operator==(const LinkDegrade&) const = default;
-};
-
-/// Each transfer attempt matching (src, dst) is dropped with probability
-/// `rate`. -1 endpoints are wildcards; the first matching rule wins.
-struct MessageDrop {
-  int src = -1;
-  int dst = -1;
-  double rate = 0.0;  // in [0, 1)
-  bool operator==(const MessageDrop&) const = default;
-};
-
-/// Retransmission policy for dropped messages: a failed attempt consumes
-/// its full wire time, then the sender backs off before retrying. Backoffs
-/// grow exponentially in units of the (degraded) message latency —
-/// min(cap_latencies, base_latencies * 2^(attempt-1)) * latency — so the
-/// policy is scale-free across platforms. The max_attempts-th attempt is
-/// forcibly delivered (never dropped), which bounds every transfer and
-/// keeps simulations deadlock-free under rate < 1.
-struct RetryPolicy {
-  int max_attempts = 16;
-  double backoff_base_latencies = 1.0;
-  double backoff_cap_latencies = 64.0;
-  bool operator==(const RetryPolicy&) const = default;
-};
-
 class FaultPlan {
  public:
-  std::uint64_t seed = 2013;  // keys every Bernoulli drop draw
-  RetryPolicy retry;
+  std::uint64_t seed = 2013;  // picks the straggler ranks
   std::vector<RankSlowdown> slowdowns;
-  std::vector<LinkDegrade> degrades;
-  std::vector<MessageDrop> drops;
 
   bool operator==(const FaultPlan&) const = default;
 
-  /// True when the plan perturbs nothing (no events at all). Empty plans
-  /// are guaranteed zero-perturbation: run_sim_job never attaches an
-  /// injector for them, so results are byte-identical to a faultless run.
-  bool empty() const noexcept {
-    return slowdowns.empty() && degrades.empty() && drops.empty();
-  }
+  /// True when the plan perturbs nothing (no windows at all). Empty plans
+  /// are guaranteed zero-perturbation: run_sim_job never attaches them,
+  /// so results are byte-identical to a faultless run.
+  bool empty() const noexcept { return slowdowns.empty(); }
 
   /// `k` distinct ranks chosen deterministically from [0, ranks) run
   /// `factor`× slower for the whole run.
   static FaultPlan stragglers(int ranks, int k, double factor,
                               std::uint64_t seed);
 
-  /// Every link drops each transfer attempt with probability `rate`.
-  static FaultPlan flaky_links(double rate, std::uint64_t seed);
-
-  /// Canonical spec string: deterministic, byte-exact (hexfloat doubles),
-  /// parseable by parse(). Used verbatim in SimJob::cache_key, so equal
-  /// strings imply bit-identical fault behavior. Empty plans canonicalize
-  /// to "" regardless of seed/retry (they change nothing).
+  /// Canonical spec string: deterministic and byte-exact (hexfloat
+  /// doubles). Used verbatim in SimJob::cache_key, so equal strings imply
+  /// bit-identical behavior. Empty plans canonicalize to "" regardless of
+  /// seed (they change nothing). The fixed `retry:` clause keeps the keys
+  /// of stores written before message drops were removed.
   std::string canonical() const;
 
-  /// JSON form (ints as numbers, doubles as hexfloat strings so the
-  /// round-trip is exact). from_json(to_json(p)) == p.
-  std::string to_json() const;
+  /// Virtual time to complete `base` seconds of faultless work starting at
+  /// `t0`, integrating piecewise through the slowdown windows of rank
+  /// `src` and, when `dst >= 0`, of rank `dst` too (a transfer is slowed
+  /// by either endpoint). Exactly `base`, bit for bit, when no window with
+  /// factor > 1 on those ranks is still open at `t0`.
+  double stretch(int src, int dst, double t0, double base) const;
 
-  /// Parse the canonical/CLI spec syntax, e.g.
-  ///   "seed=7;slow:rank=3,factor=4;drop:rate=0.01"
-  ///   "stragglers:ranks=16,k=2,factor=8,seed=5"
-  /// Doubles accept decimal or hexfloat ("0x1p-3") and "inf". Throws
-  /// common/check failures on malformed input.
-  static FaultPlan parse(std::string_view spec);
-
-  /// Parse the subset of JSON emitted by to_json().
-  static FaultPlan from_json(std::string_view json);
+  /// Record the windows as FaultSpans so the Perfetto export shows them as
+  /// a track. Call once per run.
+  void emit_plan_spans(trace::Recorder& recorder) const;
 };
 
 }  // namespace hs::fault

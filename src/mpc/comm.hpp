@@ -120,24 +120,6 @@ class Comm {
   desim::Task<void> send(int dst, ConstBuf buf, int tag = 0) const;
   desim::Task<void> recv(int src, Buf buf, int tag = 0) const;
 
-  /// Deadline-bounded blocking send/recv: resolves true when the
-  /// rendezvous matched by absolute virtual time `deadline` (the transfer
-  /// then runs to completion, possibly past the deadline); false when the
-  /// deadline expired unmatched — the op is withdrawn, a timeout is
-  /// counted, and no transfer happens. See Machine::send_before.
-  desim::Task<bool> send_before(int dst, ConstBuf buf, double deadline,
-                                int tag = 0) const {
-    HS_REQUIRE(tag >= 0);
-    return machine().send_before(my_world_rank(), world_rank(dst), ctx_, tag,
-                                 buf, deadline);
-  }
-  desim::Task<bool> recv_before(int src, Buf buf, double deadline,
-                                int tag = 0) const {
-    HS_REQUIRE(tag >= 0);
-    return machine().recv_before(world_rank(src), my_world_rank(), ctx_, tag,
-                                 buf, deadline);
-  }
-
   /// Simultaneous exchange (both transfers may overlap), as used by the
   /// shift steps of Cannon's algorithm.
   desim::Task<void> sendrecv(int dst, ConstBuf send_buf, int src, Buf recv_buf,

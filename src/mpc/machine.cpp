@@ -5,7 +5,7 @@
 #include <string>
 
 #include "common/csv.hpp"
-#include "fault/injector.hpp"
+#include "fault/fault_plan.hpp"
 #include "mpc/comm.hpp"
 #include "trace/metrics.hpp"
 #include "trace/recorder.hpp"
@@ -102,18 +102,12 @@ double Machine::commit_transfer(int src, int dst, int ctx, int tag,
   auto& dst_port = rank_state(dst).port;
   const double start = std::max({send_post, recv_post, src_port.send_free,
                                  dst_port.recv_free});
-  const double base_time = net_->transfer_time(src, dst, send_buf.bytes());
-  double wire_time = base_time;
-  if (fault_ != nullptr && fault_->active()) {
-    // The injector replaces the analytic wire time with the full faulty
-    // timeline (degradation, slowdown stretching, drop/backoff retries);
-    // the ports stay occupied for all of it, so faults feed back into
-    // single-port serialization like any other long transfer.
-    wire_time = fault_
-                    ->transfer(src, dst, send_buf.bytes(), start,
-                               net_->transfer_time(src, dst, 0), base_time)
-                    .elapsed;
-  }
+  double wire_time = net_->transfer_time(src, dst, send_buf.bytes());
+  // A straggler endpoint stretches the wire time through its slowdown
+  // windows; the ports stay occupied for all of it, so stragglers feed back
+  // into single-port serialization like any other long transfer.
+  if (faults_ != nullptr)
+    wire_time = faults_->stretch(src, dst, start, wire_time);
   const double completion = start + wire_time;
   src_port.send_free = completion;
   dst_port.recv_free = completion;
@@ -143,7 +137,7 @@ void TransferLog::write_csv(std::ostream& out) const {
 }
 
 bool Machine::post_send(int src, int dst, int ctx, int tag, ConstBuf buf,
-                        desim::Gate* gate, DeadlinePending* deadline) {
+                        desim::Gate* gate) {
   HS_REQUIRE(src >= 0 && src < config_.ranks);
   HS_REQUIRE(dst >= 0 && dst < config_.ranks);
   HS_REQUIRE_MSG(src != dst, "self-messages are not modeled; restructure the "
@@ -152,11 +146,6 @@ bool Machine::post_send(int src, int dst, int ctx, int tag, ConstBuf buf,
   if (PendingOp* match = receiver.pending_recvs.find(src, ctx, tag)) {
     const PendingOp recv = *match;
     receiver.pending_recvs.remove(match);
-    if (recv.deadline != nullptr) {
-      recv.deadline->matched = true;
-      engine_->cancel_timer(recv.deadline->timer);
-    }
-    if (deadline != nullptr) deadline->matched = true;
     Buf recv_buf = recv.data != nullptr
                        ? Buf(std::span<double>(const_cast<double*>(recv.data),
                                                recv.count))
@@ -168,12 +157,12 @@ bool Machine::post_send(int src, int dst, int ctx, int tag, ConstBuf buf,
     return true;
   }
   receiver.pending_sends.push(
-      {engine_->now(), buf.data(), buf.count(), gate, deadline, src, ctx, tag});
+      {engine_->now(), buf.data(), buf.count(), gate, src, ctx, tag});
   return false;
 }
 
 bool Machine::post_recv(int src, int dst, int ctx, int tag, Buf buf,
-                        desim::Gate* gate, DeadlinePending* deadline) {
+                        desim::Gate* gate) {
   HS_REQUIRE(src >= 0 && src < config_.ranks);
   HS_REQUIRE(dst >= 0 && dst < config_.ranks);
   HS_REQUIRE_MSG(src != dst, "self-messages are not modeled; restructure the "
@@ -182,11 +171,6 @@ bool Machine::post_recv(int src, int dst, int ctx, int tag, Buf buf,
   if (PendingOp* match = receiver.pending_sends.find(src, ctx, tag)) {
     const PendingOp send = *match;
     receiver.pending_sends.remove(match);
-    if (send.deadline != nullptr) {
-      send.deadline->matched = true;
-      engine_->cancel_timer(send.deadline->timer);
-    }
-    if (deadline != nullptr) deadline->matched = true;
     ConstBuf send_buf =
         send.data != nullptr
             ? ConstBuf(std::span<const double>(send.data, send.count))
@@ -198,74 +182,28 @@ bool Machine::post_recv(int src, int dst, int ctx, int tag, Buf buf,
     return true;
   }
   receiver.pending_recvs.push(
-      {engine_->now(), buf.data(), buf.count(), gate, deadline, src, ctx, tag});
+      {engine_->now(), buf.data(), buf.count(), gate, src, ctx, tag});
   return false;
 }
 
 Request Machine::isend(int src, int dst, int ctx, int tag, ConstBuf buf) {
   Request request(*engine_);
-  post_send(src, dst, ctx, tag, buf, request.gate(), nullptr);
+  post_send(src, dst, ctx, tag, buf, request.gate());
   return request;
 }
 
 Request Machine::irecv(int src, int dst, int ctx, int tag, Buf buf) {
   Request request(*engine_);
-  post_recv(src, dst, ctx, tag, buf, request.gate(), nullptr);
+  post_recv(src, dst, ctx, tag, buf, request.gate());
   return request;
-}
-
-void Machine::withdraw(int dst, bool is_send, const DeadlinePending* state) {
-  RankState& receiver = rank_state(dst);
-  OpList& list = is_send ? receiver.pending_sends : receiver.pending_recvs;
-  PendingOp* op = list.find_deadline(state);
-  HS_ASSERT(op != nullptr && "withdraw: expired op not found in its list");
-  list.remove(op);
-}
-
-desim::Task<bool> Machine::send_before(int src, int dst, int ctx, int tag,
-                                       ConstBuf buf, double deadline) {
-  HS_REQUIRE_MSG(deadline >= engine_->now(), "send_before deadline is in "
-                                             "the past");
-  Request request(*engine_);
-  DeadlinePending state;
-  if (!post_send(src, dst, ctx, tag, buf, request.gate(), &state)) {
-    co_await deadline_race(request.gate(), deadline, &state);
-    if (!state.matched) {
-      withdraw(dst, /*is_send=*/true, &state);
-      ++timeouts_;
-      if (fault_ != nullptr) fault_->note_timeout(src, dst, engine_->now());
-      co_return false;
-    }
-  }
-  co_await request.wait();
-  co_return true;
-}
-
-desim::Task<bool> Machine::recv_before(int src, int dst, int ctx, int tag,
-                                       Buf buf, double deadline) {
-  HS_REQUIRE_MSG(deadline >= engine_->now(), "recv_before deadline is in "
-                                             "the past");
-  Request request(*engine_);
-  DeadlinePending state;
-  if (!post_recv(src, dst, ctx, tag, buf, request.gate(), &state)) {
-    co_await deadline_race(request.gate(), deadline, &state);
-    if (!state.matched) {
-      withdraw(dst, /*is_send=*/false, &state);
-      ++timeouts_;
-      if (fault_ != nullptr) fault_->note_timeout(dst, src, engine_->now());
-      co_return false;
-    }
-  }
-  co_await request.wait();
-  co_return true;
 }
 
 double Machine::compute_duration(int rank, double base) const {
   HS_REQUIRE(rank >= 0 && rank < config_.ranks);
   if (!config_.rank_gamma.empty())
     base *= config_.rank_gamma[static_cast<std::size_t>(rank)];
-  if (fault_ == nullptr || !fault_->active()) return base;
-  return fault_->compute_seconds(rank, engine_->now(), base);
+  if (faults_ == nullptr) return base;
+  return faults_->stretch(rank, /*dst=*/-1, engine_->now(), base);
 }
 
 int Machine::context_for(const std::vector<int>& world_members) {
@@ -405,8 +343,6 @@ void Machine::collect_metrics(trace::MetricsRegistry& metrics) const {
   metrics.add_counter("mpc.wire_bytes", bytes_);
   if (!transfer_latency_s_.empty())
     metrics.histogram("mpc.transfer.latency_s").merge(transfer_latency_s_);
-  if (timeouts_ > 0) metrics.add_counter("mpc.timeouts", timeouts_);
-  if (fault_ != nullptr && fault_->active()) fault_->collect_metrics(metrics);
   for (int k = 0; k < kSiteKinds; ++k) {
     const auto index = static_cast<std::size_t>(k);
     if (collective_calls_[index] == 0) continue;

@@ -43,7 +43,7 @@ class Recorder;
 }  // namespace hs::trace
 
 namespace hs::fault {
-class FaultInjector;
+class FaultPlan;
 }  // namespace hs::fault
 
 namespace hs::mpc {
@@ -242,19 +242,6 @@ class Machine {
   Request isend(int src, int dst, int ctx, int tag, ConstBuf buf);
   Request irecv(int src, int dst, int ctx, int tag, Buf buf);
 
-  /// Deadline-bounded blocking point-to-point. The deadline bounds the
-  /// rendezvous *match*: a counterpart posted at or before `deadline`
-  /// (regular events at the deadline instant win the race against expiry)
-  /// commits the transfer, the call awaits its completion — possibly past
-  /// the deadline — and resolves true. If no counterpart arrives in time,
-  /// the pending op is withdrawn at `deadline` exactly (an abandoned
-  /// deadline never advances virtual time beyond it), a timeout is
-  /// counted, and the call resolves false.
-  desim::Task<bool> send_before(int src, int dst, int ctx, int tag,
-                                ConstBuf buf, double deadline);
-  desim::Task<bool> recv_before(int src, int dst, int ctx, int tag, Buf buf,
-                                double deadline);
-
   /// Awaitable compute charge: `flops * gamma_flop` virtual seconds.
   auto compute(double flops) {
     HS_REQUIRE(flops >= 0.0);
@@ -262,9 +249,9 @@ class Machine {
   }
 
   /// Awaitable compute charge attributed to `rank`: identical to
-  /// compute(flops) unless a fault injector with an active slowdown window
-  /// on `rank` is attached, in which case the charge stretches through the
-  /// window (fault::FaultInjector::compute_seconds).
+  /// compute(flops) unless a fault plan with an active slowdown window on
+  /// `rank` is attached, in which case the charge stretches through the
+  /// window (fault::FaultPlan::stretch).
   auto compute(int rank, double flops) {
     HS_REQUIRE(flops >= 0.0);
     return engine_->sleep(compute_duration(rank, flops * config_.gamma_flop));
@@ -337,7 +324,7 @@ class Machine {
   std::uint64_t bytes_transferred() const noexcept { return bytes_; }
 
   /// Always-on distribution of committed transfer latencies (start to
-  /// completion, including port-serialization queueing and fault
+  /// completion, including port-serialization queueing and straggler
   /// stretching). O(1) memory; harvested as mpc.transfer.latency_s.
   const hs::Histogram& transfer_latency_histogram() const noexcept {
     return transfer_latency_s_;
@@ -362,20 +349,14 @@ class Machine {
   }
   trace::Recorder* recorder() const noexcept { return recorder_; }
 
-  /// Attach (or detach with nullptr) a fault injector (see
-  /// fault/injector.hpp); it must outlive the simulation. When attached,
-  /// committed transfers route their wire-time computation through
-  /// FaultInjector::transfer (degradation, slowdown stretching, drop/retry
-  /// loops) and ranked compute charges through compute_seconds. Detached —
-  /// or attached with an empty plan — the machine's arithmetic is
-  /// bit-identical to the faultless code path.
-  void set_fault_injector(fault::FaultInjector* injector) noexcept {
-    fault_ = injector;
-  }
-  fault::FaultInjector* fault_injector() const noexcept { return fault_; }
-
-  /// Deadline-bounded ops that expired (send_before/recv_before → false).
-  std::uint64_t timeouts() const noexcept { return timeouts_; }
+  /// Attach (or detach with nullptr) a straggler plan (see
+  /// fault/fault_plan.hpp); it must outlive the simulation. When attached,
+  /// committed transfers and ranked compute charges stretch through the
+  /// plan's slowdown windows (FaultPlan::stretch). Detached — or attached
+  /// with an empty plan — the machine's arithmetic is bit-identical to the
+  /// faultless code path.
+  void set_faults(const fault::FaultPlan* faults) noexcept { faults_ = faults; }
+  const fault::FaultPlan* faults() const noexcept { return faults_; }
 
   /// Count one collective call on one rank (always-on statistics, mode-
   /// independent: every member's call is counted once, in both
@@ -390,24 +371,13 @@ class Machine {
   /// totals, and port busy-time gauges.
   void collect_metrics(trace::MetricsRegistry& metrics) const;
 
-  // Race state of one deadline-bounded op, owned by the send_before/
-  // recv_before coroutine frame. The op parks in its rank's pending list
-  // carrying a pointer to this; the match path cancels the timer and sets
-  // `matched` before firing the gate, so the two resume paths (gate fire
-  // vs timer expiry) are mutually exclusive by construction.
-  struct DeadlinePending {
-    desim::Engine::TimerId timer = 0;
-    bool matched = false;
-  };
-
   /// Shared isend/irecv body (the primitive under Request and the
   /// send/recv awaitables below): match-and-commit (firing both gates and
-  /// returning true) or park the op with optional deadline state. Callers
-  /// outside the machine pass deadline = nullptr.
+  /// returning true) or park the op.
   bool post_send(int src, int dst, int ctx, int tag, ConstBuf buf,
-                 desim::Gate* gate, DeadlinePending* deadline);
+                 desim::Gate* gate);
   bool post_recv(int src, int dst, int ctx, int tag, Buf buf,
-                 desim::Gate* gate, DeadlinePending* deadline);
+                 desim::Gate* gate);
 
   /// Lazy rank-state instrumentation: pages of kRankPageSize ranks'
   /// port/mailbox state, materialized on first touch (or all up front with
@@ -439,7 +409,6 @@ class Machine {
     const double* data;
     std::size_t count;
     desim::Gate* gate;
-    DeadlinePending* deadline;  // non-null: withdrawable on expiry
     int peer;
     int ctx;
     int tag;
@@ -477,28 +446,6 @@ class Machine {
                          double send_post, double recv_post,
                          ConstBuf send_buf, Buf recv_buf);
 
-  /// Remove the parked op carrying `state` from its list (expiry path).
-  void withdraw(int dst, bool is_send, const DeadlinePending* state);
-  /// Awaitable racing `gate` against a deadline timer: resumes either when
-  /// the gate fires (match path, which cancels the timer) or when the
-  /// timer expires. The caller inspects DeadlinePending::matched.
-  auto deadline_race(desim::Gate* gate, double deadline,
-                     DeadlinePending* state) {
-    struct Awaiter {
-      desim::Engine* engine;
-      desim::Gate* gate;
-      double deadline;
-      DeadlinePending* state;
-      bool await_ready() const noexcept { return gate->fired(); }
-      void await_suspend(std::coroutine_handle<> handle) const {
-        state->timer = engine->schedule_timer_at(deadline, handle);
-        gate->attach_waiter(handle);
-      }
-      void await_resume() const noexcept {}
-    };
-    return Awaiter{engine_, gate, deadline, state};
-  }
-
   Site& site_for(int ctx, std::uint64_t seq, SiteKind kind, int expected);
   void complete_site(int ctx, std::uint64_t key, Site& site);
   void deliver_site_payloads(int ctx, Site& site);
@@ -522,11 +469,6 @@ class Machine {
         PendingOp& op = ops[i];
         if (op.peer == peer && op.ctx == ctx && op.tag == tag) return &op;
       }
-      return nullptr;
-    }
-    PendingOp* find_deadline(const DeadlinePending* state) noexcept {
-      for (std::size_t i = head; i < ops.size(); ++i)
-        if (ops[i].deadline == state) return &ops[i];
       return nullptr;
     }
     void remove(PendingOp* op) {
@@ -589,8 +531,7 @@ class Machine {
   std::array<std::uint64_t, kBcastAlgos> bcast_algo_calls_{};
   TransferLog* transfer_log_ = nullptr;
   trace::Recorder* recorder_ = nullptr;
-  fault::FaultInjector* fault_ = nullptr;
-  std::uint64_t timeouts_ = 0;
+  const fault::FaultPlan* faults_ = nullptr;
 };
 
 /// Single-shot awaitable over one blocking point-to-point op: posts the op
@@ -620,9 +561,9 @@ class TransferOp {
   bool await_ready() const noexcept { return false; }
   bool await_suspend(std::coroutine_handle<> handle) {
     if (is_send_)
-      machine_->post_send(src_, dst_, ctx_, tag_, send_, &gate_, nullptr);
+      machine_->post_send(src_, dst_, ctx_, tag_, send_, &gate_);
     else
-      machine_->post_recv(src_, dst_, ctx_, tag_, recv_, &gate_, nullptr);
+      machine_->post_recv(src_, dst_, ctx_, tag_, recv_, &gate_);
     if (gate_.fired()) {
       // Matched immediately. A zero-latency completion resumes without
       // suspending (exactly Gate::wait's await_ready fast path, so event
@@ -656,9 +597,9 @@ class PostedOp {
            ConstBuf send_buf, Buf recv_buf, bool is_send)
       : gate_(machine.engine()) {
     if (is_send)
-      machine.post_send(src, dst, ctx, tag, send_buf, &gate_, nullptr);
+      machine.post_send(src, dst, ctx, tag, send_buf, &gate_);
     else
-      machine.post_recv(src, dst, ctx, tag, recv_buf, &gate_, nullptr);
+      machine.post_recv(src, dst, ctx, tag, recv_buf, &gate_);
   }
   PostedOp(const PostedOp&) = delete;
   PostedOp& operator=(const PostedOp&) = delete;

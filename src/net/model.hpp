@@ -99,8 +99,8 @@ class LogGPModel final : public NetworkModel {
 /// and for any `--jobs` count. The seed participates in describe() (and
 /// through it in exec::SimJob::cache_key), so runs with different seeds
 /// never collide in the sweep result cache. The scripted counterpart for
-/// structured perturbations (stragglers, flaky links) is fault::FaultPlan,
-/// which follows the same stateless-hash discipline.
+/// structured perturbations (straggler windows) is fault::FaultPlan, which
+/// is pure data and so deterministic by construction.
 class NoisyModel final : public NetworkModel {
  public:
   NoisyModel(std::shared_ptr<const NetworkModel> base, double sigma,

@@ -73,9 +73,6 @@ JsonValue run_result_to_json(const core::RunResult& result) {
   object["max_error"] = hex_double(result.max_error);
   object["messages"] = dec_u64(result.messages);
   object["wire_bytes"] = dec_u64(result.wire_bytes);
-  object["fault_drops"] = dec_u64(result.fault_drops);
-  object["fault_retries"] = dec_u64(result.fault_retries);
-  object["fault_timeouts"] = dec_u64(result.fault_timeouts);
   return {std::move(object)};
 }
 
@@ -124,10 +121,7 @@ std::optional<core::RunResult> run_result_from_json(const JsonValue& json,
   }
   if (!read_double(json, "max_error", &result.max_error, error) ||
       !read_u64(json, "messages", &result.messages, error) ||
-      !read_u64(json, "wire_bytes", &result.wire_bytes, error) ||
-      !read_u64(json, "fault_drops", &result.fault_drops, error) ||
-      !read_u64(json, "fault_retries", &result.fault_retries, error) ||
-      !read_u64(json, "fault_timeouts", &result.fault_timeouts, error))
+      !read_u64(json, "wire_bytes", &result.wire_bytes, error))
     return std::nullopt;
   return result;
 }

@@ -272,10 +272,10 @@ void write_session(EventSink& sink, const TraceSession& session,
             ",\"members\":" + std::to_string(site.members)));
   }
 
-  // --- fault track: plan windows + drop/timeout instants, spilled onto
-  // lanes above the collective-site range. Open-ended windows (end = inf)
-  // are clamped to the latest finite time the recorder saw, so Perfetto's
-  // viewport stays finite.
+  // --- fault track: the plan's slowdown windows, spilled onto lanes above
+  // the collective-site range. Open-ended windows (end = inf) are clamped
+  // to the latest finite time the recorder saw, so Perfetto's viewport
+  // stays finite.
   if (!recorder.faults().empty()) {
     double horizon = 0.0;
     auto stretch_horizon = [&horizon](double t) {

@@ -42,9 +42,6 @@ std::string_view to_string(TaskSpanKind kind) {
 std::string_view to_string(FaultKind kind) {
   switch (kind) {
     case FaultKind::RankSlowdown: return "rank-slowdown";
-    case FaultKind::LinkDegrade: return "link-degrade";
-    case FaultKind::MessageDrop: return "message-drop";
-    case FaultKind::Timeout: return "timeout";
   }
   return "unknown";
 }

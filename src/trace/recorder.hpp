@@ -148,17 +148,17 @@ struct TaskSpan {
   const char* label = "";  // static storage (TaskSpec::label)
 };
 
-/// Fault-event taxonomy (mirrors fault::FaultPlan's event kinds, kept
+/// Fault-event taxonomy (mirrors fault::FaultPlan's window kind, kept
 /// mpc/fault-independent here for the same layering reason as
-/// CollectiveOp): injected windows and discrete fault hits, rendered as a
-/// dedicated Perfetto track by write_chrome_trace.
-enum class FaultKind { RankSlowdown, LinkDegrade, MessageDrop, Timeout };
+/// CollectiveOp), rendered as a dedicated Perfetto track by
+/// write_chrome_trace. One kind today; the enum keeps the span-chunk
+/// record layout.
+enum class FaultKind { RankSlowdown };
 std::string_view to_string(FaultKind kind);
 
-/// One fault event. Windows (RankSlowdown, LinkDegrade) have start < end and
-/// use `factor` for the multiplier; discrete hits (MessageDrop, Timeout) are
-/// instants with start == end. `a` is the rank (slowdown/timeout) or the
-/// source rank (link/drop); `b` is the destination rank, -1 when absent.
+/// One fault window over [start, end) with `factor` as the multiplier
+/// (start == end renders as an instant). `a` is the slowed rank; `b` is a
+/// second rank, -1 when absent.
 struct FaultSpan {
   double start = 0.0;
   double end = 0.0;

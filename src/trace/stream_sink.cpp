@@ -117,6 +117,23 @@ class FieldReader {
   std::size_t pos_ = 0;
 };
 
+/// One enum byte, rejected unless it names an enumerator in [0, last]: a
+/// corrupt or foreign chunk must fail loudly, never load a span whose kind
+/// renders as "unknown".
+template <typename Enum>
+Enum read_enum(FieldReader& r, Enum last, const char* field,
+               const std::string& path) {
+  const std::size_t offset = r.pos();
+  const int value = r.u8();
+  HS_REQUIRE_MSG(value <= static_cast<int>(last),
+                 "out-of-range span chunk " << field << " " << value
+                                            << " at byte " << offset
+                                            << " of '" << path << "'");
+  return static_cast<Enum>(value);
+}
+static_assert(static_cast<int>(CollectiveOp::Allgather) + 1 ==
+              kCollectiveOpCount);
+
 /// TaskSpan::label is a `const char*` into static storage when recorded
 /// live; loaded labels are interned here so the pointer contract survives a
 /// round trip. Process-lifetime pool, mutex-guarded for parallel loaders
@@ -264,14 +281,14 @@ std::uint64_t load_span_chunks(const std::string& path, Recorder& out) {
         s.start = r.f64();
         s.end = r.f64();
         s.rank = r.i32();
-        s.op = static_cast<CollectiveOp>(r.u8());
+        s.op = read_enum(r, CollectiveOp::Allgather, "collective op", path);
         s.algo = r.i32();
         s.ctx = r.i32();
         s.seq = r.u64();
         s.root = r.i32();
         s.bytes = r.u64();
         s.step = r.i64();
-        s.phase = static_cast<Phase>(r.u8());
+        s.phase = read_enum(r, Phase::Inner, "phase", path);
         s.level = r.i32();
         s.closed_form = r.u8() != 0;
         out.restore(s);
@@ -284,7 +301,7 @@ std::uint64_t load_span_chunks(const std::string& path, Recorder& out) {
         s.rank = r.i32();
         s.flops = r.f64();
         s.step = r.i64();
-        s.phase = static_cast<Phase>(r.u8());
+        s.phase = read_enum(r, Phase::Inner, "phase", path);
         s.level = r.i32();
         out.restore(s);
         break;
@@ -294,7 +311,7 @@ std::uint64_t load_span_chunks(const std::string& path, Recorder& out) {
         s.time = r.f64();
         s.rank = r.i32();
         s.step = r.i64();
-        s.phase = static_cast<Phase>(r.u8());
+        s.phase = read_enum(r, Phase::Inner, "phase", path);
         out.restore(s);
         break;
       }
@@ -314,7 +331,7 @@ std::uint64_t load_span_chunks(const std::string& path, Recorder& out) {
         SiteSpan s;
         s.start = r.f64();
         s.end = r.f64();
-        s.op = static_cast<CollectiveOp>(r.u8());
+        s.op = read_enum(r, CollectiveOp::Allgather, "collective op", path);
         s.ctx = r.i32();
         s.seq = r.u64();
         s.root = r.i32();
@@ -327,7 +344,7 @@ std::uint64_t load_span_chunks(const std::string& path, Recorder& out) {
         FaultSpan s;
         s.start = r.f64();
         s.end = r.f64();
-        s.kind = static_cast<FaultKind>(r.u8());
+        s.kind = read_enum(r, FaultKind::RankSlowdown, "fault kind", path);
         s.a = r.i32();
         s.b = r.i32();
         s.factor = r.f64();
@@ -339,9 +356,9 @@ std::uint64_t load_span_chunks(const std::string& path, Recorder& out) {
         s.start = r.f64();
         s.end = r.f64();
         s.rank = r.i32();
-        s.kind = static_cast<TaskSpanKind>(r.u8());
+        s.kind = read_enum(r, TaskSpanKind::Wait, "task span kind", path);
         s.step = r.i64();
-        s.phase = static_cast<Phase>(r.u8());
+        s.phase = read_enum(r, Phase::Inner, "phase", path);
         s.level = r.i32();
         s.label = intern_label(r.str());
         out.restore(s);

@@ -105,8 +105,8 @@ TEST(CacheKeyGoldens, RankGammaAppendsHexfloatRg) {
 
 TEST(CacheKeyGoldens, FaultPlanAppendsItsCanonicalSpec) {
   SimJob job = base_job(Algorithm::Summa);
-  job.faults = std::make_shared<hs::fault::FaultPlan>(
-      hs::fault::FaultPlan::parse("slow:rank=1,start=0.5,end=inf,factor=4"));
+  job.faults = std::make_shared<hs::fault::FaultPlan>(hs::fault::FaultPlan{
+      .slowdowns = {{1, 0.5, hs::fault::kForever, 4.0}}});
   EXPECT_EQ(job.cache_key(),
             golden_key("0", 32,
                        ";fault=seed=2013;retry:max=16,base=0x1p+0,"
@@ -135,8 +135,8 @@ TEST(CacheKeyGoldens, EveryOptionalComponentComposesInOrder) {
   job.lookahead = 2;
   job.rank_gamma.assign(16, 1.0);
   job.rank_gamma[0] = 2.0;
-  job.faults = std::make_shared<hs::fault::FaultPlan>(
-      hs::fault::FaultPlan::parse("slow:rank=1,start=0.5,end=inf,factor=4"));
+  job.faults = std::make_shared<hs::fault::FaultPlan>(hs::fault::FaultPlan{
+      .slowdowns = {{1, 0.5, hs::fault::kForever, 4.0}}});
   EXPECT_EQ(job.cache_key(),
             "net=hockney(0x1.a36e2eb1c432dp-14,0x1.12e0be826d695p-33);"
             "gamma=0x1.12e0be826d695p-33;cm=1;mba=5;alg=1;grid=4x4;"

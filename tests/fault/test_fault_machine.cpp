@@ -1,18 +1,17 @@
-// Machine-level fault semantics: injector hooks on compute and transfer
-// charges, deadline-bounded send/recv, and the zero-perturbation golden.
+// Machine-level straggler semantics: plan hooks on compute and transfer
+// charges, and the zero-perturbation golden.
 #include <gtest/gtest.h>
 
 #include <memory>
 
 #include "exec/sim_job.hpp"
-#include "fault/injector.hpp"
+#include "fault/fault_plan.hpp"
 #include "mpc/comm.hpp"
 
 namespace {
 
 using hs::desim::Engine;
 using hs::desim::Task;
-using hs::fault::FaultInjector;
 using hs::fault::FaultPlan;
 using hs::fault::kForever;
 using hs::mpc::Buf;
@@ -32,8 +31,7 @@ TEST(FaultMachine, StragglerStretchesComputeCharge) {
   Machine machine(engine, hockney(), {.ranks = 2, .gamma_flop = 1e-9});
   FaultPlan plan;
   plan.slowdowns.push_back({0, 0.0, kForever, 4.0});
-  FaultInjector injector(plan);
-  machine.set_fault_injector(&injector);
+  machine.set_faults(&plan);
 
   double slow_done = 0.0, fast_done = 0.0;
   auto worker = [&](Comm comm, double* done) -> Task<void> {
@@ -54,8 +52,7 @@ TEST(FaultMachine, StragglerStretchesWireOccupancy) {
                    .collective_mode = hs::mpc::CollectiveMode::PointToPoint});
   FaultPlan plan;
   plan.slowdowns.push_back({1, 0.0, kForever, 2.0});
-  FaultInjector injector(plan);
-  machine.set_fault_injector(&injector);
+  machine.set_faults(&plan);
 
   auto sender = [&](Comm comm) -> Task<void> {
     co_await comm.send(1, ConstBuf::phantom(1000));
@@ -68,134 +65,6 @@ TEST(FaultMachine, StragglerStretchesWireOccupancy) {
   engine.run();
   // The receiving straggler doubles the whole transfer time.
   EXPECT_DOUBLE_EQ(engine.now(), 2.0 * (kAlpha + 8000.0 * kBeta));
-}
-
-TEST(FaultMachine, SendBeforeCompletesWhenMatchedInTime) {
-  Engine engine;
-  Machine machine(engine, hockney(), {.ranks = 2});
-  bool delivered = false;
-  double sender_done = 0.0;
-
-  auto sender = [&](Comm comm) -> Task<void> {
-    delivered = co_await comm.send_before(1, ConstBuf::phantom(1000), 10.0);
-    sender_done = engine.now();
-  };
-  auto receiver = [&](Comm comm) -> Task<void> {
-    co_await engine.sleep(1.0);
-    co_await comm.recv(0, Buf::phantom(1000));
-  };
-  engine.spawn(sender(machine.world(0)));
-  engine.spawn(receiver(machine.world(1)));
-  engine.run();
-  EXPECT_TRUE(delivered);
-  const double completion = 1.0 + kAlpha + 8000.0 * kBeta;
-  EXPECT_DOUBLE_EQ(sender_done, completion);
-  // The cancelled deadline timer must not have advanced the clock to 10.
-  EXPECT_DOUBLE_EQ(engine.now(), completion);
-  EXPECT_EQ(machine.timeouts(), 0u);
-}
-
-TEST(FaultMachine, SendBeforeExpiresWithoutAPeer) {
-  Engine engine;
-  Machine machine(engine, hockney(), {.ranks = 2});
-  bool delivered = true;
-  auto sender = [&](Comm comm) -> Task<void> {
-    delivered = co_await comm.send_before(1, ConstBuf::phantom(1000), 2.5);
-  };
-  engine.spawn(sender(machine.world(0)));
-  engine.run();  // no deadlock: the timeout releases the lone sender
-  EXPECT_FALSE(delivered);
-  EXPECT_DOUBLE_EQ(engine.now(), 2.5);
-  EXPECT_EQ(machine.timeouts(), 1u);
-}
-
-TEST(FaultMachine, RecvBeforeExpiresAndLateSenderWouldDeadlock) {
-  Engine engine;
-  Machine machine(engine, hockney(), {.ranks = 2});
-  bool got = true;
-  auto receiver = [&](Comm comm) -> Task<void> {
-    got = co_await comm.recv_before(0, Buf::phantom(8), 1.0);
-  };
-  engine.spawn(receiver(machine.world(1)));
-  engine.run();
-  EXPECT_FALSE(got);
-  EXPECT_DOUBLE_EQ(engine.now(), 1.0);
-  // The expired op was withdrawn from its channel: a sender arriving later
-  // finds nothing to match and deadlocks instead of touching freed state.
-  auto sender = [&](Comm comm) -> Task<void> {
-    co_await comm.send(1, ConstBuf::phantom(8));
-  };
-  engine.spawn(sender(machine.world(0)), "late sender");
-  EXPECT_THROW(engine.run(), hs::desim::DeadlockError);
-}
-
-TEST(FaultMachine, MatchExactlyAtDeadlineWins) {
-  // Regular events at time T fire before deadline timers at T, so a match
-  // posted exactly at the deadline still goes through.
-  Engine engine;
-  Machine machine(engine, hockney(), {.ranks = 2});
-  bool delivered = false;
-  auto sender = [&](Comm comm) -> Task<void> {
-    delivered = co_await comm.send_before(1, ConstBuf::phantom(8), 3.0);
-  };
-  auto receiver = [&](Comm comm) -> Task<void> {
-    co_await engine.sleep(3.0);
-    co_await comm.recv(0, Buf::phantom(8));
-  };
-  engine.spawn(sender(machine.world(0)));
-  engine.spawn(receiver(machine.world(1)));
-  engine.run();
-  EXPECT_TRUE(delivered);
-  EXPECT_EQ(machine.timeouts(), 0u);
-}
-
-TEST(FaultMachine, DeadlineBoundsTheMatchNotTheCompletion) {
-  Engine engine;
-  Machine machine(engine, hockney(), {.ranks = 2});
-  bool delivered = false;
-  // Transfer takes ~8e-3s but the deadline is 1e-3: matching happens at
-  // t = 0, so the send succeeds even though completion exceeds the deadline.
-  auto sender = [&](Comm comm) -> Task<void> {
-    delivered =
-        co_await comm.send_before(1, ConstBuf::phantom(1000000), 1e-3);
-  };
-  auto receiver = [&](Comm comm) -> Task<void> {
-    co_await comm.recv(0, Buf::phantom(1000000));
-  };
-  engine.spawn(sender(machine.world(0)));
-  engine.spawn(receiver(machine.world(1)));
-  engine.run();
-  EXPECT_TRUE(delivered);
-  EXPECT_EQ(machine.timeouts(), 0u);
-  EXPECT_GT(engine.now(), 1e-3);
-}
-
-TEST(FaultMachine, DroppedTransfersRetryAndCount) {
-  Engine engine;
-  Machine machine(engine, hockney(),
-                  {.ranks = 2,
-                   .collective_mode = hs::mpc::CollectiveMode::PointToPoint});
-  FaultPlan plan;
-  plan.drops.push_back({-1, -1, 0x1.fffffffffffffp-1});
-  plan.retry.max_attempts = 3;
-  plan.retry.backoff_base_latencies = 0.0;
-  plan.retry.backoff_cap_latencies = 0.0;
-  FaultInjector injector(plan);
-  machine.set_fault_injector(&injector);
-
-  auto sender = [&](Comm comm) -> Task<void> {
-    co_await comm.send(1, ConstBuf::phantom(1000));
-  };
-  auto receiver = [&](Comm comm) -> Task<void> {
-    co_await comm.recv(0, Buf::phantom(1000));
-  };
-  engine.spawn(sender(machine.world(0)));
-  engine.spawn(receiver(machine.world(1)));
-  engine.run();
-  // Two drops, then the forced third attempt: three wire occupations.
-  EXPECT_DOUBLE_EQ(engine.now(), 3.0 * (kAlpha + 8000.0 * kBeta));
-  EXPECT_EQ(injector.drops(), 2u);
-  EXPECT_EQ(injector.forced_deliveries(), 1u);
 }
 
 // The golden: an empty (or null) fault plan is indistinguishable from no
@@ -226,22 +95,6 @@ TEST(FaultMachine, EmptyPlanIsZeroPerturbation) {
   EXPECT_EQ(clean.timing.total_flops, with_empty.timing.total_flops);
   EXPECT_EQ(clean.messages, with_empty.messages);
   EXPECT_EQ(clean.wire_bytes, with_empty.wire_bytes);
-  EXPECT_EQ(with_empty.fault_drops, 0u);
-  EXPECT_EQ(with_empty.fault_retries, 0u);
-  EXPECT_EQ(with_empty.fault_timeouts, 0u);
-}
-
-TEST(FaultMachine, FaultCountersSurfaceInRunResult) {
-  hs::exec::SimJob job;
-  job.platform.alpha = kAlpha;
-  job.platform.beta = kBeta;
-  job.ranks = 4;
-  job.problem = hs::core::ProblemSpec::square(128, 32);
-  FaultPlan plan = FaultPlan::flaky_links(0.2, 11);
-  job.faults = std::make_shared<const FaultPlan>(std::move(plan));
-  const hs::core::RunResult result = hs::exec::run_sim_job(job);
-  EXPECT_GT(result.fault_drops, 0u);
-  EXPECT_EQ(result.fault_retries, result.fault_drops);
 }
 
 }  // namespace

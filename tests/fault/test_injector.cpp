@@ -1,159 +1,69 @@
-// FaultInjector math: bit-exact no-fault pass-through, piecewise slowdown
-// stretching, link degradation, deterministic drops and exponential backoff.
-#include "fault/injector.hpp"
+// FaultPlan::stretch math: bit-exact pass-through when no window applies,
+// and piecewise slowdown stretching of compute and transfer charges.
+#include "fault/fault_plan.hpp"
 
 #include <gtest/gtest.h>
 
-#include <vector>
-
 namespace {
 
-using hs::fault::FaultInjector;
 using hs::fault::FaultPlan;
 using hs::fault::kForever;
 
 TEST(Injector, NoMatchingFaultIsBitExactPassThrough) {
   FaultPlan plan;
   plan.slowdowns.push_back({5, 0.0, kForever, 3.0});
-  FaultInjector injector(plan);
 
   // An awkward base value that would not survive any round-trip through
   // latency + (total - latency) arithmetic.
   const double base = 0.1 + 0.2;  // 0.30000000000000004
-  const auto outcome = injector.transfer(0, 1, 100, 0.0, 1e-4, base);
-  EXPECT_EQ(outcome.elapsed, base);  // bit-exact, not just approximately
-  EXPECT_EQ(outcome.attempts, 1);
-  EXPECT_FALSE(outcome.forced);
-  EXPECT_EQ(injector.compute_seconds(0, 0.0, base), base);
-  EXPECT_EQ(injector.drops(), 0u);
+  EXPECT_EQ(plan.stretch(0, 1, 0.0, base), base);  // bit-exact
+  EXPECT_EQ(plan.stretch(0, -1, 0.0, base), base);
 }
 
 TEST(Injector, ExpiredWindowIsBitExactPassThrough) {
   FaultPlan plan;
   plan.slowdowns.push_back({0, 0.0, 1.0, 4.0});
-  FaultInjector injector(plan);
   const double base = 0.1 + 0.2;
   // Starting after the window closed: no stretching at all.
-  EXPECT_EQ(injector.compute_seconds(0, 2.0, base), base);
+  EXPECT_EQ(plan.stretch(0, -1, 2.0, base), base);
 }
 
 TEST(Injector, SlowdownStretchesWorkInsideWindow) {
   FaultPlan plan;
   plan.slowdowns.push_back({0, 0.0, kForever, 2.0});
-  FaultInjector injector(plan);
-  EXPECT_DOUBLE_EQ(injector.compute_seconds(0, 0.0, 1.0), 2.0);
-  EXPECT_DOUBLE_EQ(injector.compute_seconds(0, 5.0, 0.25), 0.5);
+  EXPECT_DOUBLE_EQ(plan.stretch(0, -1, 0.0, 1.0), 2.0);
+  EXPECT_DOUBLE_EQ(plan.stretch(0, -1, 5.0, 0.25), 0.5);
   // Other ranks are untouched.
-  EXPECT_EQ(injector.compute_seconds(1, 0.0, 1.0), 1.0);
+  EXPECT_EQ(plan.stretch(1, -1, 0.0, 1.0), 1.0);
 }
 
 TEST(Injector, StretchIsPiecewiseAcrossWindowBoundaries) {
   FaultPlan plan;
   plan.slowdowns.push_back({0, 1.0, 2.0, 2.0});
-  FaultInjector injector(plan);
   // Start at 0.5 with 1.0s of work: 0.5s at full speed (half done), then
   // the window opens; the remaining 0.5 base takes 1.0s at factor 2.
-  EXPECT_DOUBLE_EQ(injector.compute_seconds(0, 0.5, 1.0), 1.5);
+  EXPECT_DOUBLE_EQ(plan.stretch(0, -1, 0.5, 1.0), 1.5);
   // Start inside the window with more work than the window can hold:
   // [1, 2) accomplishes 0.5 base, the remaining 0.5 runs at full speed.
-  EXPECT_DOUBLE_EQ(injector.compute_seconds(0, 1.0, 1.0), 1.5);
+  EXPECT_DOUBLE_EQ(plan.stretch(0, -1, 1.0, 1.0), 1.5);
   // Entirely inside: plain multiplication.
-  EXPECT_DOUBLE_EQ(injector.compute_seconds(0, 1.0, 0.25), 0.5);
+  EXPECT_DOUBLE_EQ(plan.stretch(0, -1, 1.0, 0.25), 0.5);
 }
 
 TEST(Injector, OverlappingWindowsTakeMaxFactor) {
   FaultPlan plan;
   plan.slowdowns.push_back({0, 0.0, kForever, 2.0});
   plan.slowdowns.push_back({0, 0.0, kForever, 3.0});
-  FaultInjector injector(plan);
-  EXPECT_DOUBLE_EQ(injector.compute_seconds(0, 0.0, 1.0), 3.0);
+  EXPECT_DOUBLE_EQ(plan.stretch(0, -1, 0.0, 1.0), 3.0);
 }
 
 TEST(Injector, TransferStretchesOnEitherEndpoint) {
   FaultPlan plan;
   plan.slowdowns.push_back({1, 0.0, kForever, 2.0});
-  FaultInjector injector(plan);
   // The straggler slows transfers it sends *and* transfers it receives.
-  EXPECT_DOUBLE_EQ(injector.transfer(1, 0, 8, 0.0, 1e-4, 0.5).elapsed, 1.0);
-  EXPECT_DOUBLE_EQ(injector.transfer(0, 1, 8, 0.0, 1e-4, 0.5).elapsed, 1.0);
-  EXPECT_EQ(injector.transfer(2, 3, 8, 0.0, 1e-4, 0.5).elapsed, 0.5);
-}
-
-TEST(Injector, LinkDegradeScalesAlphaAndBetaSeparately) {
-  FaultPlan plan;
-  plan.degrades.push_back({0, 1, 0.0, kForever, 2.0, 3.0});
-  FaultInjector injector(plan);
-  const double alpha = 1e-3;
-  const double beta_part = 4e-3;
-  const auto outcome =
-      injector.transfer(0, 1, 100, 0.0, alpha, alpha + beta_part);
-  EXPECT_DOUBLE_EQ(outcome.elapsed, 2.0 * alpha + 3.0 * beta_part);
-  // The reverse direction does not match the (0, 1) rule.
-  EXPECT_EQ(injector.transfer(1, 0, 100, 0.0, alpha, alpha + beta_part)
-                .elapsed,
-            alpha + beta_part);
-}
-
-TEST(Injector, DegradeWindowSampledAtTransferStart) {
-  FaultPlan plan;
-  plan.degrades.push_back({-1, -1, 0.0, 1.0, 10.0, 10.0});
-  FaultInjector injector(plan);
-  EXPECT_DOUBLE_EQ(injector.transfer(0, 1, 8, 0.5, 0.1, 0.3).elapsed, 3.0);
-  EXPECT_EQ(injector.transfer(0, 1, 8, 1.5, 0.1, 0.3).elapsed, 0.3);
-}
-
-TEST(Injector, DropDrawsAreDeterministicPerPlanSeed) {
-  const FaultPlan plan = FaultPlan::flaky_links(0.5, 123);
-  auto attempts_trace = [](const FaultPlan& p) {
-    FaultInjector injector(p);
-    std::vector<int> attempts;
-    for (int i = 0; i < 64; ++i)
-      attempts.push_back(injector.transfer(0, 1, 8, 0.0, 1e-3, 1e-2).attempts);
-    return attempts;
-  };
-  const std::vector<int> first = attempts_trace(plan);
-  EXPECT_EQ(attempts_trace(plan), first);  // fresh injector, same outcomes
-  int retried = 0;
-  for (int attempts : first) retried += attempts > 1 ? 1 : 0;
-  EXPECT_GT(retried, 8);   // rate 0.5 over 64 messages
-  EXPECT_LT(retried, 56);
-
-  FaultPlan reseeded = plan;
-  reseeded.seed = 124;
-  EXPECT_NE(attempts_trace(reseeded), first);
-}
-
-TEST(Injector, RetriesPayWireTimeAndExponentialBackoff) {
-  // rate ~1 forces a drop on every draw; max_attempts bounds the loop and
-  // the last attempt is delivered forcibly.
-  FaultPlan plan;
-  plan.drops.push_back({-1, -1, 0x1.fffffffffffffp-1});  // largest < 1
-  plan.retry.max_attempts = 4;
-  plan.retry.backoff_base_latencies = 1.0;
-  plan.retry.backoff_cap_latencies = 2.0;
-  FaultInjector injector(plan);
-
-  const double latency = 0.001;
-  const double wire = 0.01;
-  const auto outcome = injector.transfer(0, 1, 8, 0.0, latency, wire);
-  EXPECT_EQ(outcome.attempts, 4);
-  EXPECT_TRUE(outcome.forced);
-  // 4 wire occupations + backoffs of min(cap, 2^(a-1)) latencies after the
-  // first three failures: 1 + 2 + 2 (capped).
-  EXPECT_DOUBLE_EQ(outcome.elapsed, 4.0 * wire + (1.0 + 2.0 + 2.0) * latency);
-  EXPECT_EQ(injector.drops(), 3u);
-  EXPECT_EQ(injector.retries(), 3u);
-  EXPECT_EQ(injector.forced_deliveries(), 1u);
-}
-
-TEST(Injector, FirstMatchingDropRuleWins) {
-  FaultPlan plan;
-  plan.drops.push_back({0, 1, 0.0});    // exempt this link...
-  plan.drops.push_back({-1, -1, 0x1.fffffffffffffp-1});  // ...drop the rest
-  plan.retry.max_attempts = 2;
-  FaultInjector injector(plan);
-  EXPECT_EQ(injector.transfer(0, 1, 8, 0.0, 1e-3, 1e-2).attempts, 1);
-  EXPECT_EQ(injector.transfer(1, 0, 8, 0.0, 1e-3, 1e-2).attempts, 2);
+  EXPECT_DOUBLE_EQ(plan.stretch(1, 0, 0.0, 0.5), 1.0);
+  EXPECT_DOUBLE_EQ(plan.stretch(0, 1, 0.0, 0.5), 1.0);
+  EXPECT_EQ(plan.stretch(2, 3, 0.0, 0.5), 0.5);
 }
 
 }  // namespace

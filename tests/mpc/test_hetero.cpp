@@ -10,14 +10,13 @@
 
 #include "common/check.hpp"
 #include "core/runner.hpp"
-#include "fault/injector.hpp"
+#include "fault/fault_plan.hpp"
 #include "mpc/comm.hpp"
 
 namespace {
 
 using hs::desim::Engine;
 using hs::desim::Task;
-using hs::fault::FaultInjector;
 using hs::fault::FaultPlan;
 using hs::fault::kForever;
 using hs::mpc::Buf;
@@ -77,8 +76,7 @@ TEST(HeteroRanks, MatchesInfiniteWindowRankSlowdownOnCompute) {
   Machine fault_machine(engine, hockney(), {.ranks = 3, .gamma_flop = 1e-9});
   FaultPlan plan;
   plan.slowdowns.push_back({1, 0.0, kForever, 3.5});
-  FaultInjector injector(plan);
-  fault_machine.set_fault_injector(&injector);
+  fault_machine.set_faults(&plan);
 
   for (int rank = 0; rank < 3; ++rank)
     for (double base : {1e-6, 1e-3, 2.0})
@@ -96,8 +94,7 @@ TEST(HeteroRanks, ComposesMultiplicativelyWithFaultWindows) {
                   {.ranks = 2, .gamma_flop = 1e-9, .rank_gamma = {2.0, 1.0}});
   FaultPlan plan;
   plan.slowdowns.push_back({0, 0.0, kForever, 3.0});
-  FaultInjector injector(plan);
-  machine.set_fault_injector(&injector);
+  machine.set_faults(&plan);
   EXPECT_DOUBLE_EQ(machine.compute_duration(0, 1e-3), 6e-3);
   EXPECT_DOUBLE_EQ(machine.compute_duration(1, 1e-3), 1e-3);
 }

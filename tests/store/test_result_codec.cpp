@@ -27,9 +27,6 @@ RunResult awkward_result() {
   result.max_error = -1.0;
   result.messages = 0xFFFFFFFFFFFFFFFFull;
   result.wire_bytes = (1ull << 53) + 1;  // not representable as double
-  result.fault_drops = 3;
-  result.fault_retries = 7;
-  result.fault_timeouts = 1;
   return result;
 }
 
@@ -46,9 +43,6 @@ void expect_bit_identical(const RunResult& a, const RunResult& b) {
   EXPECT_EQ(a.max_error, b.max_error);
   EXPECT_EQ(a.messages, b.messages);
   EXPECT_EQ(a.wire_bytes, b.wire_bytes);
-  EXPECT_EQ(a.fault_drops, b.fault_drops);
-  EXPECT_EQ(a.fault_retries, b.fault_retries);
-  EXPECT_EQ(a.fault_timeouts, b.fault_timeouts);
 }
 
 TEST(ResultCodec, RoundTripsEveryFieldBitExactly) {

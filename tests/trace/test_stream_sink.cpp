@@ -8,8 +8,11 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/check.hpp"
 #include "trace/chrome_trace.hpp"
@@ -216,6 +219,72 @@ TEST(StreamSink, LoadRejectsBadMagic) {
   Recorder loaded;
   EXPECT_THROW(hs::trace::load_span_chunks(path, loaded),
                hs::PreconditionError);
+  std::remove(path.c_str());
+}
+
+// The chunk bytes of `recorder`'s spans, written by the real writer.
+std::string chunk_bytes(const Recorder& recorder, const std::string& path) {
+  {
+    SpanChunkWriter writer(path);
+    writer.spill(recorder);
+  }
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+// A chunk whose only corruption is one enum byte set past the last
+// enumerator must be rejected like an unknown record kind, for each of the
+// four enum fields the format stores.
+TEST(StreamSink, LoadRejectsOutOfRangeEnumBytes) {
+  const std::string path = temp_path("bad_enum.spans");
+  // Each case fills one recorder with a single span whose enum field holds
+  // `value` (restore() stores spans verbatim).
+  const std::vector<std::pair<const char*, void (*)(Recorder&, int)>> cases = {
+      {"collective op",
+       [](Recorder& r, int value) {
+         CollectiveSpan span;
+         span.op = static_cast<CollectiveOp>(value);
+         r.restore(span);
+       }},
+      {"phase",
+       [](Recorder& r, int value) {
+         ComputeSpan span;
+         span.phase = static_cast<Phase>(value);
+         r.restore(span);
+       }},
+      {"task span kind",
+       [](Recorder& r, int value) {
+         TaskSpan span;
+         span.label = "t";
+         span.kind = static_cast<TaskSpanKind>(value);
+         r.restore(span);
+       }},
+      {"fault kind",
+       [](Recorder& r, int value) {
+         FaultSpan span;
+         span.kind = static_cast<FaultKind>(value);
+         r.restore(span);
+       }},
+  };
+  for (const auto& [field, add] : cases) {
+    SCOPED_TRACE(field);
+    Recorder valid;
+    add(valid, 0);
+    Recorder corrupt;
+    add(corrupt, 0x7f);
+    Recorder loaded;
+    const std::string good = chunk_bytes(valid, path);
+    EXPECT_EQ(hs::trace::load_span_chunks(path, loaded), 1u);
+    const std::string bad = chunk_bytes(corrupt, path);
+    EXPECT_THROW(hs::trace::load_span_chunks(path, loaded),
+                 hs::PreconditionError);
+    // The two chunks differ in exactly the enum byte.
+    ASSERT_EQ(good.size(), bad.size());
+    int differing = 0;
+    for (std::size_t i = 0; i < good.size(); ++i)
+      differing += good[i] != bad[i] ? 1 : 0;
+    EXPECT_EQ(differing, 1);
+  }
   std::remove(path.c_str());
 }
 
