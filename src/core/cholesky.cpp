@@ -46,6 +46,8 @@ constexpr int kTransposeTag = 17;
 desim::Task<void> cholesky_rank(CholeskyArgs args) {
   check_cholesky_preconditions(args.shape, args.n, args.block);
   const grid::ProcessGrid pg(args.comm, args.shape);
+  const BcastChain row_chain(pg.row_comm(), args.row_levels);
+  const BcastChain col_chain(pg.col_comm(), args.col_levels);
   mpc::Machine& machine = args.comm.machine();
   const int self = args.comm.my_world_rank();
   desim::Engine& engine = machine.engine();
@@ -124,9 +126,8 @@ desim::Task<void> cholesky_rank(CholeskyArgs args) {
     // 3a. Left factor: broadcast the L panel along my grid row.
     if (trailing_rows > 0) {
       trace::PhaseTimer timer(stats.comm_time, engine);
-      co_await hier_bcast(pg.row_comm(), owner,
-                          l_left.row_slice(0, trailing_rows),
-                          args.row_levels, args.bcast_algo);
+      co_await hier_bcast(row_chain, owner, l_left.row_slice(0, trailing_rows),
+                          args.bcast_algo);
     }
 
     // 3b. Right factor: the pivot-column rank of grid row j hands its panel
@@ -157,9 +158,9 @@ desim::Task<void> cholesky_rank(CholeskyArgs args) {
       }
       {
         trace::PhaseTimer timer(stats.comm_time, engine);
-        co_await hier_bcast(pg.col_comm(), pg.my_col(),
+        co_await hier_bcast(col_chain, pg.my_col(),
                             l_right.row_slice(0, col_panel_rows),
-                            args.col_levels, args.bcast_algo);
+                            args.bcast_algo);
       }
     }
 

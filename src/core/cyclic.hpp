@@ -26,7 +26,8 @@
 namespace hs::core {
 
 /// Block-cyclic SUMMA. Distribution block = problem.block (= b). Supports
-/// the overlapped pipeline. Precondition: b | k.
+/// the overlapped pipeline. Precondition: b | k. Broadcasts are flat:
+/// args.row_levels and args.col_levels are ignored.
 desim::Task<void> summa_cyclic_rank(SummaArgs args);
 
 /// Block-cyclic HSUMMA. Distribution block = problem.effective_outer_block

@@ -2,79 +2,53 @@
 
 #include <cmath>
 
-#include "core/panel.hpp"
-#include "core/summa.hpp"
-#include "core/task_plan.hpp"
-#include "grid/process_grid.hpp"
-#include "la/gemm.hpp"
-
 namespace hs::core {
 
-std::vector<BcastStage> hier_bcast_stages(mpc::Comm comm, int root,
-                                          const std::vector<int>& factors) {
-  HS_REQUIRE(root >= 0 && root < comm.size());
-  std::vector<BcastStage> stages;
-  mpc::Comm current = comm;
-  int current_root = root;
-  int level = 0;
-  for (std::size_t i = 0; i <= factors.size(); ++i) {
-    const int p = current.size();
-    if (p == 1) return stages;
-    if (i == factors.size()) {
-      // Trailing "whatever remains" phase.
-      stages.push_back({current, current_root, level});
-      return stages;
-    }
-    const int factor = factors[i];
-    HS_REQUIRE_MSG(factor >= 1 && p % factor == 0,
+void check_level_factors(int size, const std::vector<int>& factors) {
+  int remaining = size;
+  for (const int factor : factors) {
+    if (remaining == 1) return;
+    HS_REQUIRE_MSG(factor >= 1 && remaining % factor == 0,
                    "hier_bcast level factor "
-                       << factor << " must divide group size " << p);
-    if (factor == 1) {
-      ++level;  // degenerate level: skipped, but it keeps its chain slot
-      continue;
-    }
-    if (factor == p) {
-      stages.push_back({current, current_root, level});
-      return stages;
-    }
-
-    const int block = p / factor;
-    const int rank = current.rank();
-    const int root_offset = current_root % block;
-
-    // Phase: broadcast among the `factor` representatives (one per block,
-    // each at the root's offset within its block).
-    if (rank % block == root_offset) {
-      std::vector<int> representatives;
-      representatives.reserve(static_cast<std::size_t>(factor));
-      for (int g = 0; g < factor; ++g)
-        representatives.push_back(g * block + root_offset);
-      stages.push_back({current.sub(representatives), current_root / block,
-                        level});
-    }
-
-    // Descend into my block for the next level.
-    std::vector<int> block_members;
-    block_members.reserve(static_cast<std::size_t>(block));
-    const int base = (rank / block) * block;
-    for (int r = 0; r < block; ++r) block_members.push_back(base + r);
-    current = current.sub(block_members);
-    current_root = root_offset;
-    ++level;
+                       << factor << " must divide group size " << remaining);
+    if (factor == remaining) return;
+    remaining /= factor;
   }
-  return stages;
 }
 
-desim::Task<void> hier_bcast(mpc::Comm comm, int root, mpc::Buf buf,
-                             std::vector<int> level_factors,
+BcastChain::BcastChain(const mpc::Comm& comm, const std::vector<int>& factors)
+    : rank_(comm.rank()), size_(comm.size()) {
+  check_level_factors(size_, factors);
+  if (size_ == 1) return;
+  mpc::Comm current = comm;
+  int level = 0;
+  for (const int factor : factors) {
+    const int p = current.size();
+    if (factor == p) break;
+    if (factor > 1) {
+      const int block = p / factor;
+      const int rank = current.rank();
+      // The representatives at my offset within my block, one per block.
+      std::vector<int> members;
+      members.reserve(static_cast<std::size_t>(factor));
+      for (int g = 0; g < factor; ++g)
+        members.push_back(g * block + rank % block);
+      splits_.push_back({current.sub(members), block, level});
+      // Descend into my block for the next level.
+      members.clear();
+      for (int r = 0; r < block; ++r)
+        members.push_back(rank / block * block + r);
+      current = current.sub(members);
+    }
+    ++level;  // a factor of 1 is skipped but keeps its level slot
+  }
+  last_ = {current, 1, level};
+}
+
+desim::Task<void> hier_bcast(const BcastChain& chain, int root, mpc::Buf buf,
                              std::optional<net::BcastAlgo> algo) {
-  // Named local, not a range-for temporary: a lifetime-extended temporary
-  // spanning co_await is miscompiled by GCC < 13 (left on the stack instead
-  // of the coroutine frame).
-  const std::vector<BcastStage> stages =
-      hier_bcast_stages(comm, root, level_factors);
-  for (const BcastStage& stage : stages)
-    co_await mpc::bcast(stage.comm, stage.root, buf, algo);
+  for (BcastChain::Stage stage = chain.stages(root); stage; ++stage)
+    co_await mpc::bcast(stage.comm(), stage.root(), buf, algo);
 }
 
 std::vector<int> balanced_levels(int extent, int levels) {
@@ -95,106 +69,6 @@ std::vector<int> balanced_levels(int extent, int levels) {
     remaining /= best;
   }
   return factors;
-}
-
-namespace {
-
-// Awaits one broadcast phase, charging stats.comm_time and — when the run
-// actually has a chain (`split_levels`) — the per-level split plus the
-// outer/inner pair (level 0 counts as the inter-group "outer" phase,
-// deeper levels as "intra"). The rank's trace level state is stamped with
-// the stage level around the call, so the recorded collective span carries
-// the exact chain level the generalized critical-path analyzer splits on.
-desim::Task<void> timed_stage_bcast(const BcastStage& stage, mpc::Buf buf,
-                                    std::optional<net::BcastAlgo> algo,
-                                    trace::RankStats& stats,
-                                    const trace::RankTracer& tracer,
-                                    desim::Engine& engine, bool split_levels) {
-  trace::PhaseTimer total(stats.comm_time, engine);
-  if (!split_levels) {
-    co_await mpc::bcast(stage.comm, stage.root, buf, algo);
-    co_return;
-  }
-  if (stats.level_comm_time.size() <= static_cast<std::size_t>(stage.level))
-    stats.level_comm_time.resize(static_cast<std::size_t>(stage.level) + 1);
-  trace::PhaseTimer per_level(
-      stats.level_comm_time[static_cast<std::size_t>(stage.level)], engine);
-  trace::PhaseTimer outer_inner(
-      stage.level == 0 ? stats.outer_comm_time : stats.inner_comm_time,
-      engine);
-  tracer.set_level(stage.level);
-  co_await mpc::bcast(stage.comm, stage.root, buf, algo);
-  tracer.set_level(-1);
-}
-
-}  // namespace
-
-desim::Task<void> hsumma_multilevel_rank(HsummaMultilevelArgs args) {
-  if (args.lookahead >= 1) {
-    co_await hsumma_multilevel_task_plan(std::move(args));
-    co_return;
-  }
-  check_summa_divisibility(args.shape, args.problem);
-  const grid::ProcessGrid pg(args.comm, args.shape);
-  mpc::Machine& machine = args.comm.machine();
-  const int self = args.comm.my_world_rank();
-  desim::Engine& engine = machine.engine();
-
-  const ProblemSpec& prob = args.problem;
-  const index_t b = prob.block;
-  const index_t local_m = prob.m / pg.rows();
-  const index_t local_n = prob.n / pg.cols();
-  const index_t local_k_a = prob.k / pg.cols();
-  const index_t local_k_b = prob.k / pg.rows();
-  const PayloadMode mode =
-      args.local == nullptr ? PayloadMode::Phantom : PayloadMode::Real;
-  const bool split_levels =
-      !args.row_levels.empty() || !args.col_levels.empty();
-
-  trace::RankStats scratch_stats;
-  trace::RankStats& stats = args.stats ? *args.stats : scratch_stats;
-
-  PanelBuffer a_panel(local_m, b, mode);
-  PanelBuffer b_panel(b, local_n, mode);
-
-  const index_t steps = prob.k / b;
-  for (index_t q = 0; q < steps; ++q) {
-    args.tracer.begin_step(engine, static_cast<int>(q), trace::Phase::Flat);
-    const index_t pivot = q * b;
-
-    const int a_root = static_cast<int>(pivot / local_k_a);
-    if (mode == PayloadMode::Real && pg.my_col() == a_root) {
-      const index_t col0 = pivot - static_cast<index_t>(a_root) * local_k_a;
-      a_panel.view().copy_from(args.local->a.block(0, col0, local_m, b));
-    }
-    // Named locals (not range-for temporaries): see hier_bcast above.
-    const std::vector<BcastStage> a_stages =
-        hier_bcast_stages(pg.row_comm(), a_root, args.row_levels);
-    for (const BcastStage& stage : a_stages)
-      co_await timed_stage_bcast(stage, a_panel.buf(), args.bcast_algo, stats,
-                                 args.tracer, engine, split_levels);
-
-    const int b_root = static_cast<int>(pivot / local_k_b);
-    if (mode == PayloadMode::Real && pg.my_row() == b_root) {
-      const index_t row0 = pivot - static_cast<index_t>(b_root) * local_k_b;
-      b_panel.view().copy_from(args.local->b.block(row0, 0, b, local_n));
-    }
-    const std::vector<BcastStage> b_stages =
-        hier_bcast_stages(pg.col_comm(), b_root, args.col_levels);
-    for (const BcastStage& stage : b_stages)
-      co_await timed_stage_bcast(stage, b_panel.buf(), args.bcast_algo, stats,
-                                 args.tracer, engine, split_levels);
-
-    const double flops = la::gemm_flops(local_m, local_n, b);
-    {
-      trace::PhaseTimer timer(stats.comp_time, engine);
-      trace::ComputeSpanGuard span(args.tracer, engine, flops);
-      co_await machine.compute(self, flops);
-    }
-    if (mode == PayloadMode::Real)
-      la::gemm(a_panel.view(), b_panel.view(), args.local->c.view());
-    stats.flops += static_cast<std::uint64_t>(flops);
-  }
 }
 
 }  // namespace hs::core

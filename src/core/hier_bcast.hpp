@@ -1,81 +1,126 @@
-// Multilevel hierarchical broadcast and the >2-level HSUMMA extension
-// (the paper's "more than two levels of hierarchy" future work).
+// Multilevel hierarchical broadcast: the broadcast every SUMMA-shaped
+// kernel (SUMMA at any chain depth, LU, Cholesky) issues along a grid axis.
 //
-// hier_bcast decomposes a broadcast over p ranks into phases given level
-// factors f1 x f2 x ... x fL = p: first among f1 representatives (one per
-// block of p/f1 ranks, at the root's offset within its block), then
-// recursively inside each block. With a single factor {J} applied to
-// SUMMA's row broadcast this is exactly HSUMMA's two-phase structure with
-// b = B; deeper factor chains give 3-level, 4-level, ... HSUMMA.
+// A factor chain f1 x f2 x ... x fL splits a broadcast over p ranks into
+// phases: first among f1 representatives (one per block of p/f1 ranks, at
+// the root's offset within its block), then recursively inside each block,
+// with a trailing "whatever remains" phase over the innermost block. The
+// empty chain is a plain broadcast (flat SUMMA); a single factor {J} on
+// SUMMA's row broadcast is exactly HSUMMA's two-phase structure with
+// b = B; deeper chains give 3-level, 4-level, ... HSUMMA (the paper's
+// "more than two levels of hierarchy" future work).
 #pragma once
 
-#include <span>
+#include <optional>
 #include <vector>
 
-#include "core/spec.hpp"
 #include "desim/task.hpp"
 #include "mpc/collectives.hpp"
-#include "trace/phase.hpp"
-#include "trace/recorder.hpp"
 
 namespace hs::core {
 
-/// One phase of a hierarchical broadcast on the calling rank: a plain
-/// mpc::bcast on `comm` rooted at `root`. `level` is the position in the
-/// factor chain (0 = outermost); the trailing "whatever remains" phase
-/// carries level = number of factors consumed before it.
-struct BcastStage {
-  mpc::Comm comm;
-  int root = 0;
-  int level = 0;
+/// Throws PreconditionError unless every factor of the chain divides the
+/// group size remaining at its level over `size` ranks. Factors after one
+/// equal to the remaining size are never reached, and a single rank has
+/// nothing to split, so neither is checked.
+void check_level_factors(int size, const std::vector<int>& factors);
+
+/// The calling rank's hierarchical broadcast along one communicator (a grid
+/// axis), for every root. Factors of 1 are skipped but keep their level
+/// slot, a factor equal to the remaining size ends the chain with one phase
+/// over the whole block, and a single-rank communicator has no phase.
+///
+/// A rank takes part in a representatives phase only when its offset within
+/// its block equals the root's, and from that phase on it is the root of
+/// every deeper one. So each level needs one communicator per rank (the
+/// representatives at the rank's own offset), none of which depends on the
+/// root: the constructor builds them all once, and stages(root) is
+/// arithmetic only (no Comm::sub, no allocation).
+class BcastChain {
+ public:
+  /// Throws like check_level_factors(comm.size(), factors).
+  BcastChain(const mpc::Comm& comm, const std::vector<int>& factors);
+
+  /// The calling rank's position in the chain's communicator.
+  int rank() const noexcept { return rank_; }
+
+  class Stage;
+  /// The first of the calling rank's phases of a broadcast rooted at
+  /// `root` (a rank of the chain's communicator). Awaiting mpc::bcast on
+  /// each phase in turn is the hierarchical broadcast:
+  ///   for (BcastChain::Stage stage = chain.stages(root); stage; ++stage)
+  ///     co_await mpc::bcast(stage.comm(), stage.root(), buf, algo);
+  Stage stages(int root) const;
+
+ private:
+  struct Phase {
+    mpc::Comm comm;
+    int block = 1;  // ranks per block below this phase
+    int level = 0;
+  };
+  /// The phase after `phase`; nullptr after the last.
+  const Phase* next(const Phase* phase) const {
+    if (phase == &last_) return nullptr;
+    ++phase;
+    return phase == splits_.data() + splits_.size() ? &last_ : phase;
+  }
+
+  std::vector<Phase> splits_;  // the representatives phases, outermost first
+  // Whatever remains: the innermost block (block 1). Kept out of splits_
+  // so the empty chain allocates nothing and its one phase sits beside the
+  // rest of the rank's state.
+  Phase last_;
+  int rank_ = 0;
+  int size_ = 1;
 };
 
-/// The calling rank's phase sequence for hier_bcast(comm, root, factors):
-/// awaiting mpc::bcast on each stage in order is exactly the hierarchical
-/// broadcast. Exposed so the task runtime can lower every phase to its own
-/// comm task (per-level spans, per-level slot-ring dependencies) and the
-/// blocking kernel can wrap each phase in a per-level timer, while both
-/// share one decomposition. Ranks that are not representatives at a level
-/// simply have no stage for it; a size-1 comm yields no stages at all.
-std::vector<BcastStage> hier_bcast_stages(mpc::Comm comm, int root,
-                                          const std::vector<int>& factors);
+/// A cursor over one root's phases on the calling rank (see stages()):
+/// false once past the last phase.
+class BcastChain::Stage {
+ public:
+  explicit operator bool() const noexcept { return phase_ != nullptr; }
+  const mpc::Comm& comm() const noexcept { return phase_->comm; }
+  /// The broadcast root within comm().
+  int root() const noexcept {
+    return root_ >= 0 ? root_ : phase_->comm.rank();
+  }
+  /// Position in the factor chain (0 = outermost); the trailing "whatever
+  /// remains" phase carries the number of factors consumed before it.
+  int level() const noexcept { return phase_->level; }
+  Stage& operator++() noexcept {
+    phase_ = chain_->next(phase_);
+    root_ = -1;  // deeper phases are rooted at the calling rank
+    return *this;
+  }
 
-/// Hierarchical broadcast. Every element of `level_factors` must divide the
-/// remaining block size; factors need not multiply to exactly comm.size()
-/// (a trailing factor of "whatever remains" is implied).
-desim::Task<void> hier_bcast(mpc::Comm comm, int root, mpc::Buf buf,
-                             std::vector<int> level_factors,
+ private:
+  friend class BcastChain;
+  Stage(const BcastChain* chain, const Phase* phase, int root)
+      : chain_(chain), phase_(phase), root_(root) {}
+  const BcastChain* chain_;
+  const Phase* phase_;
+  int root_;
+};
+
+inline BcastChain::Stage BcastChain::stages(int root) const {
+  HS_REQUIRE(root >= 0 && root < size_);
+  if (size_ == 1) return {this, nullptr, root};  // no phase
+  // Walk down the levels until the root's offset within its block is mine;
+  // the last phase (block 1) always matches.
+  int rank = rank_;
+  for (const Phase& split : splits_) {
+    if (rank % split.block == root % split.block)
+      return {this, &split, root / split.block};
+    rank %= split.block;
+    root %= split.block;
+  }
+  return {this, &last_, root};
+}
+
+/// Hierarchical broadcast of `buf` from `root` over `chain`, which must
+/// outlive the returned task.
+desim::Task<void> hier_bcast(const BcastChain& chain, int root, mpc::Buf buf,
                              std::optional<net::BcastAlgo> algo);
-
-struct HsummaMultilevelArgs {
-  mpc::Comm comm;
-  grid::GridShape shape;
-  ProblemSpec problem;               // single block size b (outer_block unused)
-  std::vector<int> row_levels;       // factor chain along grid rows (t)
-  std::vector<int> col_levels;       // factor chain along grid cols (s)
-  LocalBlocks* local = nullptr;
-  trace::RankStats* stats = nullptr;
-  std::optional<net::BcastAlgo> bcast_algo;
-  /// Look-ahead depth (see SummaArgs::lookahead). D >= 1 runs the task
-  /// plan (core/task_plan.hpp): the slot ring composes with any chain
-  /// depth, so multi-level broadcasts prefetch like flat SUMMA's.
-  int lookahead = 0;
-  trace::RankTracer tracer;
-};
-
-/// SUMMA with every broadcast replaced by a multilevel hierarchical
-/// broadcast. With row_levels = {J} and col_levels = {I} this issues the
-/// broadcasts of HSUMMA(I x J groups, b = B) in a different order: each
-/// step runs all of A's stages, then all of B's, where HSUMMA runs both
-/// outer broadcasts before the inner ones. At D = 0 messages and wire
-/// bytes match HSUMMA exactly, but virtual times only up to rounding: max
-/// comm, max comp and the outer/inner split can differ in the last bits,
-/// and on some grids the total does too (tests pin the grids where the
-/// total is bit-identical). At D >= 1 the two orders overlap differently
-/// and the totals differ outright. Fills the per-level communication split
-/// (trace::RankStats::level_comm_time, one slot per chain level plus the
-/// trailing remainder phase).
-desim::Task<void> hsumma_multilevel_rank(HsummaMultilevelArgs args);
 
 /// Balanced factor chain for a multilevel hierarchy over `extent` ranks
 /// with `levels` levels. Contract (pinned by tests/core/test_multilevel.cpp):

@@ -34,7 +34,6 @@ desim::Task<void> hsumma_rank(HsummaArgs args) {
     co_await hsumma_task_plan(std::move(args));
     co_return;
   }
-  check_hsumma_divisibility(args.shape, args.groups, args.problem);
   const grid::HierGrid hg(args.comm, args.shape, args.groups);
   mpc::Machine& machine = args.comm.machine();
   const int self = args.comm.my_world_rank();

@@ -48,10 +48,13 @@ struct HsummaArgs {
 };
 
 /// The per-rank HSUMMA program (the paper's Algorithm 1).
-/// Preconditions: SUMMA's divisibility for block b, plus b | B and B
-/// aligned to single owners ((t*B) | k and (s*B) | k).
+/// Preconditions (checked by the registry before any rank spawns, not
+/// here): SUMMA's divisibility for block b, plus b | B, B aligned to single
+/// owners ((t*B) | k and (s*B) | k), and groups dividing the grid.
 desim::Task<void> hsumma_rank(HsummaArgs args);
 
+/// The preconditions above; throws PreconditionError with a precise
+/// message on violation.
 void check_hsumma_divisibility(grid::GridShape shape, grid::GridShape groups,
                                const ProblemSpec& p);
 

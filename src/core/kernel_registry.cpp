@@ -93,10 +93,15 @@ class GemmRun final : public KernelRun {
     const ProblemSpec& prob = options.problem;
     LocalBlocks* local = local_of(rank);
     switch (options.algorithm) {
-      case Algorithm::Summa:
+      case Algorithm::Summa:  // the empty chain, whatever levels are set
         return summa_rank({world, options.grid, prob, local, stats,
                            options.bcast_algo, effective_lookahead(options),
                            trace::RankTracer(options.recorder, rank)});
+      case Algorithm::HsummaMultilevel:
+        return summa_rank({world, options.grid, prob, local, stats,
+                           options.bcast_algo, effective_lookahead(options),
+                           trace::RankTracer(options.recorder, rank),
+                           options.row_levels, options.col_levels});
       case Algorithm::Hsumma:
         return hsumma_rank({world, options.grid, options.groups, prob, local,
                             stats, options.bcast_algo,
@@ -112,12 +117,6 @@ class GemmRun final : public KernelRun {
                                    local, stats, options.bcast_algo,
                                    effective_lookahead(options) >= 1,
                                    trace::RankTracer(options.recorder, rank)});
-      case Algorithm::HsummaMultilevel:
-        return hsumma_multilevel_rank(
-            {world, options.grid, prob, options.row_levels,
-             options.col_levels, local, stats, options.bcast_algo,
-             effective_lookahead(options),
-             trace::RankTracer(options.recorder, rank)});
       case Algorithm::Cannon:
         return cannon_rank({world, options.grid, prob, local, stats,
                             effective_lookahead(options),
@@ -325,6 +324,29 @@ std::unique_ptr<KernelRun> make_cholesky_run(const RunOptions& options) {
 
 // --- validation policies ---------------------------------------------------
 
+void validate_summa(const RunOptions& options) {
+  check_summa_divisibility(options.grid, options.problem);
+}
+
+void validate_hsumma(const RunOptions& options) {
+  check_hsumma_divisibility(options.grid, options.groups, options.problem);
+}
+
+void validate_multilevel(const RunOptions& options) {
+  check_summa_divisibility(options.grid, options.problem);
+  check_level_factors(options.grid.cols, options.row_levels);
+  check_level_factors(options.grid.rows, options.col_levels);
+  if (options.row_levels.empty() && options.col_levels.empty()) return;
+  // Every chain level moves panels of b, so a B != b would be reported
+  // under a cache key naming B while the run used b.
+  const ProblemSpec& prob = options.problem;
+  HS_REQUIRE_MSG(prob.outer_block == 0 || prob.outer_block == prob.block,
+                 "kernel 'hsumma-multilevel' broadcasts panels of b="
+                     << prob.block << " at every chain level; outer block B="
+                     << prob.outer_block
+                     << " would be ignored (use B = 0 or B = b)");
+}
+
 void require_factorization_options(const RunOptions& options) {
   const ProblemSpec& prob = options.problem;
   const KernelDescriptor& kernel = kernel_descriptor(options.algorithm);
@@ -382,6 +404,7 @@ std::vector<KernelDescriptor> build_registry() {
                                   Algorithm::Hsumma, make_gemm_run);
     summa.overlap_support = OverlapSupport::TaskPlan;
     summa.multilevel = Algorithm::HsummaMultilevel;
+    summa.validate = validate_summa;
   }
   {
     KernelDescriptor& hsumma = add(Algorithm::Hsumma, "hsumma",
@@ -389,6 +412,7 @@ std::vector<KernelDescriptor> build_registry() {
                                    make_gemm_run);
     hsumma.overlap_support = OverlapSupport::TaskPlan;
     hsumma.multilevel = Algorithm::HsummaMultilevel;
+    hsumma.validate = validate_hsumma;
   }
   {
     KernelDescriptor& multilevel =
@@ -397,6 +421,7 @@ std::vector<KernelDescriptor> build_registry() {
             make_gemm_run);
     multilevel.overlap_support = OverlapSupport::TaskPlan;
     multilevel.multilevel = Algorithm::HsummaMultilevel;
+    multilevel.validate = validate_multilevel;
   }
   add(Algorithm::SummaCyclic, "summa-cyclic", Algorithm::SummaCyclic,
       Algorithm::HsummaCyclic, make_gemm_run)

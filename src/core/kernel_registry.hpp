@@ -11,9 +11,11 @@
 // pick it up with no further plumbing.
 //
 // Layering: the registry owns the *harness* knowledge (how to build inputs,
-// spawn per-rank programs, verify outputs); the kernels themselves
-// (core/summa.hpp, core/lu.hpp, ...) stay plain coroutine factories with no
-// registry dependency.
+// check shapes, spawn per-rank programs, verify outputs); the kernels
+// themselves (core/summa.hpp, core/lu.hpp, ...) stay plain coroutine
+// factories with no registry dependency. One kernel may serve several
+// entries: `summa` and `hsumma-multilevel` both run core::summa_rank, the
+// first always over empty broadcast chains.
 #pragma once
 
 #include <memory>
@@ -77,8 +79,11 @@ struct KernelDescriptor {
   /// into (the chain's per-level arrangement becomes its row/col level
   /// factors). Unset means chains are a hard error for this kernel.
   std::optional<Algorithm> multilevel;
-  /// Kernel-specific precondition checks (grid shape, divisibility, ...).
-  /// Null when the per-rank program performs all validation itself.
+  /// Kernel-specific precondition checks (grid shape, divisibility, chain
+  /// factors, ...), run by core::run before any rank spawns, so a bad shape
+  /// costs no simulated event. The SUMMA family's kernels leave their shape
+  /// checks to it. Null when the per-rank program performs all validation
+  /// itself.
   void (*validate)(const RunOptions& options) = nullptr;
   /// Per-run state factory; materializes Real-mode inputs.
   std::unique_ptr<KernelRun> (*make_run)(const RunOptions& options) = nullptr;

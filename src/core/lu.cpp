@@ -40,6 +40,8 @@ desim::Task<void> lu_rank(LuArgs args) {
   }
   check_lu_preconditions(args.shape, args.n, args.block);
   const grid::ProcessGrid pg(args.comm, args.shape);
+  const BcastChain row_chain(pg.row_comm(), args.row_levels);
+  const BcastChain col_chain(pg.col_comm(), args.col_levels);
   mpc::Machine& machine = args.comm.machine();
   const int self = args.comm.my_world_rank();
   desim::Engine& engine = machine.engine();
@@ -129,8 +131,7 @@ desim::Task<void> lu_rank(LuArgs args) {
       }
       {
         trace::PhaseTimer timer(stats.comm_time, engine);
-        co_await hier_bcast(pg.row_comm(), owner_col, l_buf,
-                            args.row_levels, args.bcast_algo);
+        co_await hier_bcast(row_chain, owner_col, l_buf, args.bcast_algo);
       }
     }
 
@@ -164,8 +165,7 @@ desim::Task<void> lu_rank(LuArgs args) {
       }
       {
         trace::PhaseTimer timer(stats.comm_time, engine);
-        co_await hier_bcast(pg.col_comm(), owner_row, u_buf,
-                            args.col_levels, args.bcast_algo);
+        co_await hier_bcast(col_chain, owner_row, u_buf, args.bcast_algo);
       }
     }
 

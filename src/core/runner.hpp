@@ -24,8 +24,11 @@ struct RunOptions {
   grid::GridShape grid;            // s x t (per layer for Summa25D)
   int layers = 1;                  // Summa25D only
   grid::GridShape groups{1, 1};    // Hsumma only
-  std::vector<int> row_levels;     // HsummaMultilevel only
-  std::vector<int> col_levels;     // HsummaMultilevel only
+  /// Broadcast factor chains along grid rows / grid columns, read by
+  /// HsummaMultilevel (SUMMA over the chains; Summa is the empty chain and
+  /// ignores them), Lu and Cholesky. See core/hier_bcast.hpp.
+  std::vector<int> row_levels;
+  std::vector<int> col_levels;
   /// The group hierarchy this run was adapted from (recorded by
   /// adapt_hierarchy for diagnostics; flat when the run was requested with
   /// a legacy scalar group count <= 1 or never adapted).

@@ -2,6 +2,7 @@
 
 #include "core/panel.hpp"
 #include "core/task_plan.hpp"
+#include "grid/process_grid.hpp"
 #include "la/gemm.hpp"
 #include "mpc/collectives.hpp"
 
@@ -25,26 +26,45 @@ void check_summa_divisibility(grid::GridShape shape, const ProblemSpec& p) {
                       << " so B pivot panels align to one grid row");
 }
 
-desim::Task<void> summa_rank(SummaArgs args) {
-  if (args.lookahead > 0) {
-    // Overlapped execution is a task-plan schedule (core/task_plan.hpp).
-    co_await summa_task_plan(std::move(args));
-    co_return;
-  }
-  check_summa_divisibility(args.shape, args.problem);
+std::pair<BcastChain, BcastChain> summa_chains(const SummaArgs& args) {
   const grid::ProcessGrid pg(args.comm, args.shape);
+  return {BcastChain(pg.row_comm(), args.row_levels),
+          BcastChain(pg.col_comm(), args.col_levels)};
+}
+
+namespace {
+
+/// Charges one awaited broadcast stage that took `elapsed`: comm_time
+/// always, and for a chain run the stage's level slot plus the outer/inner
+/// pair (level 0 is the inter-group "outer" phase, deeper levels "inner").
+void charge_stage(trace::RankStats& stats, bool split_levels, int level,
+                  double elapsed) {
+  stats.comm_time += elapsed;
+  if (!split_levels) return;
+  const auto slot = static_cast<std::size_t>(level);
+  if (stats.level_comm_time.size() <= slot)
+    stats.level_comm_time.resize(slot + 1);
+  stats.level_comm_time[slot] += elapsed;
+  (level == 0 ? stats.outer_comm_time : stats.inner_comm_time) += elapsed;
+}
+
+/// The blocking (D = 0) schedule.
+desim::Task<void> summa_loop(SummaArgs args) {
+  const auto [a_chain, b_chain] = summa_chains(args);
   mpc::Machine& machine = args.comm.machine();
   const int self = args.comm.my_world_rank();
   desim::Engine& engine = machine.engine();
 
   const ProblemSpec& prob = args.problem;
   const index_t b = prob.block;
-  const index_t local_m = prob.m / pg.rows();
-  const index_t local_n = prob.n / pg.cols();
-  const index_t local_k_a = prob.k / pg.cols();  // my slice of A's columns
-  const index_t local_k_b = prob.k / pg.rows();  // my slice of B's rows
+  const index_t local_m = prob.m / args.shape.rows;
+  const index_t local_n = prob.n / args.shape.cols;
+  const index_t local_k_a = prob.k / args.shape.cols;  // my slice of A's cols
+  const index_t local_k_b = prob.k / args.shape.rows;  // my slice of B's rows
   const PayloadMode mode =
       args.local == nullptr ? PayloadMode::Phantom : PayloadMode::Real;
+  const bool split_levels =
+      !args.row_levels.empty() || !args.col_levels.empty();
 
   trace::RankStats scratch_stats;
   trace::RankStats& stats = args.stats ? *args.stats : scratch_stats;
@@ -54,32 +74,40 @@ desim::Task<void> summa_rank(SummaArgs args) {
   PanelBuffer a_panel(local_m, b, mode);
   PanelBuffer b_panel(b, local_n, mode);
 
+  // Every stage is awaited right here, not through a wrapper coroutine,
+  // with the rank's trace level stamped for the span the mpc layer records.
   for (index_t q = 0; q < steps; ++q) {
     args.tracer.begin_step(engine, q, trace::Phase::Flat);
     const index_t pivot = q * b;  // global position along the k dimension
 
     // Horizontal broadcast of A's pivot column panel along my grid row.
     const int a_root = static_cast<int>(pivot / local_k_a);
-    if (mode == PayloadMode::Real && pg.my_col() == a_root) {
+    if (mode == PayloadMode::Real && a_chain.rank() == a_root) {
       const index_t col0 = pivot - static_cast<index_t>(a_root) * local_k_a;
       a_panel.view().copy_from(args.local->a.block(0, col0, local_m, b));
     }
-    {
-      trace::PhaseTimer timer(stats.comm_time, engine);
-      co_await mpc::bcast(pg.row_comm(), a_root, a_panel.buf(),
+    for (BcastChain::Stage stage = a_chain.stages(a_root); stage; ++stage) {
+      const double start = engine.now();
+      if (split_levels) args.tracer.set_level(stage.level());
+      co_await mpc::bcast(stage.comm(), stage.root(), a_panel.buf(),
                           args.bcast_algo);
+      if (split_levels) args.tracer.set_level(-1);
+      charge_stage(stats, split_levels, stage.level(), engine.now() - start);
     }
 
     // Vertical broadcast of B's pivot row panel along my grid column.
     const int b_root = static_cast<int>(pivot / local_k_b);
-    if (mode == PayloadMode::Real && pg.my_row() == b_root) {
+    if (mode == PayloadMode::Real && b_chain.rank() == b_root) {
       const index_t row0 = pivot - static_cast<index_t>(b_root) * local_k_b;
       b_panel.view().copy_from(args.local->b.block(row0, 0, b, local_n));
     }
-    {
-      trace::PhaseTimer timer(stats.comm_time, engine);
-      co_await mpc::bcast(pg.col_comm(), b_root, b_panel.buf(),
+    for (BcastChain::Stage stage = b_chain.stages(b_root); stage; ++stage) {
+      const double start = engine.now();
+      if (split_levels) args.tracer.set_level(stage.level());
+      co_await mpc::bcast(stage.comm(), stage.root(), b_panel.buf(),
                           args.bcast_algo);
+      if (split_levels) args.tracer.set_level(-1);
+      charge_stage(stats, split_levels, stage.level(), engine.now() - start);
     }
 
     // Local rank-b update: C += A_panel * B_panel.
@@ -93,6 +121,16 @@ desim::Task<void> summa_rank(SummaArgs args) {
       la::gemm(a_panel.view(), b_panel.view(), args.local->c.view());
     stats.flops += static_cast<std::uint64_t>(flops);
   }
+}
+
+}  // namespace
+
+// A plain function, not a coroutine: co_await-ing the plan from the loop's
+// coroutine would keep a SummaArgs temporary in every rank's frame.
+desim::Task<void> summa_rank(SummaArgs args) {
+  // Overlapped execution is a task-plan schedule (core/task_plan.hpp).
+  if (args.lookahead > 0) return summa_task_plan(std::move(args));
+  return summa_loop(std::move(args));
 }
 
 }  // namespace hs::core

@@ -1,13 +1,19 @@
 // SUMMA — Scalable Universal Matrix Multiplication Algorithm
 // (van de Geijn & Watts, 1997), the paper's baseline and the state of the
-// art it redesigns.
+// art it redesigns — and, with broadcast factor chains, multi-level HSUMMA.
 //
 // C = A*B over an s x t grid with block-checkerboard distribution: k/b
 // steps, each broadcasting the pivot column panel of A along grid rows and
 // the pivot row panel of B along grid columns, followed by a local rank-b
-// update.
+// update. Each broadcast is a hierarchical broadcast over a factor chain
+// (core/hier_bcast.hpp): the empty chain is SUMMA itself, and the paper's
+// HSUMMA with G in {1, p} is the same empty chain.
 #pragma once
 
+#include <utility>
+#include <vector>
+
+#include "core/hier_bcast.hpp"
 #include "core/spec.hpp"
 #include "desim/task.hpp"
 #include "mpc/comm.hpp"
@@ -35,12 +41,37 @@ struct SummaArgs {
   /// spans come from the mpc layer. With lookahead >= 1 the step stamped on
   /// a forked broadcast is the step current at fork time (best-effort).
   trace::RankTracer tracer;
+  /// Broadcast factor chains along grid rows (A, over t) and grid columns
+  /// (B, over s); empty means flat SUMMA. problem.outer_block is ignored:
+  /// every chain level moves panels of b.
+  std::vector<int> row_levels = {};
+  std::vector<int> col_levels = {};
 };
 
-/// The per-rank SUMMA program. Preconditions: s | m, t | n, (t*b) | k and
+/// The per-rank SUMMA program over the args' factor chains, whose
+/// communicators it builds once, at start. Preconditions (checked by the
+/// registry before any rank spawns, not here): s | m, t | n, (t*b) | k and
 /// (s*b) | k so every pivot panel lies within one grid row/column (the
-/// paper's divisibility assumptions).
+/// paper's divisibility assumptions), and every factor divides the group
+/// size remaining at its level.
+///
+/// With row_levels = {J} and col_levels = {I} this issues the broadcasts
+/// of HSUMMA(I x J groups, b = B) in a different order: each step runs all
+/// of A's stages, then all of B's, where scalar HSUMMA (core/hsumma.hpp)
+/// runs both outer broadcasts before the inner ones. At D = 0 messages and
+/// wire bytes match HSUMMA exactly, but virtual times only up to rounding:
+/// max comm, max comp and the outer/inner split can differ in the last
+/// bits, and on some grids the total does too (tests pin the grids where
+/// the total is bit-identical). At D >= 1 the two orders overlap
+/// differently and the totals differ outright. A non-empty chain fills the
+/// per-level communication split (trace::RankStats::level_comm_time, one
+/// slot per chain level plus the trailing remainder phase).
 desim::Task<void> summa_rank(SummaArgs args);
+
+/// The calling rank's broadcast chains, built once per kernel run: along
+/// its grid row (A's panels, args.row_levels) and along its grid column
+/// (B's panels, args.col_levels).
+std::pair<BcastChain, BcastChain> summa_chains(const SummaArgs& args);
 
 /// Divisibility checks shared with HSUMMA; throws PreconditionError with a
 /// precise message on violation.

@@ -127,24 +127,44 @@ void PlanObserver::task_waited(const desim::TaskGraph& graph, int id,
 }
 
 // ---------------------------------------------------------------------------
-// SUMMA
+// SUMMA over broadcast factor chains (flat SUMMA is the empty chain)
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// Static trace labels per chain level (TaskSpec::label must outlive the
+/// graph). Depths past the table collapse onto the last entry.
+const char* stage_label(bool is_a, int level) {
+  static constexpr const char* kA[] = {"bcast A L0", "bcast A L1",
+                                       "bcast A L2", "bcast A L3",
+                                       "bcast A L4", "bcast A L5",
+                                       "bcast A L6", "bcast A L7+"};
+  static constexpr const char* kB[] = {"bcast B L0", "bcast B L1",
+                                       "bcast B L2", "bcast B L3",
+                                       "bcast B L4", "bcast B L5",
+                                       "bcast B L6", "bcast B L7+"};
+  const int i = std::min(level, 7);
+  return is_a ? kA[i] : kB[i];
+}
+
+}  // namespace
+
 desim::Task<void> summa_task_plan(SummaArgs args) {
-  check_summa_divisibility(args.shape, args.problem);
-  const grid::ProcessGrid pg(args.comm, args.shape);
+  const auto [a_chain, b_chain] = summa_chains(args);
   mpc::Machine& machine = args.comm.machine();
   const int self = args.comm.my_world_rank();
   desim::Engine& engine = machine.engine();
 
   const ProblemSpec& prob = args.problem;
   const index_t b = prob.block;
-  const index_t local_m = prob.m / pg.rows();
-  const index_t local_n = prob.n / pg.cols();
-  const index_t local_k_a = prob.k / pg.cols();
-  const index_t local_k_b = prob.k / pg.rows();
+  const index_t local_m = prob.m / args.shape.rows;
+  const index_t local_n = prob.n / args.shape.cols;
+  const index_t local_k_a = prob.k / args.shape.cols;
+  const index_t local_k_b = prob.k / args.shape.rows;
   const PayloadMode mode =
       args.local == nullptr ? PayloadMode::Phantom : PayloadMode::Real;
+  const bool split_levels =
+      !args.row_levels.empty() || !args.col_levels.empty();
 
   trace::RankStats scratch_stats;
   trace::RankStats& stats = args.stats ? *args.stats : scratch_stats;
@@ -162,81 +182,107 @@ desim::Task<void> summa_task_plan(SummaArgs args) {
   }
 
   desim::TaskGraph graph;
-  int prev_a = -1;
-  int prev_b = -1;
+  std::vector<int> prev_comm;  // previous step's comm ids (D<=1 coupling)
   for (index_t q = 0; q < steps; ++q) {
     const int slot = static_cast<int>(q % slots);
     const index_t pivot = q * b;
     const int a_root = static_cast<int>(pivot / local_k_a);
     const int b_root = static_cast<int>(pivot / local_k_b);
+    const desim::RegionId a_region =
+        desim::region_id("summa.a", static_cast<std::uint64_t>(slot));
+    const desim::RegionId b_region =
+        desim::region_id("summa.b", static_cast<std::uint64_t>(slot));
 
-    desim::TaskSpec a_spec;
-    a_spec.kind = desim::TaskKind::Comm;
-    a_spec.phase = kPhaseFlat;
-    a_spec.channel = pg.row_comm().context();
-    a_spec.step = q;
-    a_spec.label = "bcast A";
-    a_spec.wait_group = D >= 1 ? static_cast<int>(q) : -1;
-    a_spec.out = {desim::region_id("summa.a", static_cast<std::uint64_t>(slot))};
-    a_spec.marks = {{static_cast<long long>(q), kPhaseFlat}};
-    // D <= 1: pin the fork point to the legacy pipeline's — step q+1's pair
-    // forks only once *both* of step q's broadcasts have joined.
-    if (D <= 1 && prev_a >= 0) a_spec.after = {prev_a, prev_b};
-    desim::TaskGraph::Hook a_before;
-    if (mode == PayloadMode::Real && pg.my_col() == a_root)
-      a_before = [&args, &panel = a_panels[static_cast<std::size_t>(slot)],
-                  pivot, a_root, local_m, b, local_k_a] {
+    std::vector<int> step_comm;
+    bool mark_pending = true;  // step mark rides this rank's first task
+    const auto take_mark = [&](desim::TaskSpec& spec) {
+      if (mark_pending)
+        spec.marks.push_back({static_cast<long long>(q), kPhaseFlat});
+      mark_pending = false;
+    };
+
+    // Every broadcast phase of this step becomes its own comm task writing
+    // the panel's slot region: the WAW chain keeps phases of one panel in
+    // order, and the slot ring's write-after-read edge (the compute of step
+    // q - D reads the region) caps prefetch at D panels. Fused wait groups
+    // are per (step, level) for real chains so D >= 1 runs still report a
+    // per-level wait split; flat chains fuse one group per step.
+    const auto add_stage = [&](const BcastChain::Stage& stage, bool is_a,
+                               desim::TaskGraph::Hook before) {
+      desim::TaskSpec spec;
+      spec.kind = desim::TaskKind::Comm;
+      spec.phase =
+          split_levels ? kPhaseLevelBase + stage.level() : kPhaseFlat;
+      spec.channel = stage.comm().context();
+      spec.step = q;
+      spec.label = stage_label(is_a, stage.level());
+      if (!split_levels) spec.label = is_a ? "bcast A" : "bcast B";
+      spec.wait_group =
+          D >= 1 ? static_cast<int>(split_levels ? q * 16 + stage.level() : q)
+                 : -1;
+      spec.out = {is_a ? a_region : b_region};
+      take_mark(spec);
+      if (D <= 1) spec.after = prev_comm;
+      PanelBuffer& panel = is_a ? a_panels[static_cast<std::size_t>(slot)]
+                                : b_panels[static_cast<std::size_t>(slot)];
+      // The chains outlive the graph: they live in this frame.
+      const int id = graph.add(
+          std::move(spec),
+          [&comm = stage.comm(), root = stage.root(), &panel, &args] {
+            return mpc::bcast(comm, root, panel.buf(), args.bcast_algo);
+          },
+          std::move(before));
+      step_comm.push_back(id);
+    };
+
+    desim::TaskGraph::Hook a_copy;
+    if (mode == PayloadMode::Real && a_chain.rank() == a_root)
+      a_copy = [&args, &panel = a_panels[static_cast<std::size_t>(slot)],
+                pivot, a_root, local_m, b, local_k_a] {
         const index_t col0 = pivot - static_cast<index_t>(a_root) * local_k_a;
         panel.view().copy_from(args.local->a.block(0, col0, local_m, b));
       };
-    const int a_id = graph.add(
-        std::move(a_spec),
-        [&pg, &args, &panel = a_panels[static_cast<std::size_t>(slot)],
-         a_root] {
-          return mpc::bcast(pg.row_comm(), a_root, panel.buf(),
-                            args.bcast_algo);
-        },
-        std::move(a_before));
-
-    desim::TaskSpec b_spec;
-    b_spec.kind = desim::TaskKind::Comm;
-    b_spec.phase = kPhaseFlat;
-    b_spec.channel = pg.col_comm().context();
-    b_spec.step = q;
-    b_spec.label = "bcast B";
-    b_spec.wait_group = D >= 1 ? static_cast<int>(q) : -1;
-    b_spec.out = {desim::region_id("summa.b", static_cast<std::uint64_t>(slot))};
-    if (D <= 1 && prev_a >= 0) b_spec.after = {prev_a, prev_b};
-    desim::TaskGraph::Hook b_before;
-    if (mode == PayloadMode::Real && pg.my_row() == b_root)
-      b_before = [&args, &panel = b_panels[static_cast<std::size_t>(slot)],
-                  pivot, b_root, b, local_n, local_k_b] {
+    desim::TaskGraph::Hook b_copy;
+    if (mode == PayloadMode::Real && b_chain.rank() == b_root)
+      b_copy = [&args, &panel = b_panels[static_cast<std::size_t>(slot)],
+                pivot, b_root, b, local_n, local_k_b] {
         const index_t row0 = pivot - static_cast<index_t>(b_root) * local_k_b;
         panel.view().copy_from(args.local->b.block(row0, 0, b, local_n));
       };
-    const int b_id = graph.add(
-        std::move(b_spec),
-        [&pg, &args, &panel = b_panels[static_cast<std::size_t>(slot)],
-         b_root] {
-          return mpc::bcast(pg.col_comm(), b_root, panel.buf(),
-                            args.bcast_algo);
-        },
-        std::move(b_before));
+
+    // The root copy rides the panel's first stage.
+    for (BcastChain::Stage stage = a_chain.stages(a_root); stage; ++stage)
+      add_stage(stage, /*is_a=*/true, std::exchange(a_copy, {}));
+    for (BcastChain::Stage stage = b_chain.stages(b_root); stage; ++stage)
+      add_stage(stage, /*is_a=*/false, std::exchange(b_copy, {}));
 
     desim::TaskSpec c_spec;
     c_spec.kind = desim::TaskKind::Compute;
     c_spec.phase = kPhaseFlat;
     c_spec.step = q;
     c_spec.label = "rank-b update";
-    c_spec.in = {desim::region_id("summa.a", static_cast<std::uint64_t>(slot)),
-                 desim::region_id("summa.b", static_cast<std::uint64_t>(slot))};
+    c_spec.in = {a_region, b_region};
+    take_mark(c_spec);
     const double flops = la::gemm_flops(local_m, local_n, b);
+    // Size-1 comms have no broadcast stage, so a root copy that found no
+    // comm task to ride runs here instead.
+    desim::TaskGraph::Hook c_before;
+    if (a_copy) c_before = std::move(a_copy);
+    if (b_copy) {
+      if (c_before)
+        c_before = [first = std::move(c_before), second = std::move(b_copy)] {
+          first();
+          second();
+        };
+      else
+        c_before = std::move(b_copy);
+    }
     graph.add(
         std::move(c_spec),
         [&machine, self, flops, tracer = args.tracer] {
           return compute_charge(machine, self, flops, tracer);
         },
-        {},
+        std::move(c_before),
         [mode, &args, &stats, flops,
          &a_panel = a_panels[static_cast<std::size_t>(slot)],
          &b_panel = b_panels[static_cast<std::size_t>(slot)]] {
@@ -244,8 +290,7 @@ desim::Task<void> summa_task_plan(SummaArgs args) {
             la::gemm(a_panel.view(), b_panel.view(), args.local->c.view());
           stats.flops += static_cast<std::uint64_t>(flops);
         });
-    prev_a = a_id;
-    prev_b = b_id;
+    prev_comm = std::move(step_comm);
   }
 
   PlanObserver observer(engine, stats, args.tracer);
@@ -258,7 +303,6 @@ desim::Task<void> summa_task_plan(SummaArgs args) {
 // ---------------------------------------------------------------------------
 
 desim::Task<void> hsumma_task_plan(HsummaArgs args) {
-  check_hsumma_divisibility(args.shape, args.groups, args.problem);
   const grid::HierGrid hg(args.comm, args.shape, args.groups);
   mpc::Machine& machine = args.comm.machine();
   const int self = args.comm.my_world_rank();
@@ -504,185 +548,6 @@ desim::Task<void> hsumma_task_plan(HsummaArgs args) {
 }
 
 // ---------------------------------------------------------------------------
-// Multi-level HSUMMA
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// Static trace labels per chain level (TaskSpec::label must outlive the
-/// graph). Depths past the table collapse onto the last entry.
-const char* stage_label(bool is_a, int level) {
-  static constexpr const char* kA[] = {"bcast A L0", "bcast A L1",
-                                       "bcast A L2", "bcast A L3",
-                                       "bcast A L4", "bcast A L5",
-                                       "bcast A L6", "bcast A L7+"};
-  static constexpr const char* kB[] = {"bcast B L0", "bcast B L1",
-                                       "bcast B L2", "bcast B L3",
-                                       "bcast B L4", "bcast B L5",
-                                       "bcast B L6", "bcast B L7+"};
-  const int i = std::min(level, 7);
-  return is_a ? kA[i] : kB[i];
-}
-
-}  // namespace
-
-desim::Task<void> hsumma_multilevel_task_plan(HsummaMultilevelArgs args) {
-  check_summa_divisibility(args.shape, args.problem);
-  const grid::ProcessGrid pg(args.comm, args.shape);
-  mpc::Machine& machine = args.comm.machine();
-  const int self = args.comm.my_world_rank();
-  desim::Engine& engine = machine.engine();
-
-  const ProblemSpec& prob = args.problem;
-  const index_t b = prob.block;
-  const index_t local_m = prob.m / pg.rows();
-  const index_t local_n = prob.n / pg.cols();
-  const index_t local_k_a = prob.k / pg.cols();
-  const index_t local_k_b = prob.k / pg.rows();
-  const PayloadMode mode =
-      args.local == nullptr ? PayloadMode::Phantom : PayloadMode::Real;
-  const bool split_levels =
-      !args.row_levels.empty() || !args.col_levels.empty();
-
-  trace::RankStats scratch_stats;
-  trace::RankStats& stats = args.stats ? *args.stats : scratch_stats;
-
-  const index_t steps = prob.k / b;
-  const int D = args.lookahead;
-  const int slots = D + 1;
-  std::vector<PanelBuffer> a_panels;
-  std::vector<PanelBuffer> b_panels;
-  a_panels.reserve(static_cast<std::size_t>(slots));
-  b_panels.reserve(static_cast<std::size_t>(slots));
-  for (int s = 0; s < slots; ++s) {
-    a_panels.emplace_back(local_m, b, mode);
-    b_panels.emplace_back(b, local_n, mode);
-  }
-
-  desim::TaskGraph graph;
-  std::vector<int> prev_comm;  // previous step's comm ids (D<=1 coupling)
-  for (index_t q = 0; q < steps; ++q) {
-    const int slot = static_cast<int>(q % slots);
-    const index_t pivot = q * b;
-    const int a_root = static_cast<int>(pivot / local_k_a);
-    const int b_root = static_cast<int>(pivot / local_k_b);
-    const desim::RegionId a_region =
-        desim::region_id("ml.a", static_cast<std::uint64_t>(slot));
-    const desim::RegionId b_region =
-        desim::region_id("ml.b", static_cast<std::uint64_t>(slot));
-
-    std::vector<int> step_comm;
-    bool mark_pending = true;  // step mark rides this rank's first task
-    const auto take_mark = [&](desim::TaskSpec& spec) {
-      if (mark_pending)
-        spec.marks.push_back({static_cast<long long>(q), kPhaseFlat});
-      mark_pending = false;
-    };
-
-    // Every broadcast phase of this step becomes its own comm task writing
-    // the panel's slot region: the WAW chain keeps phases of one panel in
-    // order, the slot ring's write-after-read edge (the compute of step
-    // q - D reads the region) caps prefetch depth exactly like flat SUMMA.
-    // Fused wait groups are per (step, level) for real chains so D >= 1
-    // runs still report a per-level wait split; flat chains keep the
-    // legacy one-group-per-step fusion bit-for-bit.
-    const auto add_stage = [&](const BcastStage& stage, bool is_a,
-                               desim::TaskGraph::Hook before) {
-      desim::TaskSpec spec;
-      spec.kind = desim::TaskKind::Comm;
-      spec.phase =
-          split_levels ? kPhaseLevelBase + stage.level : kPhaseFlat;
-      spec.channel = stage.comm.context();
-      spec.step = q;
-      spec.label = stage_label(is_a, stage.level);
-      if (!split_levels) spec.label = is_a ? "bcast A" : "bcast B";
-      spec.wait_group =
-          D >= 1 ? static_cast<int>(split_levels ? q * 16 + stage.level : q)
-                 : -1;
-      spec.out = {is_a ? a_region : b_region};
-      take_mark(spec);
-      if (D <= 1) spec.after = prev_comm;
-      PanelBuffer& panel = is_a ? a_panels[static_cast<std::size_t>(slot)]
-                                : b_panels[static_cast<std::size_t>(slot)];
-      const int id = graph.add(
-          std::move(spec),
-          [stage, &panel, &args] {
-            return mpc::bcast(stage.comm, stage.root, panel.buf(),
-                              args.bcast_algo);
-          },
-          std::move(before));
-      step_comm.push_back(id);
-    };
-
-    desim::TaskGraph::Hook a_copy;
-    if (mode == PayloadMode::Real && pg.my_col() == a_root)
-      a_copy = [&args, &panel = a_panels[static_cast<std::size_t>(slot)],
-                pivot, a_root, local_m, b, local_k_a] {
-        const index_t col0 = pivot - static_cast<index_t>(a_root) * local_k_a;
-        panel.view().copy_from(args.local->a.block(0, col0, local_m, b));
-      };
-    desim::TaskGraph::Hook b_copy;
-    if (mode == PayloadMode::Real && pg.my_row() == b_root)
-      b_copy = [&args, &panel = b_panels[static_cast<std::size_t>(slot)],
-                pivot, b_root, b, local_n, local_k_b] {
-        const index_t row0 = pivot - static_cast<index_t>(b_root) * local_k_b;
-        panel.view().copy_from(args.local->b.block(row0, 0, b, local_n));
-      };
-
-    const std::vector<BcastStage> a_stages =
-        hier_bcast_stages(pg.row_comm(), a_root, args.row_levels);
-    for (std::size_t i = 0; i < a_stages.size(); ++i)
-      add_stage(a_stages[i], /*is_a=*/true,
-                i == 0 ? std::move(a_copy) : desim::TaskGraph::Hook{});
-    const std::vector<BcastStage> b_stages =
-        hier_bcast_stages(pg.col_comm(), b_root, args.col_levels);
-    for (std::size_t i = 0; i < b_stages.size(); ++i)
-      add_stage(b_stages[i], /*is_a=*/false,
-                i == 0 ? std::move(b_copy) : desim::TaskGraph::Hook{});
-
-    desim::TaskSpec c_spec;
-    c_spec.kind = desim::TaskKind::Compute;
-    c_spec.phase = kPhaseFlat;
-    c_spec.step = q;
-    c_spec.label = "rank-b update";
-    c_spec.in = {a_region, b_region};
-    take_mark(c_spec);
-    const double flops = la::gemm_flops(local_m, local_n, b);
-    // Size-1 comms have no broadcast stage (hier_bcast's p == 1 early out),
-    // so a root copy that found no comm task to ride runs here instead.
-    desim::TaskGraph::Hook c_before;
-    if (a_stages.empty() && a_copy) c_before = std::move(a_copy);
-    if (b_stages.empty() && b_copy) {
-      if (c_before)
-        c_before = [first = std::move(c_before), second = std::move(b_copy)] {
-          first();
-          second();
-        };
-      else
-        c_before = std::move(b_copy);
-    }
-    graph.add(
-        std::move(c_spec),
-        [&machine, self, flops, tracer = args.tracer] {
-          return compute_charge(machine, self, flops, tracer);
-        },
-        std::move(c_before),
-        [mode, &args, &stats, flops,
-         &a_panel = a_panels[static_cast<std::size_t>(slot)],
-         &b_panel = b_panels[static_cast<std::size_t>(slot)]] {
-          if (mode == PayloadMode::Real)
-            la::gemm(a_panel.view(), b_panel.view(), args.local->c.view());
-          stats.flops += static_cast<std::uint64_t>(flops);
-        });
-    prev_comm = std::move(step_comm);
-  }
-
-  PlanObserver observer(engine, stats, args.tracer);
-  co_await desim::run_task_graph(engine, graph, D, &observer);
-  observer.flush();
-}
-
-// ---------------------------------------------------------------------------
 // Cannon
 // ---------------------------------------------------------------------------
 
@@ -843,6 +708,8 @@ desim::Task<void> cannon_task_plan(CannonArgs args) {
 desim::Task<void> lu_task_plan(LuArgs args) {
   check_lu_preconditions(args.shape, args.n, args.block);
   const grid::ProcessGrid pg(args.comm, args.shape);
+  const BcastChain row_chain(pg.row_comm(), args.row_levels);
+  const BcastChain col_chain(pg.col_comm(), args.col_levels);
   mpc::Machine& machine = args.comm.machine();
   const int self = args.comm.my_world_rank();
   desim::Engine& engine = machine.engine();
@@ -1026,11 +893,12 @@ desim::Task<void> lu_task_plan(LuArgs args) {
       spec.out = {l_region};
       take_mark(spec);
       graph.add(std::move(spec),
-                [&pg, &args, &l_panel = l_slots[static_cast<std::size_t>(ks)],
-                 owner_col, trailing_rows] {
-                  return hier_bcast(pg.row_comm(), owner_col,
+                [&row_chain, &args,
+                 &l_panel = l_slots[static_cast<std::size_t>(ks)], owner_col,
+                 trailing_rows] {
+                  return hier_bcast(row_chain, owner_col,
                                     l_panel.row_slice(0, trailing_rows),
-                                    args.row_levels, args.bcast_algo);
+                                    args.bcast_algo);
                 });
     }
 
@@ -1078,7 +946,7 @@ desim::Task<void> lu_task_plan(LuArgs args) {
       spec.out = {u_region};
       take_mark(spec);
       graph.add(std::move(spec),
-                [&pg, &args, mode,
+                [&col_chain, &args, mode,
                  &u_panel = u_slots[static_cast<std::size_t>(ks)], owner_row,
                  trailing_cols, b] {
                   mpc::Buf u_buf =
@@ -1088,8 +956,8 @@ desim::Task<void> lu_task_plan(LuArgs args) {
                                 static_cast<std::size_t>(b * trailing_cols)))
                           : mpc::Buf::phantom(
                                 static_cast<std::size_t>(b * trailing_cols));
-                  return hier_bcast(pg.col_comm(), owner_row, u_buf,
-                                    args.col_levels, args.bcast_algo);
+                  return hier_bcast(col_chain, owner_row, u_buf,
+                                    args.bcast_algo);
                 });
     }
 

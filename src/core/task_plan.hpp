@@ -23,14 +23,16 @@
 //            is split into the next pivot column strip, which unblocks the
 //            factor, and the remainder).
 //
-// The kernels keep their blocking loops for the production D = 0 path (a
-// graph materializes O(steps) task records per rank — fine for any D >= 1
-// window, wasteful for a million-rank blocking run); *_task_plan with
-// lookahead 0 exists so tests can drive the inline scheduler directly.
+// summa_task_plan serves flat SUMMA and every broadcast factor chain: each
+// phase of a chain's hierarchical broadcast is its own comm task, and the
+// empty chain is one task per panel. The kernels keep their blocking loops
+// for the production D = 0 path (a graph materializes O(steps) task records
+// per rank — fine for any D >= 1 window, wasteful for a million-rank
+// blocking run); *_task_plan with lookahead 0 exists so tests can drive the
+// inline scheduler directly.
 #pragma once
 
 #include "core/cannon.hpp"
-#include "core/hier_bcast.hpp"
 #include "core/hsumma.hpp"
 #include "core/lu.hpp"
 #include "core/summa.hpp"
@@ -86,10 +88,10 @@ class PlanObserver final : public desim::TaskObserver {
 
 /// The per-rank task-plan programs. args.lookahead selects the plan depth
 /// as described above; the kernel entry points (summa_rank, ...) delegate
-/// here whenever args.lookahead >= 1.
+/// here whenever args.lookahead >= 1. summa_task_plan and hsumma_task_plan,
+/// like their kernels, leave shape checks to the registry's validation hook.
 desim::Task<void> summa_task_plan(SummaArgs args);
 desim::Task<void> hsumma_task_plan(HsummaArgs args);
-desim::Task<void> hsumma_multilevel_task_plan(HsummaMultilevelArgs args);
 desim::Task<void> cannon_task_plan(CannonArgs args);
 desim::Task<void> lu_task_plan(LuArgs args);
 

@@ -98,7 +98,7 @@ MultilevelCost multilevel_cost(double n, double p,
   const double elements = (n / q) * b;  // per-broadcast message, any level
 
   MultilevelCost out;
-  // One dimension's phase chain, mirroring hier_bcast_stages: factors of 1
+  // One dimension's phase chain, mirroring core::BcastChain: factors of 1
   // are skipped but keep their level slot, a factor equal to the remaining
   // extent flattens, and whatever remains broadcasts as the last phase.
   const auto add_chain = [&](const std::vector<int>& factors) {

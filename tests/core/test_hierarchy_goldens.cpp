@@ -1,15 +1,15 @@
 // Multi-level hierarchy bit-equivalence goldens: `--lookahead D` composes
 // with L-level chains.
 //
-//   * D = 0 through hsumma_multilevel_task_plan replays the blocking
-//     multilevel kernel bit-identically at every L (inline execution in
-//     program order);
-//   * a flat chain through the multilevel kernel is bit-identical to plain
+//   * D = 0 through summa_task_plan replays the blocking loop
+//     bit-identically at every L (inline execution in program order);
+//   * a flat chain through hsumma-multilevel is bit-identical to plain
 //     SUMMA at D = 0, 1 and 2 — the chain machinery adds nothing when
 //     there is nothing to split;
 //   * the kGoldens rows pin D in {0, 1, 2} x L in {1, 2, 3} (plus a
 //     skipped-level chain and a rectangular grid) to hexfloat-exact
-//     numbers, including the per-level comm split. Regenerate with
+//     numbers, including the per-level comm split, and flat SUMMA on grids
+//     with a size-1 axis in both collective modes. Regenerate with
 //     HS_CAPTURE_GOLDENS=1 (the Capture test prints the table).
 //
 // "Bit-identical" is literal: EXPECT_EQ on doubles, counters exact.
@@ -20,9 +20,9 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "core/hier_bcast.hpp"
 #include "core/runner.hpp"
 #include "core/task_plan.hpp"
 #include "net/model.hpp"
@@ -33,6 +33,7 @@ using hs::core::Algorithm;
 using hs::core::PayloadMode;
 using hs::core::ProblemSpec;
 using hs::core::RunOptions;
+using hs::mpc::CollectiveMode;
 
 constexpr int kLevelSlots = 3;
 
@@ -50,6 +51,7 @@ struct Golden {
 struct Cfg {
   std::string name;
   RunOptions options;
+  CollectiveMode collective_mode = CollectiveMode::PointToPoint;
 };
 
 std::vector<Cfg> configs() {
@@ -74,13 +76,28 @@ std::vector<Cfg> configs() {
   // A factor of 1 keeps its level slot (alignment) without a phase.
   add("skip", {8, 8}, SQ, {1, 4}, {4, 1});
   add("rect", {4, 8}, ProblemSpec{64, 128, 128, 8, 0}, {2}, {2});
+  // Flat SUMMA on grids with a size-1 axis, where the chain kernel has no
+  // broadcast stage at all; both collective modes.
+  for (const auto& [grid_name, grid] :
+       {std::pair<const char*, hs::grid::GridShape>{"1x4", {1, 4}},
+        {"4x1", {4, 1}}}) {
+    for (const auto& [mode_name, mode] :
+         {std::pair<const char*, CollectiveMode>{"pp",
+                                                 CollectiveMode::PointToPoint},
+          {"cf", CollectiveMode::ClosedForm}}) {
+      add(std::string("summa") + grid_name + ":" + mode_name, grid, SQ, {},
+          {});
+      cfgs.back().options.algorithm = Algorithm::Summa;
+      cfgs.back().collective_mode = mode;
+    }
+  }
   return cfgs;
 }
 
-// Captured from this change's kernels (there is no pre-change reference —
-// the multilevel kernel had no task plan before), HockneyModel(1e-4, 1e-9),
-// ClosedForm, gamma 5e-8, PayloadMode::Phantom. The lock is against
-// regressions from here on.
+// Captured when the multilevel kernel gained its task plan (there is no
+// earlier reference), HockneyModel(1e-4, 1e-9), gamma 5e-8,
+// PayloadMode::Phantom, PointToPoint unless the name says cf (ClosedForm).
+// The lock is against regressions from here on.
 struct GoldenRow {
   const char* name;
   Golden golden;
@@ -147,6 +164,57 @@ constexpr GoldenRow kGoldens[] = {
      {0x1.c2bfd0068a7fbp-8, 0x1.d80076614a0b5p-9, 0x1.ad7f29abcaf44p-9, 0x1.9c2ec1abd3d02p-12,
       0x1.d80076614a0b5p-9, 832u, 851968u,
       {0x1.9c2ec1abd3d02p-12, 0x1.d80076614a0b5p-9, 0x0p+0}}},
+    // Flat SUMMA on 1x4 and 4x1 grids, captured through Algorithm::Summa
+    // while SUMMA still had its own kernel (which awaited a no-op broadcast
+    // on the size-1 axis and held a task for it in its plan).
+    {"summa1x4:pp:D0",
+     {0x1.c9dbce13ec124p-5, 0x1.c5ca468211ep-9, 0x1.ad7f29abcaf44p-5, 0x0p+0,
+      0x0p+0, 48u, 393216u,
+      {0x0p+0, 0x0p+0, 0x0p+0}}},
+    {"summa1x4:pp:D1",
+     {0x1.af44f3f24d064p-5, 0x1.c5ca468211ep-13, 0x1.ad7f29abcaf46p-5, 0x0p+0,
+      0x0p+0, 48u, 393216u,
+      {0x0p+0, 0x0p+0, 0x0p+0}}},
+    {"summa1x4:pp:D2",
+     {0x1.af44f3f24d064p-5, 0x1.c5ca468211ep-13, 0x1.ad7f29abcaf46p-5, 0x0p+0,
+      0x0p+0, 48u, 393216u,
+      {0x0p+0, 0x0p+0, 0x0p+0}}},
+    {"summa1x4:cf:D0",
+     {0x1.c9dbce13ec124p-5, 0x1.c5ca468211ep-9, 0x1.ad7f29abcaf44p-5, 0x0p+0,
+      0x0p+0, 48u, 393216u,
+      {0x0p+0, 0x0p+0, 0x0p+0}}},
+    {"summa1x4:cf:D1",
+     {0x1.af44f3f24d064p-5, 0x1.c5ca468211ep-13, 0x1.ad7f29abcaf46p-5, 0x0p+0,
+      0x0p+0, 48u, 393216u,
+      {0x0p+0, 0x0p+0, 0x0p+0}}},
+    {"summa1x4:cf:D2",
+     {0x1.af44f3f24d064p-5, 0x1.c5ca468211ep-13, 0x1.ad7f29abcaf46p-5, 0x0p+0,
+      0x0p+0, 48u, 393216u,
+      {0x0p+0, 0x0p+0, 0x0p+0}}},
+    {"summa4x1:pp:D0",
+     {0x1.c9dbce13ec124p-5, 0x1.c5ca468211ep-9, 0x1.ad7f29abcaf44p-5, 0x0p+0,
+      0x0p+0, 48u, 393216u,
+      {0x0p+0, 0x0p+0, 0x0p+0}}},
+    {"summa4x1:pp:D1",
+     {0x1.af44f3f24d064p-5, 0x1.c5ca468211ep-13, 0x1.ad7f29abcaf46p-5, 0x0p+0,
+      0x0p+0, 48u, 393216u,
+      {0x0p+0, 0x0p+0, 0x0p+0}}},
+    {"summa4x1:pp:D2",
+     {0x1.af44f3f24d064p-5, 0x1.c5ca468211ep-13, 0x1.ad7f29abcaf46p-5, 0x0p+0,
+      0x0p+0, 48u, 393216u,
+      {0x0p+0, 0x0p+0, 0x0p+0}}},
+    {"summa4x1:cf:D0",
+     {0x1.c9dbce13ec124p-5, 0x1.c5ca468211ep-9, 0x1.ad7f29abcaf44p-5, 0x0p+0,
+      0x0p+0, 48u, 393216u,
+      {0x0p+0, 0x0p+0, 0x0p+0}}},
+    {"summa4x1:cf:D1",
+     {0x1.af44f3f24d064p-5, 0x1.c5ca468211ep-13, 0x1.ad7f29abcaf46p-5, 0x0p+0,
+      0x0p+0, 48u, 393216u,
+      {0x0p+0, 0x0p+0, 0x0p+0}}},
+    {"summa4x1:cf:D2",
+     {0x1.af44f3f24d064p-5, 0x1.c5ca468211ep-13, 0x1.ad7f29abcaf46p-5, 0x0p+0,
+      0x0p+0, 48u, 393216u,
+      {0x0p+0, 0x0p+0, 0x0p+0}}},
 };
 
 const Golden* golden(const std::string& key) {
@@ -181,36 +249,38 @@ void expect_eq(const Golden& expected, const Golden& actual,
 }
 
 std::unique_ptr<hs::mpc::Machine> make_machine(hs::desim::Engine& engine,
-                                               int ranks) {
+                                               const Cfg& cfg) {
   return std::make_unique<hs::mpc::Machine>(
       engine, std::make_shared<hs::net::HockneyModel>(1e-4, 1e-9),
-      hs::mpc::MachineConfig{.ranks = ranks, .gamma_flop = 5e-8});
+      hs::mpc::MachineConfig{.ranks = cfg.options.grid.size(),
+                             .collective_mode = cfg.collective_mode,
+                             .gamma_flop = 5e-8});
 }
 
 /// cfg through the production entry point (D = 0 keeps the blocking loop,
-/// D >= 1 delegates to hsumma_multilevel_task_plan).
+/// D >= 1 delegates to summa_task_plan).
 Golden run_kernel(const Cfg& cfg, int lookahead) {
   hs::desim::Engine engine;
-  auto machine = make_machine(engine, cfg.options.grid.size());
+  auto machine = make_machine(engine, cfg);
   RunOptions options = cfg.options;
   options.lookahead = lookahead;
   return to_golden(hs::core::run(*machine, options));
 }
 
-/// cfg through hsumma_multilevel_task_plan directly — the only way to
-/// reach the task graph at D = 0.
+/// cfg through summa_task_plan directly — the only way to reach the task
+/// graph at D = 0.
 Golden run_task_plan(const Cfg& cfg, int lookahead) {
   hs::desim::Engine engine;
   const int ranks = cfg.options.grid.size();
-  auto machine = make_machine(engine, ranks);
+  auto machine = make_machine(engine, cfg);
   std::vector<hs::trace::RankStats> stats(static_cast<std::size_t>(ranks));
   for (int rank = 0; rank < ranks; ++rank) {
     engine.spawn_indexed(
-        hs::core::hsumma_multilevel_task_plan(
+        hs::core::summa_task_plan(
             {machine->world(rank), cfg.options.grid, cfg.options.problem,
-             cfg.options.row_levels, cfg.options.col_levels, nullptr,
-             &stats[static_cast<std::size_t>(rank)], cfg.options.bcast_algo,
-             lookahead, {}}),
+             nullptr, &stats[static_cast<std::size_t>(rank)],
+             cfg.options.bcast_algo, lookahead, {}, cfg.options.row_levels,
+             cfg.options.col_levels}),
         "taskplan", rank);
   }
   engine.run();

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/check.hpp"
@@ -29,24 +31,60 @@ hs::core::RunResult run_once(const RunOptions& options) {
   return hs::core::run(machine, options);
 }
 
+// Every chain of up to three factors over `size` ranks in which each
+// factor divides the size remaining at its level, factors of 1 and factors
+// equal to the remaining size included.
+std::vector<std::vector<int>> dividing_chains(int size) {
+  std::vector<std::vector<int>> chains{{}};
+  for (std::size_t i = 0; i < chains.size(); ++i) {
+    if (chains[i].size() == 3) continue;
+    int remaining = size;
+    for (int factor : chains[i]) remaining /= factor;
+    for (int factor = 1; factor <= remaining; ++factor) {
+      if (remaining % factor != 0) continue;
+      std::vector<int> longer = chains[i];
+      longer.push_back(factor);
+      chains.push_back(std::move(longer));
+    }
+  }
+  return chains;
+}
+
+// Every rank ends with the root's data and every non-root receives it
+// exactly once, for every chain, root and size up to 16.
 TEST(HierBcast, DeliversDataThroughLevels) {
-  hs::desim::Engine engine;
-  hs::mpc::Machine machine(
-      engine, std::make_shared<hs::net::HockneyModel>(kAlpha, kBeta),
-      {.ranks = 12});
-  std::vector<std::vector<double>> bufs(12, std::vector<double>(64, 0.0));
-  bufs[5].assign(64, 3.5);
-  const std::vector<int> levels{3, 2};
-  auto program = [&](hs::mpc::Comm comm) -> hs::desim::Task<void> {
-    co_await hs::core::hier_bcast(
-        comm, 5,
-        hs::mpc::Buf(
-            std::span<double>(bufs[static_cast<std::size_t>(comm.rank())])),
-        levels, hs::net::BcastAlgo::Binomial);
-  };
-  hs::mpc::run_spmd(machine, program);
-  for (const auto& buf : bufs)
-    for (double v : buf) ASSERT_EQ(v, 3.5);
+  for (int p = 1; p <= 16; ++p) {
+    for (const std::vector<int>& levels : dividing_chains(p)) {
+      for (int root = 0; root < p; ++root) {
+        hs::desim::Engine engine;
+        hs::mpc::Machine machine(
+            engine, std::make_shared<hs::net::HockneyModel>(kAlpha, kBeta),
+            {.ranks = p,
+             .collective_mode = hs::mpc::CollectiveMode::PointToPoint});
+        std::vector<std::vector<double>> bufs(static_cast<std::size_t>(p),
+                                              std::vector<double>(8, 0.0));
+        bufs[static_cast<std::size_t>(root)].assign(8, 1.5 + root);
+        auto program = [&](hs::mpc::Comm comm) -> hs::desim::Task<void> {
+          const hs::core::BcastChain chain(comm, levels);
+          co_await hs::core::hier_bcast(
+              chain, root,
+              hs::mpc::Buf(std::span<double>(
+                  bufs[static_cast<std::size_t>(comm.rank())])),
+              hs::net::BcastAlgo::Binomial);
+        };
+        hs::mpc::run_spmd(machine, program);
+        std::string what = "p=" + std::to_string(p) + " root=" +
+                           std::to_string(root) + " levels={";
+        for (int factor : levels) what += std::to_string(factor) + ",";
+        what += "}";
+        EXPECT_EQ(machine.messages_transferred(),
+                  static_cast<std::uint64_t>(p - 1))
+            << what;
+        for (const auto& buf : bufs)
+          for (double v : buf) ASSERT_EQ(v, 1.5 + root) << what;
+      }
+    }
+  }
 }
 
 TEST(HierBcast, EmptyFactorsIsPlainBcast) {
@@ -55,8 +93,8 @@ TEST(HierBcast, EmptyFactorsIsPlainBcast) {
       engine, std::make_shared<hs::net::HockneyModel>(kAlpha, kBeta),
       {.ranks = 8});
   auto program = [&](hs::mpc::Comm comm) -> hs::desim::Task<void> {
-    co_await hs::core::hier_bcast(comm, 0, hs::mpc::Buf::phantom(512),
-                                  std::vector<int>{},
+    const hs::core::BcastChain chain(comm, {});
+    co_await hs::core::hier_bcast(chain, 0, hs::mpc::Buf::phantom(512),
                                   hs::net::BcastAlgo::Binomial);
   };
   const double t = hs::mpc::run_spmd(machine, program);
@@ -71,7 +109,8 @@ TEST(HierBcast, DegenerateFactorsSkipOrFlatten) {
       {.ranks = 8});
   const std::vector<int> levels{1, 8};
   auto program = [&](hs::mpc::Comm comm) -> hs::desim::Task<void> {
-    co_await hs::core::hier_bcast(comm, 0, hs::mpc::Buf::phantom(512), levels,
+    const hs::core::BcastChain chain(comm, levels);
+    co_await hs::core::hier_bcast(chain, 0, hs::mpc::Buf::phantom(512),
                                   hs::net::BcastAlgo::Binomial);
   };
   const double t = hs::mpc::run_spmd(machine, program);
@@ -84,13 +123,11 @@ TEST(HierBcast, NonDividingFactorThrows) {
   hs::mpc::Machine machine(
       engine, std::make_shared<hs::net::HockneyModel>(kAlpha, kBeta),
       {.ranks = 8});
-  const std::vector<int> levels{3};
-  auto program = [&](hs::mpc::Comm comm) -> hs::desim::Task<void> {
-    co_await hs::core::hier_bcast(comm, 0, hs::mpc::Buf::phantom(8), levels,
-                                  std::nullopt);
-  };
-  machine.engine().spawn(program(machine.world(0)));
-  EXPECT_THROW(machine.engine().run(), hs::PreconditionError);
+  EXPECT_THROW(hs::core::BcastChain(machine.world(0), {3}),
+               hs::PreconditionError);
+  EXPECT_THROW(hs::core::BcastChain(machine.world(0), {2, 3}),
+               hs::PreconditionError);
+  EXPECT_THROW(hs::core::check_level_factors(8, {3}), hs::PreconditionError);
 }
 
 TEST(MultilevelHsumma, TwoLevelCorrectness) {
@@ -115,10 +152,36 @@ TEST(MultilevelHsumma, ThreeLevelCorrectness) {
   EXPECT_LT(run_once(options).max_error, 1e-12);
 }
 
+// Every chain level broadcasts panels of b, so a chain run with an outer
+// block B != b would report B = b numbers under a cache key naming B. Flat
+// runs keep accepting B: benches share one ProblemSpec between SUMMA and
+// HSUMMA.
+TEST(MultilevelHsumma, RejectsAnOuterBlockItWouldIgnore) {
+  RunOptions options;
+  options.algorithm = Algorithm::HsummaMultilevel;
+  options.grid = {4, 4};
+  options.row_levels = {2};
+  options.col_levels = {2};
+  options.problem = ProblemSpec::square(64, 4, 8);
+  options.mode = PayloadMode::Phantom;
+  EXPECT_THROW(run_once(options), hs::PreconditionError);
+
+  for (const auto outer : {0, 4}) {
+    options.problem.outer_block = outer;
+    EXPECT_NO_THROW(run_once(options)) << "B=" << outer;
+  }
+  options.problem.outer_block = 8;
+  options.row_levels.clear();
+  options.col_levels.clear();
+  EXPECT_NO_THROW(run_once(options)) << "flat chain";
+  options.algorithm = Algorithm::Summa;
+  EXPECT_NO_THROW(run_once(options)) << "summa";
+}
+
 TEST(MultilevelHsumma, MatchesHsummaForSingleLevelSplit) {
   // row_levels={J}, col_levels={I}, b=B issues HSUMMA(I x J)'s broadcasts,
   // so messages, wire bytes and (on these grids) the total time match bit
-  // for bit. The stage order differs (see hier_bcast.hpp), so max comm,
+  // for bit. The stage order differs (see summa.hpp), so max comm,
   // max comp and the outer/inner split may not: here the outer split
   // (Hockney 4x8, BG/P) or max comp (grid5000) differ in the last bits.
   struct Case {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "core/kernel_registry.hpp"
 
@@ -39,6 +41,51 @@ TEST(Runner, VerifyRequiresRealPayloads) {
   options.mode = PayloadMode::Phantom;
   options.verify = true;
   EXPECT_THROW(hs::core::run(machine, options), hs::PreconditionError);
+}
+
+// A shape that violates a kernel precondition fails in the registry's
+// validation hook with the kernel's message, before any rank spawns: the
+// engine has processed no event.
+TEST(Runner, ShapeChecksFailBeforeAnyRankSpawns) {
+  struct Case {
+    const char* name;
+    Algorithm algorithm;
+    hs::grid::GridShape groups;
+    std::vector<int> row_levels;
+    std::string message;
+  };
+  const std::vector<Case> cases = {
+      {"summa: k=24 is not a multiple of t*b=16", Algorithm::Summa, {1, 1},
+       {}, "k=24 must be divisible by t*b = 16"},
+      {"hsumma: 3x2 groups on a 2x4 grid", Algorithm::Hsumma, {3, 2}, {},
+       "group arrangement 3x2 must divide the process grid"},
+      {"hsumma-multilevel: factor 3 on 4 grid columns",
+       Algorithm::HsummaMultilevel, {1, 1}, {3},
+       "hier_bcast level factor 3 must divide group size 4"},
+  };
+  for (const Case& c : cases) {
+    hs::desim::Engine engine;
+    hs::mpc::Machine machine(
+        engine, std::make_shared<hs::net::HockneyModel>(1e-4, 1e-9),
+        {.ranks = 8});
+    RunOptions options;
+    options.algorithm = c.algorithm;
+    options.grid = {2, 4};
+    options.groups = c.groups;
+    options.row_levels = c.row_levels;
+    options.problem = c.algorithm == Algorithm::Summa
+                          ? ProblemSpec{32, 24, 32, 4, 0}
+                          : ProblemSpec::square(32, 4);
+    options.mode = PayloadMode::Phantom;
+    try {
+      hs::core::run(machine, options);
+      ADD_FAILURE() << c.name << ": no error";
+    } catch (const hs::PreconditionError& error) {
+      EXPECT_NE(std::string(error.what()).find(c.message), std::string::npos)
+          << c.name << ": " << error.what();
+    }
+    EXPECT_EQ(machine.engine().events_processed(), 0u) << c.name;
+  }
 }
 
 TEST(Runner, UnverifiedRunReportsMinusOne) {
