@@ -66,7 +66,7 @@ int bench_main(int argc, char** argv) {
       config.problem.outer_block = 4 * block;
     config.algo = algo;
     config.algorithm = algorithm;
-    config.overlap = overlap;
+    config.lookahead = overlap ? 1 : 0;
     const auto result = hs::bench::run_config(config);
     if (baseline == 0.0) baseline = result.timing.total_time;
     if (traced_label.empty() || result.timing.total_time < traced_total) {

@@ -40,7 +40,6 @@ exec::SimJob to_sim_job(const Config& config) {
   job.col_levels = config.col_levels;
   job.problem = config.problem;
   job.bcast_algo = config.algo;
-  job.overlap = config.overlap;
   job.lookahead = config.lookahead;
   job.faults = config.faults;
   return job;
@@ -186,14 +185,12 @@ void emit_trace_artifacts(const trace::Recorder& recorder,
   }
 }
 
-void add_overlap_options(CliParser& cli, bool* overlap, long long* lookahead) {
-  cli.add_flag("overlap", "enable the broadcast/update overlap pipeline "
-               "(look-ahead depth 1)", overlap);
-  *lookahead = -1;
+void add_lookahead_option(CliParser& cli, long long* lookahead) {
+  *lookahead = 0;
   cli.add_int("lookahead",
-              "task-plan look-ahead depth D (-1 derives 0/1 from --overlap; "
-              "D >= 2 prefetches D steps ahead on task-plan kernels: " +
-                  core::overlap_kernel_name_list() + ")",
+              "look-ahead depth D (0 blocking, 1 the broadcast/update "
+              "overlap pipeline; D >= 2 prefetches D steps ahead on: " +
+                  core::lookahead_kernel_name_list(2) + ")",
               lookahead);
 }
 
@@ -409,7 +406,6 @@ double run_g_sweep(const GSweepParams& params) {
   config.ranks = params.ranks;
   config.problem = params.problem;
   config.algo = params.algo;
-  config.overlap = params.overlap;
   config.lookahead = params.lookahead;
 
   // Submit every point (SUMMA baseline first) before reading any result:

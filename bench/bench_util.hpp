@@ -58,10 +58,9 @@ struct Config {
   std::vector<int> row_levels;    // multilevel only
   std::vector<int> col_levels;
   int layers = 1;                 // 2.5D only
-  bool overlap = false;           // comm/comp overlap (lookahead depth 1)
-  /// Task-plan look-ahead depth; -1 derives it from `overlap` (see
-  /// core::RunOptions::lookahead). Depths >= 2 need a task-plan kernel.
-  int lookahead = -1;
+  /// Look-ahead depth D (see core::RunOptions::lookahead): 0 blocking, 1
+  /// the double-buffered pipeline, >= 2 needs a task-plan kernel.
+  int lookahead = 0;
   /// Optional scripted fault plan (fault/fault_plan.hpp); null or empty
   /// perturbs nothing. Forces point-to-point collectives in run_sim_job.
   std::shared_ptr<const fault::FaultPlan> faults;
@@ -143,10 +142,9 @@ void emit_trace_artifacts(const trace::Recorder& recorder,
                           const trace::MetricsRegistry& metrics,
                           const TraceCli& trace, const std::string& label);
 
-/// Registers --overlap (double-buffered pipeline, depth 1) and --lookahead
-/// (task-plan depth D; -1 derives 0/1 from --overlap; D >= 2 needs a
-/// task-plan kernel) into `cli`.
-void add_overlap_options(CliParser& cli, bool* overlap, long long* lookahead);
+/// Registers --lookahead D (default 0 = blocking; 1 is the double-buffered
+/// pipeline; D >= 2 needs a task-plan kernel) into `cli`.
+void add_lookahead_option(CliParser& cli, long long* lookahead);
 
 /// Registers --hierarchy ("flat" or a multi-level chain like "64x16x4");
 /// parse the value with core::GroupHierarchy::parse. Kernels that accept
@@ -266,8 +264,7 @@ struct GSweepParams {
   net::BcastAlgo algo = net::BcastAlgo::ScatterRingAllgather;
   std::vector<int> groups;  // empty -> pow2_group_counts(ranks)
   bool show_execution = false;
-  bool overlap = false;     // broadcast/update overlap pipeline
-  int lookahead = -1;       // task-plan depth; -1 derives from `overlap`
+  int lookahead = 0;        // look-ahead depth D (1 = overlap pipeline)
   std::string csv_path;
   /// Optional parallel executor; output is byte-identical either way.
   exec::ParallelExecutor* executor = nullptr;

@@ -17,8 +17,7 @@ int bench_main(int argc, char** argv) {
   std::string cache_dir;
   std::string platform_name = "bluegene-p-calibrated";
   std::string algo_name = "vandegeijn";
-  bool overlap = false;
-  long long lookahead = -1;
+  long long lookahead = 0;
   std::string csv;
   hs::bench::TraceCli trace;
 
@@ -33,7 +32,7 @@ int bench_main(int argc, char** argv) {
   cli.add_int("p", "number of processes", &ranks);
   cli.add_string("platform", "platform preset", &platform_name);
   cli.add_string("bcast", "broadcast algorithm", &algo_name);
-  hs::bench::add_overlap_options(cli, &overlap, &lookahead);
+  hs::bench::add_lookahead_option(cli, &lookahead);
   cli.add_string("csv", "CSV output path", &csv);
   if (!cli.parse(argc, argv)) return 1;
 
@@ -46,7 +45,6 @@ int bench_main(int argc, char** argv) {
   params.problem = hs::core::ProblemSpec::square(n, block);
   params.algo = hs::net::bcast_algo_from_string(algo_name);
   params.show_execution = true;
-  params.overlap = overlap;
   params.lookahead = static_cast<int>(lookahead);
   params.csv_path = csv;
   params.trace = trace;

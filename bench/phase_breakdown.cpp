@@ -46,8 +46,9 @@ int bench_main(int argc, char** argv) {
     config.problem = hs::core::ProblemSpec::square(n, block);
     config.algo = algo;
     const auto result = hs::bench::run_config(config);
-    const double outer = result.timing.max_outer_comm_time;
-    const double inner = result.timing.max_inner_comm_time;
+    // HSUMMA's outer phase is chain level 0, its inner phase level 1.
+    const double outer = result.timing.level_comm(0);
+    const double inner = result.timing.level_comm(1);
     table.add_row(
         {std::to_string(g), hs::format_seconds(result.timing.max_comm_time),
          hs::format_seconds(outer), hs::format_seconds(inner),

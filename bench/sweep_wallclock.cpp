@@ -20,7 +20,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -38,13 +37,6 @@ double now_seconds() {
       .count();
 }
 
-bool same_results(const std::vector<hs::core::RunResult>& a,
-                  const std::vector<hs::core::RunResult>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i)
-    if (std::memcmp(&a[i], &b[i], sizeof a[i]) != 0) return false;
-  return true;
-}
 
 struct Scenario {
   std::string name;
@@ -159,7 +151,7 @@ int bench_main(int argc, char** argv) {
   scenarios.push_back({"g_sweep_parallel_cold", executor.jobs(),
                        points.size(), cold_wall, serial_wall / cold_wall,
                        executor.engines_run(), executor.cache_hits(),
-                       same_results(serial, cold)});
+                       serial == cold});
 
   // (c) Same sweep again: pure cache hits.
   const std::uint64_t engines_before = executor.engines_run();
@@ -169,7 +161,7 @@ int bench_main(int argc, char** argv) {
   scenarios.push_back({"g_sweep_warm_cache", executor.jobs(), points.size(),
                        warm_wall, serial_wall / warm_wall,
                        executor.engines_run() - engines_before,
-                       executor.cache_hits(), same_results(serial, warm)});
+                       executor.cache_hits(), serial == warm});
 
   // --- disk-store three-way A/B (BENCH_store.json) ---------------------
   // The same G-sweep against the durable tier: (1) cold disk — an empty
@@ -194,7 +186,7 @@ int bench_main(int argc, char** argv) {
                                points.size(), cold_disk_wall,
                                serial_wall / cold_disk_wall,
                                cold_disk.engines_run(), cold_disk.cache_hits(),
-                               same_results(serial, cold_disk_results),
+                               serial == cold_disk_results,
                                cold_disk.store_hits()});
   }  // executor (and store) destroyed: the memory tier is gone, disk stays
   hs::exec::ParallelExecutor warm_disk(
@@ -209,7 +201,7 @@ int bench_main(int argc, char** argv) {
                              points.size(), warm_disk_wall,
                              serial_wall / warm_disk_wall,
                              warm_disk.engines_run(), warm_disk.cache_hits(),
-                             same_results(serial, warm_disk_results),
+                             serial == warm_disk_results,
                              warm_disk.store_hits()});
   const std::uint64_t disk_hits_before = warm_disk.store_hits();
   start = now_seconds();
@@ -221,7 +213,7 @@ int bench_main(int argc, char** argv) {
                              points.size(), warm_memory_wall,
                              serial_wall / warm_memory_wall, 0,
                              warm_disk.cache_hits(),
-                             same_results(serial, warm_memory_results),
+                             serial == warm_memory_results,
                              warm_disk.store_hits() - disk_hits_before});
   if (cache_dir.empty()) std::filesystem::remove_all(store_root);
 
@@ -262,7 +254,7 @@ int bench_main(int argc, char** argv) {
   const bool tune_identical =
       tuned_parallel.best_groups == tuned_serial.best_groups &&
       tuned_parallel.best_comm_time == tuned_serial.best_comm_time &&
-      same_results(verify_serial, verify_parallel);
+      verify_serial == verify_parallel;
   scenarios.push_back({"autotune_parallel_cached", tune_executor.jobs(),
                        tuned_parallel.samples.size() + points.size(),
                        tune_parallel_wall,

@@ -27,23 +27,10 @@ desim::Task<void> rotate(mpc::Comm comm, int dst, int src,
   if (real) mine.swap(scratch);
 }
 
-}  // namespace
-
-desim::Task<void> cannon_rank(CannonArgs args) {
-  if (args.lookahead > 0) {
-    // Overlapped execution is a task-plan schedule (core/task_plan.hpp).
-    co_await cannon_task_plan(std::move(args));
-    co_return;
-  }
+/// The blocking (D = 0) schedule.
+desim::Task<void> cannon_loop(CannonArgs args) {
   const ProblemSpec& prob = args.problem;
-  HS_REQUIRE_MSG(args.shape.rows == args.shape.cols,
-                 "Cannon requires a square process grid, got "
-                     << args.shape.rows << "x" << args.shape.cols);
-  HS_REQUIRE_MSG(prob.m == prob.k && prob.k == prob.n,
-                 "Cannon requires square matrices");
   const int q = args.shape.rows;
-  HS_REQUIRE_MSG(prob.n % q == 0, "n must be divisible by the grid dimension");
-
   const grid::ProcessGrid pg(args.comm, args.shape);
   mpc::Machine& machine = args.comm.machine();
   const int self = args.comm.my_world_rank();
@@ -107,6 +94,16 @@ desim::Task<void> cannon_rank(CannonArgs args) {
                       scratch, count, real, /*tag=*/4);
     }
   }
+}
+
+}  // namespace
+
+// A plain function, not a coroutine: co_await-ing the plan from the loop's
+// coroutine would keep a CannonArgs temporary in every rank's frame.
+desim::Task<void> cannon_rank(CannonArgs args) {
+  // Overlapped execution is a task-plan schedule (core/task_plan.hpp).
+  if (args.lookahead > 0) return cannon_task_plan(std::move(args));
+  return cannon_loop(std::move(args));
 }
 
 }  // namespace hs::core

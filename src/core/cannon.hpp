@@ -30,6 +30,8 @@ struct CannonArgs {
   trace::RankTracer tracer;
 };
 
+/// The per-rank program. Preconditions (checked by the registry before any
+/// rank spawns, not here): a square grid, a square problem, and q | n.
 desim::Task<void> cannon_rank(CannonArgs args);
 
 }  // namespace hs::core

@@ -44,7 +44,6 @@ constexpr int kTransposeTag = 17;
 }  // namespace
 
 desim::Task<void> cholesky_rank(CholeskyArgs args) {
-  check_cholesky_preconditions(args.shape, args.n, args.block);
   const grid::ProcessGrid pg(args.comm, args.shape);
   const BcastChain row_chain(pg.row_comm(), args.row_levels);
   const BcastChain col_chain(pg.col_comm(), args.col_levels);

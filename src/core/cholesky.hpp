@@ -37,11 +37,11 @@ struct CholeskyArgs {
   std::optional<net::BcastAlgo> bcast_algo;
 };
 
-/// Per-rank program. Preconditions: s == t, s | n, b | n/s.
+/// Per-rank program. Preconditions (checked by the registry before any rank
+/// spawns, not here): s == t, s | n, b | n/s.
 desim::Task<void> cholesky_rank(CholeskyArgs args);
 
 /// The preconditions above, throwing hs::PreconditionError on violation.
-/// The registry's validation hook calls this before any rank is spawned.
 void check_cholesky_preconditions(grid::GridShape shape, index_t n,
                                   index_t block);
 

@@ -8,22 +8,9 @@
 
 namespace hs::core {
 
-namespace {
-
-void check_cyclic_preconditions(const ProblemSpec& prob, index_t dist_block) {
-  HS_REQUIRE_MSG(prob.m > 0 && prob.n > 0 && prob.k > 0 && prob.block > 0,
-                 "problem dimensions must be positive");
-  HS_REQUIRE_MSG(prob.k % dist_block == 0,
-                 "k=" << prob.k << " must be a multiple of the distribution "
-                      << "block " << dist_block);
-}
-
-}  // namespace
-
 desim::Task<void> summa_cyclic_rank(SummaArgs args) {
   const ProblemSpec& prob = args.problem;
   const index_t b = prob.block;
-  check_cyclic_preconditions(prob, b);
   const grid::ProcessGrid pg(args.comm, args.shape);
   mpc::Machine& machine = args.comm.machine();
   const int self = args.comm.my_world_rank();
@@ -135,11 +122,6 @@ desim::Task<void> hsumma_cyclic_rank(HsummaArgs args) {
   const ProblemSpec& prob = args.problem;
   const index_t b = prob.block;
   const index_t outer = prob.effective_outer_block();
-  HS_REQUIRE_MSG(outer % b == 0,
-                 "outer block B=" << outer
-                                  << " must be a multiple of inner block b="
-                                  << b);
-  check_cyclic_preconditions(prob, outer);
   const grid::HierGrid hg(args.comm, args.shape, args.groups);
   mpc::Machine& machine = args.comm.machine();
   const int self = args.comm.my_world_rank();

@@ -25,14 +25,17 @@
 
 namespace hs::core {
 
-/// Block-cyclic SUMMA. Distribution block = problem.block (= b). Supports
-/// the overlapped pipeline. Precondition: b | k. Broadcasts are flat:
-/// args.row_levels and args.col_levels are ignored.
+/// Block-cyclic SUMMA. Distribution block = problem.block (= b). Runs the
+/// double-buffered pipeline at args.lookahead >= 1 (the registry caps the
+/// depth at 1). Precondition (checked by the registry before any rank
+/// spawns, not here): b | k. Broadcasts are flat: args.row_levels and
+/// args.col_levels are ignored.
 desim::Task<void> summa_cyclic_rank(SummaArgs args);
 
 /// Block-cyclic HSUMMA. Distribution block = problem.effective_outer_block
-/// (= B); inner steps slice the outer panel locally. Preconditions: b | B,
-/// B | k. Outer phase blocking; inner phase honors args.overlap.
+/// (= B); inner steps slice the outer panel locally. Preconditions (checked
+/// by the registry, not here): b | B, B | k. The outer phase is blocking;
+/// the inner phase is double-buffered at args.lookahead >= 1.
 desim::Task<void> hsumma_cyclic_rank(HsummaArgs args);
 
 }  // namespace hs::core

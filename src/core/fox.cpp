@@ -10,12 +10,7 @@ namespace hs::core {
 
 desim::Task<void> fox_rank(FoxArgs args) {
   const ProblemSpec& prob = args.problem;
-  HS_REQUIRE_MSG(args.shape.rows == args.shape.cols,
-                 "Fox requires a square process grid");
-  HS_REQUIRE_MSG(prob.m == prob.k && prob.k == prob.n,
-                 "Fox requires square matrices");
   const int q = args.shape.rows;
-  HS_REQUIRE_MSG(prob.n % q == 0, "n must be divisible by the grid dimension");
 
   const grid::ProcessGrid pg(args.comm, args.shape);
   mpc::Machine& machine = args.comm.machine();

@@ -22,6 +22,8 @@ struct FoxArgs {
   std::optional<net::BcastAlgo> bcast_algo;
 };
 
+/// The per-rank program. Preconditions (checked by the registry before any
+/// rank spawns, not here): a square grid, a square problem, and q | n.
 desim::Task<void> fox_rank(FoxArgs args);
 
 }  // namespace hs::core

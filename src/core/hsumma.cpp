@@ -28,12 +28,11 @@ void check_hsumma_divisibility(grid::GridShape shape, grid::GridShape groups,
                                       << " must divide the process grid");
 }
 
-desim::Task<void> hsumma_rank(HsummaArgs args) {
-  if (args.lookahead > 0) {
-    // Overlapped execution is a task-plan schedule (core/task_plan.hpp).
-    co_await hsumma_task_plan(std::move(args));
-    co_return;
-  }
+namespace {
+
+/// The blocking (D = 0) schedule. The outer broadcasts are charged to level
+/// slot 0 and the inner ones to slot 1, as a depth-1 chain charges them.
+desim::Task<void> hsumma_loop(HsummaArgs args) {
   const grid::HierGrid hg(args.comm, args.shape, args.groups);
   mpc::Machine& machine = args.comm.machine();
   const int self = args.comm.my_world_rank();
@@ -52,6 +51,10 @@ desim::Task<void> hsumma_rank(HsummaArgs args) {
 
   trace::RankStats scratch_stats;
   trace::RankStats& stats = args.stats ? *args.stats : scratch_stats;
+  const auto charge = [&stats](std::size_t level, double elapsed) {
+    stats.comm_time += elapsed;
+    stats.add_level_comm(level, elapsed);
+  };
 
   PanelBuffer a_outer(local_m, outer, mode);
   PanelBuffer b_outer(outer, local_n, mode);
@@ -76,10 +79,10 @@ desim::Task<void> hsumma_rank(HsummaArgs args) {
         const index_t col0 = pivot - static_cast<index_t>(a_col) * local_k_a;
         a_outer.view().copy_from(args.local->a.block(0, col0, local_m, outer));
       }
-      trace::PhaseTimer timer(stats.comm_time, engine);
-      trace::PhaseTimer outer_timer(stats.outer_comm_time, engine);
+      const double start = engine.now();
       co_await mpc::bcast(hg.group_row_comm(), a_group_col, a_outer.buf(),
                           args.bcast_algo);
+      charge(0, engine.now() - start);
     }
 
     const int b_row = static_cast<int>(pivot / local_k_b);
@@ -90,10 +93,10 @@ desim::Task<void> hsumma_rank(HsummaArgs args) {
         const index_t row0 = pivot - static_cast<index_t>(b_row) * local_k_b;
         b_outer.view().copy_from(args.local->b.block(row0, 0, outer, local_n));
       }
-      trace::PhaseTimer timer(stats.comm_time, engine);
-      trace::PhaseTimer outer_timer(stats.outer_comm_time, engine);
+      const double start = engine.now();
       co_await mpc::bcast(hg.group_col_comm(), b_group_row, b_outer.buf(),
                           args.bcast_algo);
+      charge(0, engine.now() - start);
     }
 
     // --- inner phase: intra-group SUMMA over the outer blocks ----------
@@ -105,22 +108,18 @@ desim::Task<void> hsumma_rank(HsummaArgs args) {
       if (mode == PayloadMode::Real && hg.local_col() == a_local_col)
         a_inner.view().copy_from(
             a_outer.view().block(0, offset, local_m, b));
-      {
-        trace::PhaseTimer timer(stats.comm_time, engine);
-        trace::PhaseTimer inner_timer(stats.inner_comm_time, engine);
-        co_await mpc::bcast(hg.row_comm(), a_local_col, a_inner.buf(),
-                            args.bcast_algo);
-      }
+      const double a_start = engine.now();
+      co_await mpc::bcast(hg.row_comm(), a_local_col, a_inner.buf(),
+                          args.bcast_algo);
+      charge(1, engine.now() - a_start);
 
       if (mode == PayloadMode::Real && hg.local_row() == b_local_row)
         b_inner.view().copy_from(
             b_outer.view().block(offset, 0, b, local_n));
-      {
-        trace::PhaseTimer timer(stats.comm_time, engine);
-        trace::PhaseTimer inner_timer(stats.inner_comm_time, engine);
-        co_await mpc::bcast(hg.col_comm(), b_local_row, b_inner.buf(),
-                            args.bcast_algo);
-      }
+      const double b_start = engine.now();
+      co_await mpc::bcast(hg.col_comm(), b_local_row, b_inner.buf(),
+                          args.bcast_algo);
+      charge(1, engine.now() - b_start);
 
       const double flops = la::gemm_flops(local_m, local_n, b);
       {
@@ -133,6 +132,16 @@ desim::Task<void> hsumma_rank(HsummaArgs args) {
       stats.flops += static_cast<std::uint64_t>(flops);
     }
   }
+}
+
+}  // namespace
+
+// A plain function, not a coroutine: co_await-ing the plan from the loop's
+// coroutine would keep an HsummaArgs temporary in every rank's frame.
+desim::Task<void> hsumma_rank(HsummaArgs args) {
+  // Overlapped execution is a task-plan schedule (core/task_plan.hpp).
+  if (args.lookahead > 0) return hsumma_task_plan(std::move(args));
+  return hsumma_loop(std::move(args));
 }
 
 }  // namespace hs::core

@@ -95,31 +95,29 @@ class GemmRun final : public KernelRun {
     switch (options.algorithm) {
       case Algorithm::Summa:  // the empty chain, whatever levels are set
         return summa_rank({world, options.grid, prob, local, stats,
-                           options.bcast_algo, effective_lookahead(options),
+                           options.bcast_algo, options.lookahead,
                            trace::RankTracer(options.recorder, rank)});
       case Algorithm::HsummaMultilevel:
         return summa_rank({world, options.grid, prob, local, stats,
-                           options.bcast_algo, effective_lookahead(options),
+                           options.bcast_algo, options.lookahead,
                            trace::RankTracer(options.recorder, rank),
                            options.row_levels, options.col_levels});
       case Algorithm::Hsumma:
         return hsumma_rank({world, options.grid, options.groups, prob, local,
-                            stats, options.bcast_algo,
-                            effective_lookahead(options),
+                            stats, options.bcast_algo, options.lookahead,
                             trace::RankTracer(options.recorder, rank)});
       case Algorithm::SummaCyclic:
         return summa_cyclic_rank({world, options.grid, prob, local, stats,
-                                  options.bcast_algo,
-                                  effective_lookahead(options) >= 1,
+                                  options.bcast_algo, options.lookahead,
                                   trace::RankTracer(options.recorder, rank)});
       case Algorithm::HsummaCyclic:
         return hsumma_cyclic_rank({world, options.grid, options.groups, prob,
                                    local, stats, options.bcast_algo,
-                                   effective_lookahead(options) >= 1,
+                                   options.lookahead,
                                    trace::RankTracer(options.recorder, rank)});
       case Algorithm::Cannon:
         return cannon_rank({world, options.grid, prob, local, stats,
-                            effective_lookahead(options),
+                            options.lookahead,
                             trace::RankTracer(options.recorder, rank)});
       case Algorithm::Fox:
         return fox_rank({world, options.grid, prob, local, stats,
@@ -244,7 +242,7 @@ class LuRun final : public FactorRunBase {
     args.local_a = local_of(rank);
     args.stats = stats;
     args.bcast_algo = options.bcast_algo;
-    args.lookahead = effective_lookahead(options);
+    args.lookahead = options.lookahead;
     args.tracer = trace::RankTracer(options.recorder, rank);
     return lu_rank(std::move(args));
   }
@@ -356,17 +354,63 @@ void require_factorization_options(const RunOptions& options) {
                  << " k=" << prob.k << " n=" << prob.n << ")");
   HS_REQUIRE_MSG(options.layers == 1,
                  "kernel '" << kernel.name << "' does not replicate layers");
-  // Look-ahead is per-kernel: LU has a task-plan schedule, Cholesky has
-  // none (the central capability check in core::run rejects it too; this
-  // guards direct validate() callers).
-  HS_REQUIRE_MSG(kernel.overlap_support != OverlapSupport::None ||
-                     effective_lookahead(options) == 0,
-                 "kernel '" << kernel.name
-                 << "' has no communication/computation overlap pipeline "
-                    "(supported by: " << overlap_kernel_name_list() << ")");
   HS_REQUIRE_MSG(options.groups.size() == 1,
                  "factorization kernels take hierarchy level factors "
                  "(row_levels/col_levels), not an HSUMMA group arrangement");
+}
+
+/// Block-cyclic layouts: only k must be a multiple of the distribution
+/// block (b for summa-cyclic, B for hsumma-cyclic).
+void check_cyclic_preconditions(const ProblemSpec& prob, index_t dist_block) {
+  HS_REQUIRE_MSG(prob.m > 0 && prob.n > 0 && prob.k > 0 && prob.block > 0,
+                 "problem dimensions must be positive");
+  HS_REQUIRE_MSG(prob.k % dist_block == 0,
+                 "k=" << prob.k << " must be a multiple of the distribution "
+                      << "block " << dist_block);
+}
+
+void validate_summa_cyclic(const RunOptions& options) {
+  check_cyclic_preconditions(options.problem, options.problem.block);
+}
+
+void validate_hsumma_cyclic(const RunOptions& options) {
+  const ProblemSpec& prob = options.problem;
+  const index_t outer = prob.effective_outer_block();
+  HS_REQUIRE_MSG(outer % prob.block == 0,
+                 "outer block B=" << outer
+                                  << " must be a multiple of inner block b="
+                                  << prob.block);
+  check_cyclic_preconditions(prob, outer);
+}
+
+void validate_cannon(const RunOptions& options) {
+  const ProblemSpec& prob = options.problem;
+  HS_REQUIRE_MSG(options.grid.rows == options.grid.cols,
+                 "Cannon requires a square process grid, got "
+                     << options.grid.rows << "x" << options.grid.cols);
+  HS_REQUIRE_MSG(prob.m == prob.k && prob.k == prob.n,
+                 "Cannon requires square matrices");
+  HS_REQUIRE_MSG(prob.n % options.grid.rows == 0,
+                 "n must be divisible by the grid dimension");
+}
+
+void validate_fox(const RunOptions& options) {
+  const ProblemSpec& prob = options.problem;
+  HS_REQUIRE_MSG(options.grid.rows == options.grid.cols,
+                 "Fox requires a square process grid");
+  HS_REQUIRE_MSG(prob.m == prob.k && prob.k == prob.n,
+                 "Fox requires square matrices");
+  HS_REQUIRE_MSG(prob.n % options.grid.rows == 0,
+                 "n must be divisible by the grid dimension");
+}
+
+void validate_summa25d(const RunOptions& options) {
+  // Each layer runs a contiguous share of the pivot steps.
+  const index_t steps = options.problem.k / options.problem.block;
+  HS_REQUIRE_MSG(steps % options.layers == 0,
+                 "pivot step count " << steps
+                                     << " must be divisible by layers "
+                                     << options.layers);
 }
 
 void validate_lu(const RunOptions& options) {
@@ -402,7 +446,7 @@ std::vector<KernelDescriptor> build_registry() {
   {
     KernelDescriptor& summa = add(Algorithm::Summa, "summa", Algorithm::Summa,
                                   Algorithm::Hsumma, make_gemm_run);
-    summa.overlap_support = OverlapSupport::TaskPlan;
+    summa.max_lookahead = kAnyLookahead;
     summa.multilevel = Algorithm::HsummaMultilevel;
     summa.validate = validate_summa;
   }
@@ -410,7 +454,7 @@ std::vector<KernelDescriptor> build_registry() {
     KernelDescriptor& hsumma = add(Algorithm::Hsumma, "hsumma",
                                    Algorithm::Summa, Algorithm::Hsumma,
                                    make_gemm_run);
-    hsumma.overlap_support = OverlapSupport::TaskPlan;
+    hsumma.max_lookahead = kAnyLookahead;
     hsumma.multilevel = Algorithm::HsummaMultilevel;
     hsumma.validate = validate_hsumma;
   }
@@ -419,32 +463,46 @@ std::vector<KernelDescriptor> build_registry() {
         add(Algorithm::HsummaMultilevel, "hsumma-multilevel",
             Algorithm::HsummaMultilevel, Algorithm::HsummaMultilevel,
             make_gemm_run);
-    multilevel.overlap_support = OverlapSupport::TaskPlan;
+    multilevel.max_lookahead = kAnyLookahead;
     multilevel.multilevel = Algorithm::HsummaMultilevel;
     multilevel.validate = validate_multilevel;
   }
-  add(Algorithm::SummaCyclic, "summa-cyclic", Algorithm::SummaCyclic,
-      Algorithm::HsummaCyclic, make_gemm_run)
-      .overlap_support = OverlapSupport::DoubleBuffer;
-  add(Algorithm::HsummaCyclic, "hsumma-cyclic", Algorithm::SummaCyclic,
-      Algorithm::HsummaCyclic, make_gemm_run)
-      .overlap_support = OverlapSupport::DoubleBuffer;
-  add(Algorithm::Cannon, "cannon", Algorithm::Cannon, Algorithm::Cannon,
-      make_gemm_run)
-      .overlap_support = OverlapSupport::TaskPlan;
-  add(Algorithm::Fox, "fox", Algorithm::Fox, Algorithm::Fox, make_gemm_run);
+  {
+    KernelDescriptor& cyclic =
+        add(Algorithm::SummaCyclic, "summa-cyclic", Algorithm::SummaCyclic,
+            Algorithm::HsummaCyclic, make_gemm_run);
+    cyclic.max_lookahead = 1;
+    cyclic.validate = validate_summa_cyclic;
+  }
+  {
+    KernelDescriptor& cyclic =
+        add(Algorithm::HsummaCyclic, "hsumma-cyclic", Algorithm::SummaCyclic,
+            Algorithm::HsummaCyclic, make_gemm_run);
+    cyclic.max_lookahead = 1;
+    cyclic.validate = validate_hsumma_cyclic;
+  }
+  {
+    KernelDescriptor& cannon = add(Algorithm::Cannon, "cannon",
+                                   Algorithm::Cannon, Algorithm::Cannon,
+                                   make_gemm_run);
+    cannon.max_lookahead = kAnyLookahead;
+    cannon.validate = validate_cannon;
+  }
+  add(Algorithm::Fox, "fox", Algorithm::Fox, Algorithm::Fox, make_gemm_run)
+      .validate = validate_fox;
   {
     KernelDescriptor& summa25d =
         add(Algorithm::Summa25D, "summa-2.5d", Algorithm::Summa25D,
             Algorithm::Summa25D, make_gemm_run);
     summa25d.aliases = {"summa25d"};
     summa25d.supports_layers = true;
+    summa25d.validate = validate_summa25d;
   }
   {
     KernelDescriptor& lu = add(Algorithm::Lu, "lu", Algorithm::Lu,
                                Algorithm::Lu, make_lu_run);
     lu.factorization = true;
-    lu.overlap_support = OverlapSupport::TaskPlan;
+    lu.max_lookahead = kAnyLookahead;
     lu.validate = validate_lu;
   }
   {
@@ -453,7 +511,6 @@ std::vector<KernelDescriptor> build_registry() {
             Algorithm::Cholesky, make_cholesky_run);
     cholesky.aliases = {"llt"};
     cholesky.factorization = true;
-    cholesky.requires_square_grid = true;
     cholesky.validate = validate_cholesky;
   }
   return kernels;
@@ -499,14 +556,22 @@ std::string kernel_name_list() {
   return list;
 }
 
-std::string overlap_kernel_name_list() {
+std::string lookahead_kernel_name_list(int lookahead) {
   std::string list;
   for (const KernelDescriptor& kernel : all_kernels()) {
-    if (kernel.overlap_support == OverlapSupport::None) continue;
+    if (kernel.max_lookahead < lookahead) continue;
     if (!list.empty()) list += ", ";
     list += kernel.name;
   }
   return list;
+}
+
+void require_lookahead(const KernelDescriptor& kernel, int lookahead) {
+  HS_REQUIRE_MSG(lookahead >= 0, "lookahead must be >= 0");
+  HS_REQUIRE_MSG(lookahead <= kernel.max_lookahead,
+                 "kernel '" << kernel.name << "' cannot run look-ahead depth "
+                 << lookahead << "; kernels that can: "
+                 << lookahead_kernel_name_list(lookahead));
 }
 
 std::string multilevel_kernel_name_list() {

@@ -18,6 +18,7 @@
 // first always over empty broadcast chains.
 #pragma once
 
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -46,14 +47,9 @@ class KernelRun {
   virtual double verify(const RunOptions& options) = 0;
 };
 
-/// Communication/computation overlap capability, per kernel:
-///   None         — the kernel has no overlapped execution; any requested
-///                  overlap or lookahead is a hard error.
-///   DoubleBuffer — a hand-rolled double-buffered pipeline only; lookahead
-///                  is capped at D = 1 (the cyclic kernels).
-///   TaskPlan     — the kernel lowers to a task-plan schedule
-///                  (core/task_plan.hpp) and accepts any lookahead depth.
-enum class OverlapSupport { None, DoubleBuffer, TaskPlan };
+/// KernelDescriptor::max_lookahead of a kernel that lowers to a task-plan
+/// schedule (core/task_plan.hpp), which accepts any look-ahead depth.
+inline constexpr int kAnyLookahead = std::numeric_limits<int>::max();
 
 struct KernelDescriptor {
   Algorithm kernel = Algorithm::Summa;
@@ -64,9 +60,11 @@ struct KernelDescriptor {
   /// executor's group-count adaptation maps G onto hierarchical panel
   /// broadcast level factors instead of an HSUMMA group arrangement.
   bool factorization = false;
-  bool requires_square_grid = false;
-  /// Communication/computation overlap capability (see OverlapSupport).
-  OverlapSupport overlap_support = OverlapSupport::None;
+  /// The deepest communication/computation look-ahead the kernel runs: 0
+  /// for a blocking kernel, 1 for a hand-rolled double-buffered pipeline
+  /// (the cyclic kernels), kAnyLookahead for a task-plan kernel. Enforced
+  /// by require_lookahead.
+  int max_lookahead = 0;
   /// RunOptions::layers > 1 replication (2.5D family).
   bool supports_layers = false;
   /// Group-count family policy for exec::run_sim_job: a requested group
@@ -81,9 +79,8 @@ struct KernelDescriptor {
   std::optional<Algorithm> multilevel;
   /// Kernel-specific precondition checks (grid shape, divisibility, chain
   /// factors, ...), run by core::run before any rank spawns, so a bad shape
-  /// costs no simulated event. The SUMMA family's kernels leave their shape
-  /// checks to it. Null when the per-rank program performs all validation
-  /// itself.
+  /// costs no simulated event. The kernels leave their shape checks to it.
+  /// Null when the kernel has no precondition beyond the runner's own.
   void (*validate)(const RunOptions& options) = nullptr;
   /// Per-run state factory; materializes Real-mode inputs.
   std::unique_ptr<KernelRun> (*make_run)(const RunOptions& options) = nullptr;
@@ -101,9 +98,14 @@ const KernelDescriptor* find_kernel(std::string_view name);
 /// "summa, hsumma, ..., lu, cholesky" — for CLI help and error messages.
 std::string kernel_name_list();
 
-/// Kernels whose overlap_support is not None — for the hard error emitted
-/// when --overlap/--lookahead is requested on an unsupporting kernel.
-std::string overlap_kernel_name_list();
+/// Kernels that run look-ahead depth `lookahead` (max_lookahead >= it) —
+/// for CLI help and the error require_lookahead throws.
+std::string lookahead_kernel_name_list(int lookahead);
+
+/// The look-ahead rule: throws PreconditionError unless 0 <= lookahead <=
+/// kernel.max_lookahead. The message names the kernel and lists the
+/// kernels that do run the requested depth.
+void require_lookahead(const KernelDescriptor& kernel, int lookahead);
 
 /// Kernels with a multi-level policy — for the hard error emitted when a
 /// depth >= 2 hierarchy is requested on an unsupporting kernel.

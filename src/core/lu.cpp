@@ -32,13 +32,10 @@ la::ElementFn lu_input_elements(std::uint64_t seed, index_t n) {
   };
 }
 
-desim::Task<void> lu_rank(LuArgs args) {
-  if (args.lookahead > 0) {
-    // Overlapped execution is a task-plan schedule (core/task_plan.hpp).
-    co_await lu_task_plan(std::move(args));
-    co_return;
-  }
-  check_lu_preconditions(args.shape, args.n, args.block);
+namespace {
+
+/// The blocking (D = 0) schedule.
+desim::Task<void> lu_loop(LuArgs args) {
   const grid::ProcessGrid pg(args.comm, args.shape);
   const BcastChain row_chain(pg.row_comm(), args.row_levels);
   const BcastChain col_chain(pg.col_comm(), args.col_levels);
@@ -190,6 +187,16 @@ desim::Task<void> lu_rank(LuArgs args) {
       stats.flops += static_cast<std::uint64_t>(flops);
     }
   }
+}
+
+}  // namespace
+
+// A plain function, not a coroutine: co_await-ing the plan from the loop's
+// coroutine would keep an LuArgs temporary in every rank's frame.
+desim::Task<void> lu_rank(LuArgs args) {
+  // Overlapped execution is a task-plan schedule (core/task_plan.hpp).
+  if (args.lookahead > 0) return lu_task_plan(std::move(args));
+  return lu_loop(std::move(args));
 }
 
 }  // namespace hs::core

@@ -52,11 +52,11 @@ struct LuArgs {
   trace::RankTracer tracer;
 };
 
-/// Per-rank program. Preconditions: s | n, t | n, b | n/s, b | n/t.
+/// Per-rank program. Preconditions (checked by the registry before any rank
+/// spawns, not here): s | n, t | n, b | n/s, b | n/t.
 desim::Task<void> lu_rank(LuArgs args);
 
 /// The preconditions above, throwing hs::PreconditionError on violation.
-/// The registry's validation hook calls this before any rank is spawned.
 void check_lu_preconditions(grid::GridShape shape, index_t n, index_t block);
 
 /// Input generator the LU harness factors: uniform noise plus n on the

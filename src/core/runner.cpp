@@ -72,27 +72,12 @@ void collect_rank_metrics(trace::MetricsRegistry& metrics,
   std::size_t depth = 0;
   for (const trace::RankStats& rank : stats)
     depth = std::max(depth, rank.level_comm_time.size());
-  if (depth > 0) {
-    for (std::size_t l = 0; l < depth; ++l) {
-      hs::Histogram& level = metrics.histogram(
-          "core.rank.level" + std::to_string(l) + "_comm_s");
-      for (const trace::RankStats& rank : stats)
-        level.add(l < rank.level_comm_time.size() ? rank.level_comm_time[l]
-                                                  : 0.0);
-    }
-    return;
-  }
-  // Legacy two-level accounting: outer/inner are chain levels 0/1.
-  bool hierarchical = false;
-  for (const trace::RankStats& rank : stats)
-    if (rank.outer_comm_time != 0.0 || rank.inner_comm_time != 0.0)
-      hierarchical = true;
-  if (!hierarchical) return;
-  hs::Histogram& level0 = metrics.histogram("core.rank.level0_comm_s");
-  hs::Histogram& level1 = metrics.histogram("core.rank.level1_comm_s");
-  for (const trace::RankStats& rank : stats) {
-    level0.add(rank.outer_comm_time);
-    level1.add(rank.inner_comm_time);
+  for (std::size_t l = 0; l < depth; ++l) {
+    hs::Histogram& level = metrics.histogram(
+        "core.rank.level" + std::to_string(l) + "_comm_s");
+    for (const trace::RankStats& rank : stats)
+      level.add(l < rank.level_comm_time.size() ? rank.level_comm_time[l]
+                                                : 0.0);
   }
 }
 
@@ -106,20 +91,7 @@ RunResult run(mpc::Machine& machine, const RunOptions& options) {
                  "needs " << total_ranks);
   HS_REQUIRE_MSG(options.mode == PayloadMode::Real || !options.verify,
                  "verification requires real payloads");
-  const int lookahead = effective_lookahead(options);
-  HS_REQUIRE_MSG(lookahead >= 0, "lookahead must be >= 0");
-  if (lookahead >= 1) {
-    HS_REQUIRE_MSG(kernel.overlap_support != OverlapSupport::None,
-                   "kernel '" << kernel.name
-                              << "' has no communication/computation overlap; "
-                                 "--overlap/--lookahead are supported by: "
-                              << overlap_kernel_name_list());
-    HS_REQUIRE_MSG(
-        kernel.overlap_support == OverlapSupport::TaskPlan || lookahead <= 1,
-        "kernel '" << kernel.name << "' only has a double-buffered pipeline "
-                   "(lookahead <= 1); depth " << lookahead
-                   << " needs a task-plan kernel");
-  }
+  require_lookahead(kernel, options.lookahead);
   if (kernel.validate != nullptr) kernel.validate(options);
 
   const std::unique_ptr<KernelRun> body = kernel.make_run(options);

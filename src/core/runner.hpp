@@ -36,16 +36,12 @@ struct RunOptions {
   ProblemSpec problem;
   PayloadMode mode = PayloadMode::Real;
   std::optional<net::BcastAlgo> bcast_algo;  // default: machine config
-  /// Communication/computation overlap. Shorthand for lookahead = 1; kept
-  /// because a plain on/off switch is what most sweeps want.
-  bool overlap = false;
-  /// Task-plan look-ahead depth D (kernels with OverlapSupport::TaskPlan).
-  /// -1 derives the depth from `overlap` (true -> 1, false -> 0); 0 is the
-  /// classic blocking schedule; 1 the double-buffered pipeline; D >= 2
-  /// prefetches up to D panels (see core/task_plan.hpp). Requesting any
-  /// depth >= 1 on a kernel without overlap support is a hard error, and
-  /// depths >= 2 require OverlapSupport::TaskPlan.
-  int lookahead = -1;
+  /// Communication/computation look-ahead depth D, the run's one overlap
+  /// knob: 0 is the classic blocking schedule, 1 the double-buffered
+  /// pipeline, D >= 2 prefetches up to D panels (see core/task_plan.hpp).
+  /// A negative depth, or one past the kernel's
+  /// KernelDescriptor::max_lookahead, is a hard error.
+  int lookahead = 0;
   bool verify = false;             // Real mode only
   std::uint64_t seed = 2013;       // input generator seed
   /// Optional structured event sink (see trace/recorder.hpp). Attached to
@@ -81,14 +77,10 @@ struct RunResult {
   double max_error = -1.0;
   std::uint64_t messages = 0;
   std::uint64_t wire_bytes = 0;
-};
 
-/// The resolved look-ahead depth: options.lookahead when explicitly set
-/// (>= 0), else 1/0 from the `overlap` switch.
-inline int effective_lookahead(const RunOptions& options) {
-  return options.lookahead >= 0 ? options.lookahead
-                                : (options.overlap ? 1 : 0);
-}
+  /// Field by field, doubles by value (so a copy equals its original).
+  bool operator==(const RunResult&) const = default;
+};
 
 /// Execute one distributed multiplication on `machine`.
 /// Requires machine.ranks() == options.grid.size() * options.layers.

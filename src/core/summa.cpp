@@ -35,17 +35,12 @@ std::pair<BcastChain, BcastChain> summa_chains(const SummaArgs& args) {
 namespace {
 
 /// Charges one awaited broadcast stage that took `elapsed`: comm_time
-/// always, and for a chain run the stage's level slot plus the outer/inner
-/// pair (level 0 is the inter-group "outer" phase, deeper levels "inner").
+/// always, and for a chain run the stage's level slot.
 void charge_stage(trace::RankStats& stats, bool split_levels, int level,
                   double elapsed) {
   stats.comm_time += elapsed;
-  if (!split_levels) return;
-  const auto slot = static_cast<std::size_t>(level);
-  if (stats.level_comm_time.size() <= slot)
-    stats.level_comm_time.resize(slot + 1);
-  stats.level_comm_time[slot] += elapsed;
-  (level == 0 ? stats.outer_comm_time : stats.inner_comm_time) += elapsed;
+  if (split_levels)
+    stats.add_level_comm(static_cast<std::size_t>(level), elapsed);
 }
 
 /// The blocking (D = 0) schedule.

@@ -60,7 +60,7 @@ struct SummaArgs {
 /// of A's stages, then all of B's, where scalar HSUMMA (core/hsumma.hpp)
 /// runs both outer broadcasts before the inner ones. At D = 0 messages and
 /// wire bytes match HSUMMA exactly, but virtual times only up to rounding:
-/// max comm, max comp and the outer/inner split can differ in the last
+/// max comm, max comp and the per-level split can differ in the last
 /// bits, and on some grids the total does too (tests pin the grids where
 /// the total is bit-identical). At D >= 1 the two orders overlap
 /// differently and the totals differ outright. A non-empty chain fills the

@@ -16,9 +16,6 @@ desim::Task<void> summa25d_rank(Summa25DArgs args) {
   HS_REQUIRE_MSG(args.comm.size() == args.shape.size() * c,
                  "communicator size must be q*q*c");
   const index_t steps_total = prob.k / prob.block;
-  HS_REQUIRE_MSG(steps_total % c == 0,
-                 "pivot step count " << steps_total
-                                     << " must be divisible by layers " << c);
 
   mpc::Machine& machine = args.comm.machine();
   const int self = args.comm.my_world_rank();

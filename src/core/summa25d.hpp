@@ -29,7 +29,9 @@ struct Summa25DArgs {
 };
 
 /// Per-rank program. On return, layer 0 holds C (other layers hold their
-/// partial contribution only).
+/// partial contribution only). Precondition (checked by the registry before
+/// any rank spawns, not here): the layer count divides the pivot step count
+/// k/b.
 desim::Task<void> summa25d_rank(Summa25DArgs args);
 
 }  // namespace hs::core

@@ -16,25 +16,16 @@ namespace hs::core {
 namespace {
 
 trace::Phase to_trace_phase(int phase) {
-  if (phase >= kPhaseLevelBase)
-    return phase == kPhaseLevelBase ? trace::Phase::Outer
-                                    : trace::Phase::Inner;
-  switch (phase) {
-    case kPhaseOuter: return trace::Phase::Outer;
-    case kPhaseInner: return trace::Phase::Inner;
-    default: return trace::Phase::Flat;
-  }
+  if (phase < kPhaseLevelBase) return trace::Phase::Flat;
+  return phase == kPhaseLevelBase ? trace::Phase::Outer : trace::Phase::Inner;
 }
 
 /// The exact chain level the plan's phase encoding carries (kPhaseLevelBase
-/// + level); the legacy outer/inner phases are chain levels 0/1; -1 for
-/// flat. Unlike to_trace_phase this is lossless — the emitted TaskSpans
-/// are what lets the critical-path analyzer split depth-L chains.
+/// + level); -1 for flat. Unlike to_trace_phase this is lossless — the
+/// emitted TaskSpans are what lets the critical-path analyzer split depth-L
+/// chains.
 int to_trace_level(int phase) {
-  if (phase >= kPhaseLevelBase) return phase - kPhaseLevelBase;
-  if (phase == kPhaseOuter) return 0;
-  if (phase == kPhaseInner) return 1;
-  return -1;
+  return phase >= kPhaseLevelBase ? phase - kPhaseLevelBase : -1;
 }
 
 /// One Machine::compute charge wrapped in the kernels' usual trace span.
@@ -66,20 +57,9 @@ void PlanObserver::task_issued(const desim::TaskGraph& graph, int id) {
 
 void PlanObserver::accrue_wait(double t0, double t1, int phase) {
   stats_.comm_time += t1 - t0;
-  if (phase == kPhaseOuter) {
-    stats_.outer_comm_time += t1 - t0;
-  } else if (phase == kPhaseInner) {
-    stats_.inner_comm_time += t1 - t0;
-  } else if (phase >= kPhaseLevelBase) {
-    const auto level = static_cast<std::size_t>(phase - kPhaseLevelBase);
-    if (stats_.level_comm_time.size() <= level)
-      stats_.level_comm_time.resize(level + 1);
-    stats_.level_comm_time[level] += t1 - t0;
-    if (level == 0)
-      stats_.outer_comm_time += t1 - t0;
-    else
-      stats_.inner_comm_time += t1 - t0;
-  }
+  if (phase >= kPhaseLevelBase)
+    stats_.add_level_comm(static_cast<std::size_t>(phase - kPhaseLevelBase),
+                          t1 - t0);
 }
 
 void PlanObserver::flush() {
@@ -364,15 +344,17 @@ desim::Task<void> hsumma_task_plan(HsummaArgs args) {
     const desim::RegionId bo_region =
         desim::region_id("hsumma.bo", static_cast<std::uint64_t>(oslot));
 
-    // The Outer step mark rides on this rank's first task of the big step
+    // The outer step mark rides on this rank's first task of the big step
     // (OA where present, else OB, else the first inner broadcast), so D=0
-    // inline execution stamps it at exactly the legacy program point.
+    // inline execution stamps it at exactly the blocking loop's program
+    // point. The outer phase is chain level 0, the inner phase level 1.
     bool outer_mark_pending = true;
     const auto take_marks = [&](desim::TaskSpec& spec, long long inner_step) {
       if (outer_mark_pending)
-        spec.marks.push_back({static_cast<long long>(s), kPhaseOuter});
+        spec.marks.push_back({static_cast<long long>(s), kPhaseLevelBase});
       outer_mark_pending = false;
-      if (inner_step >= 0) spec.marks.push_back({inner_step, kPhaseInner});
+      if (inner_step >= 0)
+        spec.marks.push_back({inner_step, kPhaseLevelBase + 1});
     };
 
     int oa_id = -1;
@@ -380,7 +362,7 @@ desim::Task<void> hsumma_task_plan(HsummaArgs args) {
     if (hg.local_col() == a_local_col) {
       desim::TaskSpec spec;
       spec.kind = desim::TaskKind::Comm;
-      spec.phase = kPhaseOuter;
+      spec.phase = kPhaseLevelBase;
       spec.channel = hg.group_row_comm().context();
       spec.step = s;
       spec.label = "outer bcast A";
@@ -406,7 +388,7 @@ desim::Task<void> hsumma_task_plan(HsummaArgs args) {
     if (hg.local_row() == b_local_row) {
       desim::TaskSpec spec;
       spec.kind = desim::TaskKind::Comm;
-      spec.phase = kPhaseOuter;
+      spec.phase = kPhaseLevelBase;
       spec.channel = hg.group_col_comm().context();
       spec.step = s;
       spec.label = "outer bcast B";
@@ -462,7 +444,7 @@ desim::Task<void> hsumma_task_plan(HsummaArgs args) {
 
       desim::TaskSpec ia_spec;
       ia_spec.kind = desim::TaskKind::Comm;
-      ia_spec.phase = kPhaseInner;
+      ia_spec.phase = kPhaseLevelBase + 1;
       ia_spec.channel = hg.row_comm().context();
       ia_spec.step = g;
       ia_spec.label = "bcast A";
@@ -490,7 +472,7 @@ desim::Task<void> hsumma_task_plan(HsummaArgs args) {
 
       desim::TaskSpec ib_spec;
       ib_spec.kind = desim::TaskKind::Comm;
-      ib_spec.phase = kPhaseInner;
+      ib_spec.phase = kPhaseLevelBase + 1;
       ib_spec.channel = hg.col_comm().context();
       ib_spec.step = g;
       ib_spec.label = "bcast B";
@@ -517,7 +499,7 @@ desim::Task<void> hsumma_task_plan(HsummaArgs args) {
 
       desim::TaskSpec c_spec;
       c_spec.kind = desim::TaskKind::Compute;
-      c_spec.phase = kPhaseInner;
+      c_spec.phase = kPhaseLevelBase + 1;
       c_spec.step = g;
       c_spec.label = "rank-b update";
       // Reading the outer slots is what strands the next outer broadcast
@@ -553,13 +535,7 @@ desim::Task<void> hsumma_task_plan(HsummaArgs args) {
 
 desim::Task<void> cannon_task_plan(CannonArgs args) {
   const ProblemSpec& prob = args.problem;
-  HS_REQUIRE_MSG(args.shape.rows == args.shape.cols,
-                 "Cannon requires a square process grid, got "
-                     << args.shape.rows << "x" << args.shape.cols);
-  HS_REQUIRE_MSG(prob.m == prob.k && prob.k == prob.n,
-                 "Cannon requires square matrices");
   const int q = args.shape.rows;
-  HS_REQUIRE_MSG(prob.n % q == 0, "n must be divisible by the grid dimension");
 
   const grid::ProcessGrid pg(args.comm, args.shape);
   mpc::Machine& machine = args.comm.machine();
@@ -706,7 +682,6 @@ desim::Task<void> cannon_task_plan(CannonArgs args) {
 // ---------------------------------------------------------------------------
 
 desim::Task<void> lu_task_plan(LuArgs args) {
-  check_lu_preconditions(args.shape, args.n, args.block);
   const grid::ProcessGrid pg(args.comm, args.shape);
   const BcastChain row_chain(pg.row_comm(), args.row_levels);
   const BcastChain col_chain(pg.col_comm(), args.col_levels);

@@ -12,8 +12,8 @@
 //            against goldens captured from the pre-task-runtime kernels).
 //   D = 1  — two slots plus pipeline-coupling edges that pin the fork
 //            points to the instants the old hand-rolled double-buffered
-//            `overlap` branches used, reproducing them bit-identically
-//            (same golden file). The legacy branches are deleted.
+//            pipelines used, reproducing them bit-identically (same golden
+//            file). The hand-rolled pipelines are deleted.
 //   D >= 2 — D+1 slots and no coupling edges: the scheduler is free to run
 //            communication as far ahead as the slot ring's write-after-read
 //            edges allow. This is what the double buffer could not express:
@@ -40,19 +40,16 @@
 
 namespace hs::core {
 
-/// Phase encoding used in TaskSpec::phase / TaskStepMark::phase.
+/// Phase encoding used in TaskSpec::phase / TaskStepMark::phase: flat, or
+/// kPhaseLevelBase + the chain level of a hierarchical broadcast stage
+/// (level 0 = outermost; scalar HSUMMA's outer and inner phases are levels
+/// 0 and 1). Observers accrue level phases into RankStats::level_comm_time;
+/// traces show level 0 as Phase::Outer and deeper levels as Phase::Inner.
 inline constexpr int kPhaseFlat = 0;
-inline constexpr int kPhaseOuter = 1;
-inline constexpr int kPhaseInner = 2;
-/// Multi-level chains: phase = kPhaseLevelBase + chain level of the
-/// broadcast stage (level 0 = outermost). Observers accrue these into
-/// RankStats::level_comm_time, and fold level 0 into the outer phase /
-/// deeper levels into the inner phase so the legacy 2-way split stays
-/// meaningful at any depth.
-inline constexpr int kPhaseLevelBase = 3;
+inline constexpr int kPhaseLevelBase = 1;
 
 /// TaskObserver wired to the kernels' stats/trace conventions: exposed
-/// communication (task_waited) accrues comm_time plus the outer/inner split
+/// communication (task_waited) accrues comm_time plus the per-level split
 /// by task phase, finished computes accrue comp_time, step marks replay
 /// through the RankTracer at issue points, and every task lands in the
 /// recorder as a trace::TaskSpan. Reads the clock only — attaching a
@@ -87,9 +84,9 @@ class PlanObserver final : public desim::TaskObserver {
 };
 
 /// The per-rank task-plan programs. args.lookahead selects the plan depth
-/// as described above; the kernel entry points (summa_rank, ...) delegate
-/// here whenever args.lookahead >= 1. summa_task_plan and hsumma_task_plan,
-/// like their kernels, leave shape checks to the registry's validation hook.
+/// as described above; the kernel entry points (summa_rank, ...) return
+/// these whenever args.lookahead >= 1. Like their kernels, they leave shape
+/// checks to the registry's validation hooks.
 desim::Task<void> summa_task_plan(SummaArgs args);
 desim::Task<void> hsumma_task_plan(HsummaArgs args);
 desim::Task<void> cannon_task_plan(CannonArgs args);

@@ -79,7 +79,7 @@ struct TaskStepMark {
 
 struct TaskSpec {
   TaskKind kind = TaskKind::Compute;
-  /// Stats/trace category (core maps onto trace::Phase: flat/outer/inner).
+  /// Stats/trace category (core encodes flat or a chain level).
   int phase = 0;
   /// Comm FIFO domain (communicator context id); -1 = unserialized.
   int channel = -1;

@@ -17,6 +17,8 @@ grid::GridShape resolve_grid(const SimJob& job) {
 }  // namespace
 
 std::string SimJob::cache_key() const {
+  // A negative depth fails in core::run; it must not alias D = 0 here.
+  HS_REQUIRE_MSG(lookahead >= 0, "lookahead must be >= 0");
   // Jobs with observability sinks must actually run: a cache or coalesce
   // hit would return the RunResult without ever filling the sinks.
   if (recorder != nullptr || metrics != nullptr) return {};
@@ -53,7 +55,8 @@ std::string SimJob::cache_key() const {
       << problem.block << "," << problem.outer_block
       << ";mode=" << static_cast<int>(mode)
       << ";bcast=" << (bcast_algo ? static_cast<int>(*bcast_algo) : -1)
-      << ";ovl=" << overlap << ";la=" << lookahead << ";verify=" << verify
+      << ";ovl=0;la=" << (lookahead == 0 ? -1 : lookahead)
+      << ";verify=" << verify
       << ";seed=" << seed
       << ";ns=" << net::describe_double(noise_sigma)
       << ";nseed=" << noise_seed;
@@ -99,7 +102,6 @@ core::RunResult run_sim_job(const SimJob& job) {
   options.bcast_algo = job.bcast_algo;
   options.layers = job.layers;
   options.algorithm = job.algorithm;
-  options.overlap = job.overlap;
   options.lookahead = job.lookahead;
   options.verify = job.verify;
   options.seed = job.seed;

@@ -69,10 +69,9 @@ struct SimJob {
   core::ProblemSpec problem;
   core::PayloadMode mode = core::PayloadMode::Phantom;
   std::optional<net::BcastAlgo> bcast_algo;  // run-level override
-  bool overlap = false;
-  /// Task-plan look-ahead depth; -1 derives it from `overlap` (see
-  /// core::RunOptions::lookahead). Participates in cache_key.
-  int lookahead = -1;
+  /// Look-ahead depth D (see core::RunOptions::lookahead). Participates in
+  /// cache_key, which rejects a negative depth.
+  int lookahead = 0;
   bool verify = false;
   std::uint64_t seed = 2013;  // input generator seed (Real mode)
 
@@ -126,7 +125,8 @@ struct SimJob {
   /// keys run bit-identical simulations. Empty when the job is not
   /// cacheable (an explicit network whose describe() is empty, or a job
   /// with observability sinks attached — a cache hit would skip filling
-  /// them).
+  /// them). The look-ahead part keeps the bytes keys had when an `overlap`
+  /// switch sat beside the depth: `;ovl=0`, and `;la=-1` for D = 0.
   std::string cache_key() const;
 };
 

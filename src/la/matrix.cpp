@@ -6,6 +6,8 @@ namespace hs::la {
 
 void MatrixView::copy_from(ConstMatrixView src) const {
   HS_REQUIRE(src.rows() == rows_ && src.cols() == cols_);
+  // An empty view may hold a null pointer, which memcpy must never see.
+  if (empty()) return;
   if (contiguous() && src.contiguous()) {
     std::memcpy(data_, src.data(),
                 static_cast<std::size_t>(rows_ * cols_) * sizeof(double));

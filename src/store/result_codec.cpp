@@ -59,8 +59,6 @@ JsonValue run_result_to_json(const core::RunResult& result) {
   timing["max_comp_time"] = hex_double(result.timing.max_comp_time);
   timing["mean_comm_time"] = hex_double(result.timing.mean_comm_time);
   timing["mean_comp_time"] = hex_double(result.timing.mean_comp_time);
-  timing["max_outer_comm_time"] = hex_double(result.timing.max_outer_comm_time);
-  timing["max_inner_comm_time"] = hex_double(result.timing.max_inner_comm_time);
   JsonArray levels;
   levels.reserve(result.timing.max_level_comm_time.size());
   for (const double level : result.timing.max_level_comm_time)
@@ -94,10 +92,6 @@ std::optional<core::RunResult> run_result_from_json(const JsonValue& json,
                    error) ||
       !read_double(timing, "mean_comp_time", &result.timing.mean_comp_time,
                    error) ||
-      !read_double(timing, "max_outer_comm_time",
-                   &result.timing.max_outer_comm_time, error) ||
-      !read_double(timing, "max_inner_comm_time",
-                   &result.timing.max_inner_comm_time, error) ||
       !read_u64(timing, "total_flops", &result.timing.total_flops, error))
     return std::nullopt;
   if (!timing.has("max_level_comm_time") ||

@@ -11,12 +11,12 @@
 // gets an L-entry split (level_comm), not a fixed outer/inner pair. The
 // classic two-level decomposition is the L = 2 special case: level 0 is the
 // inter-group ("outer") phase, level 1 the intra-group ("inner") phase, and
-// the legacy outer_comm/inner_comm accessors keep reporting exactly those —
-// for deeper chains inner_comm aggregates every level >= 1. Spans carry
-// their level explicitly when the kernel stamps one (the recursive
-// multilevel path does); unstamped spans fall back to the Outer/Inner phase
-// marks, so two-level traces split identically to the fixed-category
-// analyzer they replace.
+// the outer_comm/inner_comm sums report exactly those — for deeper chains
+// inner_comm aggregates every level >= 1. Spans carry their level
+// explicitly when the kernel stamps one (the chain kernel's blocking loop
+// does); unstamped spans fall back to the Outer/Inner phase marks. That
+// fallback is what splits scalar HSUMMA's collective spans, whose step
+// marks carry phases but not levels.
 //
 // The walk hops between ranks through collectives: a collective completes
 // when its last participant arrives, so the path continues on the
@@ -25,10 +25,9 @@
 // [start_time, end_time] with no double counting, so the category sums add
 // up to the run's total_time for any chain depth (locked to 1e-9 by
 // tests/trace/test_critical_path.cpp), and each level's sum is bounded by
-// the TimingReport's matching max level_comm_time entry
-// (max_outer/inner_comm_time at depth 2). For point-to-point or overlapped
-// runs the chain is a best-effort approximation (spans on one rank may
-// overlap; the walk picks the latest-ending candidate).
+// the TimingReport's matching max_level_comm_time entry. For point-to-point
+// or overlapped runs the chain is a best-effort approximation (spans on one
+// rank may overlap; the walk picks the latest-ending candidate).
 #pragma once
 
 #include <string>

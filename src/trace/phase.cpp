@@ -18,10 +18,6 @@ TimingReport TimingReport::aggregate(double total_time,
   for (const auto& stats : per_rank) {
     report.max_comm_time = std::max(report.max_comm_time, stats.comm_time);
     report.max_comp_time = std::max(report.max_comp_time, stats.comp_time);
-    report.max_outer_comm_time =
-        std::max(report.max_outer_comm_time, stats.outer_comm_time);
-    report.max_inner_comm_time =
-        std::max(report.max_inner_comm_time, stats.inner_comm_time);
     if (report.max_level_comm_time.size() < stats.level_comm_time.size())
       report.max_level_comm_time.resize(stats.level_comm_time.size());
     for (std::size_t i = 0; i < stats.level_comm_time.size(); ++i)
@@ -45,9 +41,9 @@ std::string TimingReport::summary() const {
   if (total_flops > 0 && total_time > 0.0)
     os << ", "
        << hs::format_flops(static_cast<double>(total_flops) / total_time);
-  // Depth >= 3 chains get per-level continuation lines; flat and two-level
-  // runs keep the single head line byte-identical to the historical format
-  // (outer/inner maxima already tell the whole story there).
+  // Runs with three or more level slots get per-level continuation lines;
+  // flat and two-level runs keep the single head line byte-identical to the
+  // historical format.
   if (max_level_comm_time.size() >= 3)
     for (std::size_t l = 0; l < max_level_comm_time.size(); ++l)
       os << "\n  level " << l << " comm(max) "

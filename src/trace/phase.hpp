@@ -23,23 +23,23 @@ namespace hs::trace {
 struct RankStats {
   double comm_time = 0.0;  // virtual seconds in communication calls
   double comp_time = 0.0;  // virtual seconds in local compute
-  /// Hierarchical algorithms additionally split communication into the
-  /// inter-group (outer) and intra-group (inner) phases of the paper's
-  /// Tables I/II. Zero for flat algorithms.
-  double outer_comm_time = 0.0;
-  double inner_comm_time = 0.0;
-  /// Multi-level hierarchies further split communication per chain level
-  /// (slot l = level l of the factor chain; the trailing remainder phase
-  /// lands one past the deepest applied factor). Empty for flat/2-level
-  /// legacy algorithms.
+  /// Hierarchical algorithms split communication per chain level: slot l
+  /// is level l of the factor chain, and the trailing remainder phase lands
+  /// one past the deepest applied factor. Scalar HSUMMA fills two slots,
+  /// the inter-group (outer) and intra-group (inner) phases of the paper's
+  /// Tables I/II. Empty for flat algorithms.
   std::vector<double> level_comm_time = {};
   std::uint64_t flops = 0;
+
+  /// Adds `elapsed` to level slot `level`, growing the slots to reach it.
+  void add_level_comm(std::size_t level, double elapsed) {
+    if (level_comm_time.size() <= level) level_comm_time.resize(level + 1);
+    level_comm_time[level] += elapsed;
+  }
 
   RankStats& operator+=(const RankStats& other) noexcept {
     comm_time += other.comm_time;
     comp_time += other.comp_time;
-    outer_comm_time += other.outer_comm_time;
-    inner_comm_time += other.inner_comm_time;
     if (level_comm_time.size() < other.level_comm_time.size())
       level_comm_time.resize(other.level_comm_time.size());
     for (std::size_t i = 0; i < other.level_comm_time.size(); ++i)
@@ -71,24 +71,26 @@ struct TimingReport {
   double max_comp_time = 0.0;
   double mean_comm_time = 0.0;
   double mean_comp_time = 0.0;
-  /// Per-phase maxima for hierarchical runs: outer is chain level 0 (the
-  /// inter-group broadcasts), inner aggregates every level >= 1. For
-  /// depth-L chains the full per-level split is max_level_comm_time; the
-  /// pair here is its two-level projection, kept because the paper's
-  /// Tables I/II (and the critical-path analyzer's outer/inner sums, which
-  /// these bound level by level) speak in exactly these two phases.
-  double max_outer_comm_time = 0.0;
-  double max_inner_comm_time = 0.0;
-  /// Per-chain-level communication maxima (multi-level hierarchies only;
-  /// mirrors RankStats::level_comm_time). Entry l bounds the analyzer's
-  /// level_comm[l] on ClosedForm non-overlapped runs.
+  /// Per-chain-level communication maxima of hierarchical runs (mirrors
+  /// RankStats::level_comm_time; empty for flat runs). For scalar HSUMMA,
+  /// entries 0 and 1 are the paper's outer and inner phases. Entry l bounds
+  /// the critical-path analyzer's level_comm[l] on ClosedForm
+  /// non-overlapped runs.
   std::vector<double> max_level_comm_time;
   std::uint64_t total_flops = 0;
 
   static TimingReport aggregate(double total_time,
                                 std::span<const RankStats> per_rank);
 
+  /// max_level_comm_time[level], or 0 past its end.
+  double level_comm(std::size_t level) const {
+    return level < max_level_comm_time.size() ? max_level_comm_time[level]
+                                              : 0.0;
+  }
+
   std::string summary() const;
+
+  bool operator==(const TimingReport&) const = default;
 };
 
 }  // namespace hs::trace

@@ -73,7 +73,7 @@ struct CollectiveSpan {
   Phase phase = Phase::Flat;
   /// Hierarchy chain level of the enclosing broadcast stage (0 =
   /// outermost), stamped from the rank's current level state; -1 when the
-  /// kernel reports no level (flat and legacy two-level runs).
+  /// kernel reports no level (flat runs, scalar HSUMMA and task plans).
   int level = -1;
   bool closed_form = false;
 };

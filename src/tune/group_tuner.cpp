@@ -74,17 +74,7 @@ TuneResult tune_groups(const TuneOptions& options) {
   if (depths.empty()) depths = {0};
   const core::KernelDescriptor& descriptor =
       core::kernel_descriptor(options.kernel);
-  for (int depth : depths) {
-    HS_REQUIRE_MSG(depth >= 0, "lookahead must be >= 0");
-    if (depth >= 1)
-      HS_REQUIRE_MSG(
-          descriptor.overlap_support != core::OverlapSupport::None &&
-              (descriptor.overlap_support == core::OverlapSupport::TaskPlan ||
-               depth <= 1),
-          "kernel '" << descriptor.name << "' cannot run lookahead depth "
-                     << depth << "; task-plan kernels: "
-                     << core::overlap_kernel_name_list());
-  }
+  for (int depth : depths) core::require_lookahead(descriptor, depth);
 
   // Factorization kernels keep the full problem: their panel steps shrink
   // as the factorization advances, so a truncated prefix would not be

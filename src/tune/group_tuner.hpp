@@ -54,7 +54,7 @@ struct TuneOptions {
   /// Candidate look-ahead depths, sampled jointly with G (the best (G, D)
   /// pair is reported). The default tunes the blocking schedule only;
   /// {0, 1, 2} spans blocking, double-buffered and deep prefetch. Every
-  /// depth must be supported by the kernel (see core::OverlapSupport).
+  /// depth must be one the kernel runs (see core::require_lookahead).
   std::vector<int> lookaheads = {0};
   /// Cap on sampled candidates (<=0 -> no cap). Candidates nearest the
   /// model's predicted optimum are kept.

@@ -29,16 +29,16 @@ class CyclicSummaTest
     : public ::testing::TestWithParam<std::tuple<GridShape, int, bool>> {};
 
 TEST_P(CyclicSummaTest, MatchesReference) {
-  const auto [shape, block, overlap] = GetParam();
+  const auto [shape, block, double_buffered] = GetParam();
   RunOptions options;
   options.algorithm = Algorithm::SummaCyclic;
   options.grid = shape;
   options.problem = ProblemSpec::square(96, block);
-  options.overlap = overlap;
+  options.lookahead = double_buffered ? 1 : 0;
   options.verify = true;
   EXPECT_LT(run_once(options).max_error, 1e-12)
       << shape.rows << "x" << shape.cols << " b=" << block
-      << " overlap=" << overlap;
+      << " lookahead=" << options.lookahead;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -69,7 +69,7 @@ TEST(CyclicSumma, RectangularProblem) {
   options.algorithm = Algorithm::SummaCyclic;
   options.grid = {3, 2};
   options.problem = {/*m=*/60, /*k=*/48, /*n=*/84, /*block=*/8};
-  options.overlap = true;
+  options.lookahead = 1;
   options.verify = true;
   EXPECT_LT(run_once(options).max_error, 1e-12);
 }
@@ -79,14 +79,14 @@ class CyclicHsummaTest
           std::tuple<GridShape, GridShape, int, int, bool>> {};
 
 TEST_P(CyclicHsummaTest, MatchesReference) {
-  const auto [shape, groups, block, outer, overlap] = GetParam();
+  const auto [shape, groups, block, outer, double_buffered] = GetParam();
   RunOptions options;
   options.algorithm = Algorithm::HsummaCyclic;
   options.grid = shape;
   options.groups = groups;
   options.problem = ProblemSpec::square(96, block);
   options.problem.outer_block = outer;
-  options.overlap = overlap;
+  options.lookahead = double_buffered ? 1 : 0;
   options.verify = true;
   EXPECT_LT(run_once(options).max_error, 1e-12)
       << shape.rows << "x" << shape.cols << " groups " << groups.rows << "x"
@@ -133,7 +133,7 @@ TEST(CyclicSumma, OverlapsBetterThanBlockDistribution) {
   options.grid = {4, 4};
   options.problem = ProblemSpec::square(512, 32);
   options.mode = PayloadMode::Phantom;
-  options.overlap = true;
+  options.lookahead = 1;
   options.bcast_algo = hs::net::BcastAlgo::ScatterRingAllgather;
   const double gamma = 2e-9;
 

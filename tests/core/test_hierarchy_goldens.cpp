@@ -41,8 +41,6 @@ struct Golden {
   double total_time;
   double max_comm_time;
   double max_comp_time;
-  double max_outer_comm_time;
-  double max_inner_comm_time;
   std::uint64_t messages;
   std::uint64_t wire_bytes;
   double level_comm[kLevelSlots];
@@ -105,115 +103,115 @@ struct GoldenRow {
 constexpr GoldenRow kGoldens[] = {
     // HS_CAPTURE_GOLDENS output pasted below.
     {"l1:D0",
-     {0x1.a92b0fabcd2b1p-7, 0x1.3dcb4540da6ep-7, 0x1.ad7f29abcaf42p-9, 0x0p+0,
-      0x0p+0, 1792u, 1835008u,
+     {0x1.a92b0fabcd2b1p-7, 0x1.3dcb4540da6ep-7, 0x1.ad7f29abcaf42p-9,
+      1792u, 1835008u,
       {0x0p+0, 0x0p+0, 0x0p+0}}},
     {"l1:D1",
-     {0x1.1cc7d93f6e4c2p-7, 0x1.62d01da8f71e3p-8, 0x1.ad7f29abcaf44p-9, 0x0p+0,
-      0x0p+0, 1792u, 1835008u,
+     {0x1.1cc7d93f6e4c2p-7, 0x1.62d01da8f71e3p-8, 0x1.ad7f29abcaf44p-9,
+      1792u, 1835008u,
       {0x0p+0, 0x0p+0, 0x0p+0}}},
     {"l1:D2",
-     {0x1.0c3a984eb8411p-7, 0x1.41b59bc78b081p-8, 0x1.ad7f29abcaf44p-9, 0x0p+0,
-      0x0p+0, 1792u, 1835008u,
+     {0x1.0c3a984eb8411p-7, 0x1.41b59bc78b081p-8, 0x1.ad7f29abcaf44p-9,
+      1792u, 1835008u,
       {0x0p+0, 0x0p+0, 0x0p+0}}},
     {"l2:D0",
-     {0x1.a92b0fabcd2b1p-7, 0x1.3dcb4540da6ep-7, 0x1.ad7f29abcaf42p-9, 0x1.a7b9b1abcde84p-11,
-      0x1.234faa261d8f9p-7, 1792u, 1835008u,
+     {0x1.a92b0fabcd2b1p-7, 0x1.3dcb4540da6ep-7, 0x1.ad7f29abcaf42p-9,
+      1792u, 1835008u,
       {0x1.a7b9b1abcde84p-11, 0x1.234faa261d8f9p-7, 0x0p+0}}},
     {"l2:D1",
-     {0x1.31e7bfd37b4dap-7, 0x1.8d0fead111213p-8, 0x1.ad7f29abcaf44p-9, 0x1.a7b9b1abcde87p-14,
-      0x1.8d0fead111213p-8, 1792u, 1835008u,
+     {0x1.31e7bfd37b4dap-7, 0x1.8d0fead111213p-8, 0x1.ad7f29abcaf44p-9,
+      1792u, 1835008u,
       {0x1.a7b9b1abcde87p-14, 0x1.8d0fead111213p-8, 0x0p+0}}},
     {"l2:D2",
-     {0x1.dd6996e147469p-8, 0x1.06aa020b61cc8p-8, 0x1.ad7f29abcaf44p-9, 0x1.a7b9b1abcde87p-14,
-      0x1.06aa020b61cc8p-8, 1792u, 1835008u,
+     {0x1.dd6996e147469p-8, 0x1.06aa020b61cc8p-8, 0x1.ad7f29abcaf44p-9,
+      1792u, 1835008u,
       {0x1.a7b9b1abcde87p-14, 0x1.06aa020b61cc8p-8, 0x0p+0}}},
     {"l3:D0",
-     {0x1.a92b0fabcd2b1p-7, 0x1.3dcb4540da6ep-7, 0x1.ad7f29abcaf42p-9, 0x1.a7b9b1abcde84p-11,
-      0x1.234faa261d8f9p-7, 1792u, 1835008u,
+     {0x1.a92b0fabcd2b1p-7, 0x1.3dcb4540da6ep-7, 0x1.ad7f29abcaf42p-9,
+      1792u, 1835008u,
       {0x1.a7b9b1abcde84p-11, 0x1.3dcb4540da6e1p-9, 0x1.a7b9b1abcde81p-8}}},
     {"l3:D1",
-     {0x1.3bed2fdd82154p-7, 0x1.a11acae51eb07p-8, 0x1.ad7f29abcaf42p-9, 0x1.a7b9b1abcde87p-14,
-      0x1.a11acae51eb07p-8, 1792u, 1835008u,
+     {0x1.3bed2fdd82154p-7, 0x1.a11acae51eb07p-8, 0x1.ad7f29abcaf42p-9,
+      1792u, 1835008u,
       {0x1.a7b9b1abcde87p-14, 0x1.72c27b76542b2p-10, 0x1.6c2394afa4f36p-8}}},
     {"l3:D2",
-     {0x1.f8fa387c03976p-8, 0x1.223aa3a61e1d5p-8, 0x1.ad7f29abcaf46p-9, 0x1.a7b9b1abcde87p-14,
-      0x1.223aa3a61e1d5p-8, 1792u, 1835008u,
+     {0x1.f8fa387c03976p-8, 0x1.223aa3a61e1d5p-8, 0x1.ad7f29abcaf46p-9,
+      1792u, 1835008u,
       {0x1.a7b9b1abcde87p-14, 0x1.3ae88940dbe82p-10, 0x1.223aa3a61e1d5p-8}}},
     {"skip:D0",
-     {0x1.a92b0fabcd2b1p-7, 0x1.3dcb4540da6ep-7, 0x1.ad7f29abcaf42p-9, 0x1.a7b9b1abcde81p-10,
-      0x1.08d40f0b60b11p-7, 1792u, 1835008u,
+     {0x1.a92b0fabcd2b1p-7, 0x1.3dcb4540da6ep-7, 0x1.ad7f29abcaf42p-9,
+      1792u, 1835008u,
       {0x1.a7b9b1abcde81p-10, 0x1.a7b9b1abcde82p-10, 0x1.a7b9b1abcde81p-8}}},
     {"skip:D1",
-     {0x1.0c96efceb811dp-7, 0x1.426e4ac78aa99p-8, 0x1.ad7f29abcaf45p-9, 0x1.d57a11e14b56p-11,
-      0x1.426e4ac78aa99p-8, 1792u, 1835008u,
+     {0x1.0c96efceb811dp-7, 0x1.426e4ac78aa99p-8, 0x1.ad7f29abcaf45p-9,
+      1792u, 1835008u,
       {0x1.d57a11e14b56p-11, 0x1.53f2c65b99838p-10, 0x1.355ea8fa2c22bp-8}}},
     {"skip:D2",
-     {0x1.d02bc953e8d76p-8, 0x1.f2d868fc06ba9p-9, 0x1.ad7f29abcaf47p-9, 0x1.a4d6f5abcf621p-11,
-      0x1.f2d868fc06ba9p-9, 1792u, 1835008u,
+     {0x1.d02bc953e8d76p-8, 0x1.f2d868fc06ba9p-9, 0x1.ad7f29abcaf47p-9,
+      1792u, 1835008u,
       {0x1.a4d6f5abcf621p-11, 0x1.3d129640daccap-10, 0x1.e5f6f2eea81cp-9}}},
     {"rect:D0",
-     {0x1.7433d976536e1p-7, 0x1.08d40f0b60b1p-7, 0x1.ad7f29abcaf42p-9, 0x1.3dcb4540da6e2p-10,
-      0x1.c2354cc68ac69p-8, 832u, 851968u,
+     {0x1.7433d976536e1p-7, 0x1.08d40f0b60b1p-7, 0x1.ad7f29abcaf42p-9,
+      832u, 851968u,
       {0x1.3dcb4540da6e2p-10, 0x1.c2354cc68ac69p-8, 0x0p+0}}},
     {"rect:D1",
-     {0x1.06f5f9a808584p-7, 0x1.372c5e7a2b367p-8, 0x1.ad7f29abcaf42p-9, 0x1.a7b9b1abcde87p-14,
-      0x1.372c5e7a2b367p-8, 832u, 851968u,
+     {0x1.06f5f9a808584p-7, 0x1.372c5e7a2b367p-8, 0x1.ad7f29abcaf42p-9,
+      832u, 851968u,
       {0x1.a7b9b1abcde87p-14, 0x1.372c5e7a2b367p-8, 0x0p+0}}},
     {"rect:D2",
-     {0x1.c2bfd0068a7fbp-8, 0x1.d80076614a0b5p-9, 0x1.ad7f29abcaf44p-9, 0x1.9c2ec1abd3d02p-12,
-      0x1.d80076614a0b5p-9, 832u, 851968u,
+     {0x1.c2bfd0068a7fbp-8, 0x1.d80076614a0b5p-9, 0x1.ad7f29abcaf44p-9,
+      832u, 851968u,
       {0x1.9c2ec1abd3d02p-12, 0x1.d80076614a0b5p-9, 0x0p+0}}},
     // Flat SUMMA on 1x4 and 4x1 grids, captured through Algorithm::Summa
     // while SUMMA still had its own kernel (which awaited a no-op broadcast
     // on the size-1 axis and held a task for it in its plan).
     {"summa1x4:pp:D0",
-     {0x1.c9dbce13ec124p-5, 0x1.c5ca468211ep-9, 0x1.ad7f29abcaf44p-5, 0x0p+0,
-      0x0p+0, 48u, 393216u,
+     {0x1.c9dbce13ec124p-5, 0x1.c5ca468211ep-9, 0x1.ad7f29abcaf44p-5,
+      48u, 393216u,
       {0x0p+0, 0x0p+0, 0x0p+0}}},
     {"summa1x4:pp:D1",
-     {0x1.af44f3f24d064p-5, 0x1.c5ca468211ep-13, 0x1.ad7f29abcaf46p-5, 0x0p+0,
-      0x0p+0, 48u, 393216u,
+     {0x1.af44f3f24d064p-5, 0x1.c5ca468211ep-13, 0x1.ad7f29abcaf46p-5,
+      48u, 393216u,
       {0x0p+0, 0x0p+0, 0x0p+0}}},
     {"summa1x4:pp:D2",
-     {0x1.af44f3f24d064p-5, 0x1.c5ca468211ep-13, 0x1.ad7f29abcaf46p-5, 0x0p+0,
-      0x0p+0, 48u, 393216u,
+     {0x1.af44f3f24d064p-5, 0x1.c5ca468211ep-13, 0x1.ad7f29abcaf46p-5,
+      48u, 393216u,
       {0x0p+0, 0x0p+0, 0x0p+0}}},
     {"summa1x4:cf:D0",
-     {0x1.c9dbce13ec124p-5, 0x1.c5ca468211ep-9, 0x1.ad7f29abcaf44p-5, 0x0p+0,
-      0x0p+0, 48u, 393216u,
+     {0x1.c9dbce13ec124p-5, 0x1.c5ca468211ep-9, 0x1.ad7f29abcaf44p-5,
+      48u, 393216u,
       {0x0p+0, 0x0p+0, 0x0p+0}}},
     {"summa1x4:cf:D1",
-     {0x1.af44f3f24d064p-5, 0x1.c5ca468211ep-13, 0x1.ad7f29abcaf46p-5, 0x0p+0,
-      0x0p+0, 48u, 393216u,
+     {0x1.af44f3f24d064p-5, 0x1.c5ca468211ep-13, 0x1.ad7f29abcaf46p-5,
+      48u, 393216u,
       {0x0p+0, 0x0p+0, 0x0p+0}}},
     {"summa1x4:cf:D2",
-     {0x1.af44f3f24d064p-5, 0x1.c5ca468211ep-13, 0x1.ad7f29abcaf46p-5, 0x0p+0,
-      0x0p+0, 48u, 393216u,
+     {0x1.af44f3f24d064p-5, 0x1.c5ca468211ep-13, 0x1.ad7f29abcaf46p-5,
+      48u, 393216u,
       {0x0p+0, 0x0p+0, 0x0p+0}}},
     {"summa4x1:pp:D0",
-     {0x1.c9dbce13ec124p-5, 0x1.c5ca468211ep-9, 0x1.ad7f29abcaf44p-5, 0x0p+0,
-      0x0p+0, 48u, 393216u,
+     {0x1.c9dbce13ec124p-5, 0x1.c5ca468211ep-9, 0x1.ad7f29abcaf44p-5,
+      48u, 393216u,
       {0x0p+0, 0x0p+0, 0x0p+0}}},
     {"summa4x1:pp:D1",
-     {0x1.af44f3f24d064p-5, 0x1.c5ca468211ep-13, 0x1.ad7f29abcaf46p-5, 0x0p+0,
-      0x0p+0, 48u, 393216u,
+     {0x1.af44f3f24d064p-5, 0x1.c5ca468211ep-13, 0x1.ad7f29abcaf46p-5,
+      48u, 393216u,
       {0x0p+0, 0x0p+0, 0x0p+0}}},
     {"summa4x1:pp:D2",
-     {0x1.af44f3f24d064p-5, 0x1.c5ca468211ep-13, 0x1.ad7f29abcaf46p-5, 0x0p+0,
-      0x0p+0, 48u, 393216u,
+     {0x1.af44f3f24d064p-5, 0x1.c5ca468211ep-13, 0x1.ad7f29abcaf46p-5,
+      48u, 393216u,
       {0x0p+0, 0x0p+0, 0x0p+0}}},
     {"summa4x1:cf:D0",
-     {0x1.c9dbce13ec124p-5, 0x1.c5ca468211ep-9, 0x1.ad7f29abcaf44p-5, 0x0p+0,
-      0x0p+0, 48u, 393216u,
+     {0x1.c9dbce13ec124p-5, 0x1.c5ca468211ep-9, 0x1.ad7f29abcaf44p-5,
+      48u, 393216u,
       {0x0p+0, 0x0p+0, 0x0p+0}}},
     {"summa4x1:cf:D1",
-     {0x1.af44f3f24d064p-5, 0x1.c5ca468211ep-13, 0x1.ad7f29abcaf46p-5, 0x0p+0,
-      0x0p+0, 48u, 393216u,
+     {0x1.af44f3f24d064p-5, 0x1.c5ca468211ep-13, 0x1.ad7f29abcaf46p-5,
+      48u, 393216u,
       {0x0p+0, 0x0p+0, 0x0p+0}}},
     {"summa4x1:cf:D2",
-     {0x1.af44f3f24d064p-5, 0x1.c5ca468211ep-13, 0x1.ad7f29abcaf46p-5, 0x0p+0,
-      0x0p+0, 48u, 393216u,
+     {0x1.af44f3f24d064p-5, 0x1.c5ca468211ep-13, 0x1.ad7f29abcaf46p-5,
+      48u, 393216u,
       {0x0p+0, 0x0p+0, 0x0p+0}}},
 };
 
@@ -224,10 +222,9 @@ const Golden* golden(const std::string& key) {
 }
 
 Golden to_golden(const hs::core::RunResult& r) {
-  Golden g{r.timing.total_time,          r.timing.max_comm_time,
-           r.timing.max_comp_time,       r.timing.max_outer_comm_time,
-           r.timing.max_inner_comm_time, r.messages,
-           r.wire_bytes,                 {0.0, 0.0, 0.0}};
+  Golden g{r.timing.total_time, r.timing.max_comm_time,
+           r.timing.max_comp_time, r.messages,
+           r.wire_bytes, {0.0, 0.0, 0.0}};
   for (std::size_t i = 0;
        i < r.timing.max_level_comm_time.size() && i < kLevelSlots; ++i)
     g.level_comm[i] = r.timing.max_level_comm_time[i];
@@ -239,8 +236,6 @@ void expect_eq(const Golden& expected, const Golden& actual,
   EXPECT_EQ(expected.total_time, actual.total_time) << what;
   EXPECT_EQ(expected.max_comm_time, actual.max_comm_time) << what;
   EXPECT_EQ(expected.max_comp_time, actual.max_comp_time) << what;
-  EXPECT_EQ(expected.max_outer_comm_time, actual.max_outer_comm_time) << what;
-  EXPECT_EQ(expected.max_inner_comm_time, actual.max_inner_comm_time) << what;
   EXPECT_EQ(expected.messages, actual.messages) << what;
   EXPECT_EQ(expected.wire_bytes, actual.wire_bytes) << what;
   for (int i = 0; i < kLevelSlots; ++i)
@@ -298,11 +293,10 @@ TEST(HierarchyGoldens, Capture) {
     for (int depth : {0, 1, 2}) {
       const Golden g = run_kernel(cfg, depth);
       std::printf(
-          "    {\"%s:D%d\",\n     {%a, %a, %a, %a,\n      %a, %lluu, %lluu,\n"
+          "    {\"%s:D%d\",\n     {%a, %a, %a,\n      %lluu, %lluu,\n"
           "      {%a, %a, %a}}},\n",
           cfg.name.c_str(), depth, g.total_time, g.max_comm_time,
-          g.max_comp_time, g.max_outer_comm_time, g.max_inner_comm_time,
-          static_cast<unsigned long long>(g.messages),
+          g.max_comp_time, static_cast<unsigned long long>(g.messages),
           static_cast<unsigned long long>(g.wire_bytes), g.level_comm[0],
           g.level_comm[1], g.level_comm[2]);
     }

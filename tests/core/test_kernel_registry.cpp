@@ -46,7 +46,6 @@ TEST(KernelRegistry, RegistrationOrderMatchesEnumOrder) {
 TEST(KernelRegistry, FactorizationKernelsAreRegistered) {
   EXPECT_TRUE(kernel_descriptor(Algorithm::Lu).factorization);
   EXPECT_TRUE(kernel_descriptor(Algorithm::Cholesky).factorization);
-  EXPECT_TRUE(kernel_descriptor(Algorithm::Cholesky).requires_square_grid);
   EXPECT_FALSE(kernel_descriptor(Algorithm::Summa).factorization);
 }
 

@@ -182,8 +182,8 @@ TEST(MultilevelHsumma, MatchesHsummaForSingleLevelSplit) {
   // row_levels={J}, col_levels={I}, b=B issues HSUMMA(I x J)'s broadcasts,
   // so messages, wire bytes and (on these grids) the total time match bit
   // for bit. The stage order differs (see summa.hpp), so max comm,
-  // max comp and the outer/inner split may not: here the outer split
-  // (Hockney 4x8, BG/P) or max comp (grid5000) differ in the last bits.
+  // max comp and the per-level split may not: here level 0 (Hockney 4x8,
+  // BG/P) or max comp (grid5000) differ in the last bits.
   struct Case {
     const char* name;
     std::shared_ptr<const hs::net::NetworkModel> network;

@@ -28,7 +28,7 @@ TEST(Overlap, SummaStaysNumericallyCorrect) {
   options.algorithm = Algorithm::Summa;
   options.grid = {2, 4};
   options.problem = ProblemSpec::square(96, 8);
-  options.overlap = true;
+  options.lookahead = 1;
   options.verify = true;
   EXPECT_LT(run_once(options, 1e-9).max_error, 1e-12);
 }
@@ -40,7 +40,7 @@ TEST(Overlap, HsummaStaysNumericallyCorrect) {
   options.groups = {2, 2};
   options.problem = ProblemSpec::square(96, 4);
   options.problem.outer_block = 12;
-  options.overlap = true;
+  options.lookahead = 1;
   options.verify = true;
   EXPECT_LT(run_once(options, 1e-9).max_error, 1e-12);
 }
@@ -55,9 +55,9 @@ TEST(Overlap, HidesCommunicationBehindCompute) {
   options.mode = PayloadMode::Phantom;
   const double gamma = 1e-7;  // slow cores: compute dominates
 
-  options.overlap = false;
+  options.lookahead = 0;
   const auto blocking = run_once(options, gamma);
-  options.overlap = true;
+  options.lookahead = 1;
   const auto overlapped = run_once(options, gamma);
 
   EXPECT_LT(overlapped.timing.total_time, blocking.timing.total_time);
@@ -81,9 +81,9 @@ TEST(Overlap, NeverSlowerThanBlocking) {
     options.problem = ProblemSpec::square(256, 16);
     options.mode = PayloadMode::Phantom;
 
-    options.overlap = false;
+    options.lookahead = 0;
     const auto blocking = run_once(options, 1e-9);
-    options.overlap = true;
+    options.lookahead = 1;
     const auto overlapped = run_once(options, 1e-9);
     EXPECT_LE(overlapped.timing.total_time,
               blocking.timing.total_time * (1.0 + 1e-9))
@@ -98,9 +98,9 @@ TEST(Overlap, SameWireTraffic) {
   options.problem = ProblemSpec::square(128, 8);
   options.mode = PayloadMode::Phantom;
 
-  options.overlap = false;
+  options.lookahead = 0;
   const auto blocking = run_once(options, 1e-9);
-  options.overlap = true;
+  options.lookahead = 1;
   const auto overlapped = run_once(options, 1e-9);
   EXPECT_EQ(overlapped.messages, blocking.messages);
   EXPECT_EQ(overlapped.wire_bytes, blocking.wire_bytes);
@@ -111,7 +111,7 @@ TEST(Overlap, WorksWithSingleStep) {
   options.algorithm = Algorithm::Summa;
   options.grid = {2, 2};
   options.problem = ProblemSpec::square(32, 16);  // exactly 2 steps
-  options.overlap = true;
+  options.lookahead = 1;
   options.verify = true;
   EXPECT_LT(run_once(options, 1e-9).max_error, 1e-12);
 
@@ -131,7 +131,7 @@ TEST(Overlap, WorksInClosedFormMode) {
   options.grid = {4, 4};
   options.problem = ProblemSpec::square(256, 16);
   options.mode = PayloadMode::Phantom;
-  options.overlap = true;
+  options.lookahead = 1;
   const auto result = hs::core::run(machine, options);
   EXPECT_GT(result.timing.total_time, 0.0);
   // Still hides communication.
@@ -174,14 +174,14 @@ TEST(Overlap, UnsupportingKernelFailsListingSupportingOnes) {
   options.grid = {4, 4};
   options.problem = ProblemSpec::square(256, 16);
   options.mode = PayloadMode::Phantom;
-  options.overlap = true;
+  options.lookahead = 1;
   try {
     run_once(options, 1e-9);
-    FAIL() << "fox with overlap should be rejected";
+    FAIL() << "fox with look-ahead should be rejected";
   } catch (const hs::PreconditionError& error) {
     const std::string message = error.what();
     EXPECT_NE(message.find("fox"), std::string::npos) << message;
-    // The error must name the kernels that DO support overlap.
+    // The error must name the kernels that DO run the depth.
     for (const char* name : {"summa", "hsumma", "cannon", "lu"})
       EXPECT_NE(message.find(name), std::string::npos)
           << "missing '" << name << "' in: " << message;

@@ -45,40 +45,70 @@ TEST(Runner, VerifyRequiresRealPayloads) {
 
 // A shape that violates a kernel precondition fails in the registry's
 // validation hook with the kernel's message, before any rank spawns: the
-// engine has processed no event.
+// engine has processed no event. One case per kernel.
 TEST(Runner, ShapeChecksFailBeforeAnyRankSpawns) {
   struct Case {
     const char* name;
-    Algorithm algorithm;
-    hs::grid::GridShape groups;
-    std::vector<int> row_levels;
+    RunOptions options;
     std::string message;
   };
+  const auto options_for = [](Algorithm algorithm, hs::grid::GridShape grid,
+                              ProblemSpec problem) {
+    RunOptions options;
+    options.algorithm = algorithm;
+    options.grid = grid;
+    options.problem = problem;
+    options.mode = PayloadMode::Phantom;
+    return options;
+  };
+  RunOptions hsumma =
+      options_for(Algorithm::Hsumma, {2, 4}, ProblemSpec::square(32, 4));
+  hsumma.groups = {3, 2};
+  RunOptions multilevel = options_for(Algorithm::HsummaMultilevel, {2, 4},
+                                      ProblemSpec::square(32, 4));
+  multilevel.row_levels = {3};
+  RunOptions summa25d =
+      options_for(Algorithm::Summa25D, {2, 2}, ProblemSpec::square(32, 4));
+  summa25d.layers = 3;
   const std::vector<Case> cases = {
-      {"summa: k=24 is not a multiple of t*b=16", Algorithm::Summa, {1, 1},
-       {}, "k=24 must be divisible by t*b = 16"},
-      {"hsumma: 3x2 groups on a 2x4 grid", Algorithm::Hsumma, {3, 2}, {},
+      {"summa: k=24 is not a multiple of t*b=16",
+       options_for(Algorithm::Summa, {2, 4}, ProblemSpec{32, 24, 32, 4, 0}),
+       "k=24 must be divisible by t*b = 16"},
+      {"hsumma: 3x2 groups on a 2x4 grid", hsumma,
        "group arrangement 3x2 must divide the process grid"},
-      {"hsumma-multilevel: factor 3 on 4 grid columns",
-       Algorithm::HsummaMultilevel, {1, 1}, {3},
+      {"hsumma-multilevel: factor 3 on 4 grid columns", multilevel,
        "hier_bcast level factor 3 must divide group size 4"},
+      {"summa-cyclic: k=30 is not a multiple of b=4",
+       options_for(Algorithm::SummaCyclic, {2, 4},
+                   ProblemSpec{32, 30, 32, 4, 0}),
+       "k=30 must be a multiple of the distribution block 4"},
+      {"hsumma-cyclic: B=6 is not a multiple of b=4",
+       options_for(Algorithm::HsummaCyclic, {2, 4},
+                   ProblemSpec::square(48, 4, 6)),
+       "outer block B=6 must be a multiple of inner block b=4"},
+      {"cannon: 2x4 grid",
+       options_for(Algorithm::Cannon, {2, 4}, ProblemSpec::square(32, 4)),
+       "Cannon requires a square process grid, got 2x4"},
+      {"fox: 2x4 grid",
+       options_for(Algorithm::Fox, {2, 4}, ProblemSpec::square(32, 4)),
+       "Fox requires a square process grid"},
+      {"summa-2.5d: 8 pivot steps on 3 layers", summa25d,
+       "pivot step count 8 must be divisible by layers 3"},
+      {"lu: n=30 on a 2x4 grid",
+       options_for(Algorithm::Lu, {2, 4}, ProblemSpec::factorization(30, 2)),
+       "n=30 must be divisible by both grid dimensions"},
+      {"cholesky: 2x4 grid",
+       options_for(Algorithm::Cholesky, {2, 4},
+                   ProblemSpec::factorization(32, 4)),
+       "Cholesky requires a square process grid"},
   };
   for (const Case& c : cases) {
     hs::desim::Engine engine;
     hs::mpc::Machine machine(
         engine, std::make_shared<hs::net::HockneyModel>(1e-4, 1e-9),
-        {.ranks = 8});
-    RunOptions options;
-    options.algorithm = c.algorithm;
-    options.grid = {2, 4};
-    options.groups = c.groups;
-    options.row_levels = c.row_levels;
-    options.problem = c.algorithm == Algorithm::Summa
-                          ? ProblemSpec{32, 24, 32, 4, 0}
-                          : ProblemSpec::square(32, 4);
-    options.mode = PayloadMode::Phantom;
+        {.ranks = c.options.grid.size() * c.options.layers});
     try {
-      hs::core::run(machine, options);
+      hs::core::run(machine, c.options);
       ADD_FAILURE() << c.name << ": no error";
     } catch (const hs::PreconditionError& error) {
       EXPECT_NE(std::string(error.what()).find(c.message), std::string::npos)

@@ -2,8 +2,8 @@
 //
 // The numbers below were captured from the kernels BEFORE the task runtime
 // landed: the ":blk" rows from the classic blocking loops, the ":ovl" rows
-// from the hand-rolled double-buffered `overlap` branches that this change
-// deleted. They are unreproducible from source now, which is the point —
+// from the hand-rolled double-buffered pipelines that the task runtime
+// replaced. They are unreproducible from source now, which is the point —
 // the task-plan lowering must keep producing them:
 //
 //   * lookahead = 0 through core::run exercises the blocking loops the
@@ -40,8 +40,8 @@ struct Golden {
   double total_time;
   double max_comm_time;
   double max_comp_time;
-  double max_outer_comm_time;
-  double max_inner_comm_time;
+  double level0_comm;  // HSUMMA's outer phase (max_level_comm_time[0])
+  double level1_comm;  // its inner phase (max_level_comm_time[1])
   std::uint64_t messages;
   std::uint64_t wire_bytes;
 };
@@ -240,9 +240,9 @@ std::vector<Cfg> configs() {
 }
 
 Golden to_golden(const hs::core::RunResult& r) {
-  return {r.timing.total_time,          r.timing.max_comm_time,
-          r.timing.max_comp_time,       r.timing.max_outer_comm_time,
-          r.timing.max_inner_comm_time, r.messages,
+  return {r.timing.total_time,    r.timing.max_comm_time,
+          r.timing.max_comp_time, r.timing.level_comm(0),
+          r.timing.level_comm(1), r.messages,
           r.wire_bytes};
 }
 
@@ -251,8 +251,8 @@ void expect_eq(const Golden& expected, const Golden& actual,
   EXPECT_EQ(expected.total_time, actual.total_time) << what;
   EXPECT_EQ(expected.max_comm_time, actual.max_comm_time) << what;
   EXPECT_EQ(expected.max_comp_time, actual.max_comp_time) << what;
-  EXPECT_EQ(expected.max_outer_comm_time, actual.max_outer_comm_time) << what;
-  EXPECT_EQ(expected.max_inner_comm_time, actual.max_inner_comm_time) << what;
+  EXPECT_EQ(expected.level0_comm, actual.level0_comm) << what;
+  EXPECT_EQ(expected.level1_comm, actual.level1_comm) << what;
   EXPECT_EQ(expected.messages, actual.messages) << what;
   EXPECT_EQ(expected.wire_bytes, actual.wire_bytes) << what;
 }

@@ -68,10 +68,8 @@ TEST(TaskPlanSweep, WorkerCountNeverChangesAnyResult) {
               parallel[i].timing.max_comm_time);
     EXPECT_EQ(serial[i].timing.max_comp_time,
               parallel[i].timing.max_comp_time);
-    EXPECT_EQ(serial[i].timing.max_outer_comm_time,
-              parallel[i].timing.max_outer_comm_time);
-    EXPECT_EQ(serial[i].timing.max_inner_comm_time,
-              parallel[i].timing.max_inner_comm_time);
+    EXPECT_EQ(serial[i].timing.max_level_comm_time,
+              parallel[i].timing.max_level_comm_time);
     EXPECT_EQ(serial[i].messages, parallel[i].messages);
     EXPECT_EQ(serial[i].wire_bytes, parallel[i].wire_bytes);
   }
@@ -86,18 +84,21 @@ TEST(TaskPlanSweep, LookaheadIsPartOfTheCacheIdentity) {
   job.grid = {4, 4};
   job.groups = 4;
   job.problem = ProblemSpec::square(256, 8, 32);
+  const std::string by_default = job.cache_key();
   job.lookahead = 0;
   const std::string d0 = job.cache_key();
   job.lookahead = 2;
   const std::string d2 = job.cache_key();
   ASSERT_FALSE(d0.empty());
   EXPECT_NE(d0, d2);
-  // The overlap shorthand and an explicit depth 1 are distinct keys too
-  // (they run identical schedules, but coalescing them would make the
-  // derived default load-bearing for cache correctness).
-  job.lookahead = -1;
-  job.overlap = true;
+  job.lookahead = 1;
+  EXPECT_NE(job.cache_key(), d0);
   EXPECT_NE(job.cache_key(), d2);
+  // An explicit D = 0 runs the default job's simulation and shares its key.
+  EXPECT_EQ(d0, by_default);
+  // A negative depth is rejected, never aliased onto D = 0.
+  job.lookahead = -1;
+  EXPECT_THROW(job.cache_key(), hs::PreconditionError);
 }
 
 }  // namespace

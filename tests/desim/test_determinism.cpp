@@ -66,7 +66,7 @@ struct DirectConfig {
   ProblemSpec problem;
   BcastAlgo bcast;
   CollectiveMode mode;
-  bool overlap;
+  int lookahead;
 };
 
 // The locked configurations: point-to-point and closed-form collectives,
@@ -74,17 +74,22 @@ struct DirectConfig {
 const DirectConfig kConfigs[] = {
     {"summa_p2p", Algorithm::Summa, {4, 4}, {1, 1},
      ProblemSpec::square(128, 8), BcastAlgo::Binomial,
-     CollectiveMode::PointToPoint, false},
+     CollectiveMode::PointToPoint, 0},
     {"hsumma_p2p", Algorithm::Hsumma, {4, 4}, {2, 2},
      ProblemSpec::square(128, 8, 16), BcastAlgo::ScatterRingAllgather,
-     CollectiveMode::PointToPoint, false},
+     CollectiveMode::PointToPoint, 0},
     {"hsumma_closed_form", Algorithm::Hsumma, {4, 4}, {2, 2},
      ProblemSpec::square(128, 8, 16), BcastAlgo::Binomial,
-     CollectiveMode::ClosedForm, false},
+     CollectiveMode::ClosedForm, 0},
     {"summa_overlap", Algorithm::Summa, {4, 4}, {1, 1},
      ProblemSpec::square(128, 8), BcastAlgo::ScatterRingAllgather,
-     CollectiveMode::PointToPoint, true},
+     CollectiveMode::PointToPoint, 1},
 };
+
+double level_slot(const hs::trace::RankStats& stats, std::size_t level) {
+  return level < stats.level_comm_time.size() ? stats.level_comm_time[level]
+                                              : 0.0;
+}
 
 /// Phantom-payload run spawning the per-rank programs directly so the test
 /// can observe every rank's RankStats (core::run only exposes aggregates).
@@ -103,12 +108,12 @@ Snapshot run_direct(const DirectConfig& config) {
         config.algorithm == Algorithm::Summa
             ? hs::core::summa_rank({machine.world(rank), config.grid,
                                     config.problem, nullptr, rank_stats,
-                                    config.bcast, config.overlap,
+                                    config.bcast, config.lookahead,
                                     hs::trace::RankTracer{}})
             : hs::core::hsumma_rank({machine.world(rank), config.grid,
                                      config.groups, config.problem, nullptr,
                                      rank_stats, config.bcast,
-                                     config.overlap,
+                                     config.lookahead,
                                      hs::trace::RankTracer{}});
     engine.spawn(std::move(program), "rank " + std::to_string(rank));
   }
@@ -120,9 +125,10 @@ Snapshot run_direct(const DirectConfig& config) {
   snap.messages = machine.messages_transferred();
   snap.bytes = machine.bytes_transferred();
   snap.ranks.reserve(static_cast<std::size_t>(ranks));
+  // HSUMMA's outer and inner phases are level slots 0 and 1.
   for (const auto& s : stats)
-    snap.ranks.push_back({s.comm_time, s.comp_time, s.outer_comm_time,
-                          s.inner_comm_time, s.flops});
+    snap.ranks.push_back({s.comm_time, s.comp_time, level_slot(s, 0),
+                          level_slot(s, 1), s.flops});
   return snap;
 }
 
@@ -152,8 +158,8 @@ Snapshot run_real() {
   // functions of them.
   snap.ranks.push_back({result.timing.max_comm_time,
                         result.timing.max_comp_time,
-                        result.timing.max_outer_comm_time,
-                        result.timing.max_inner_comm_time,
+                        result.timing.level_comm(0),
+                        result.timing.level_comm(1),
                         result.timing.total_flops});
   snap.ranks.push_back({result.timing.mean_comm_time,
                         result.timing.mean_comp_time, 0.0, 0.0, 0});

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -23,10 +22,6 @@ SimJob small_job(int ranks, int groups) {
   return job;
 }
 
-bool same_result(const hs::core::RunResult& a, const hs::core::RunResult& b) {
-  // RunResult is trivially copyable: bytewise equality is bit-exactness.
-  return std::memcmp(&a, &b, sizeof a) == 0;
-}
 
 TEST(SimJob, CacheKeyIsStableAndDiscriminates) {
   const SimJob a = small_job(16, 2);
@@ -70,7 +65,7 @@ TEST(Executor, ParallelMatchesSerialBitExactly) {
   std::vector<std::size_t> ids;
   for (int g : group_counts) ids.push_back(executor.submit(small_job(16, g)));
   for (std::size_t i = 0; i < ids.size(); ++i)
-    EXPECT_TRUE(same_result(executor.result(ids[i]), serial[i]))
+    EXPECT_TRUE(executor.result(ids[i]) == serial[i])
         << "G=" << group_counts[i];
 }
 
@@ -79,7 +74,7 @@ TEST(Executor, SecondIdenticalJobIsServedFromCache) {
   const std::size_t first = executor.submit(small_job(16, 4));
   const auto& first_result = executor.result(first);  // job has completed
   const std::size_t second = executor.submit(small_job(16, 4));
-  EXPECT_TRUE(same_result(executor.result(second), first_result));
+  EXPECT_TRUE(executor.result(second) == first_result);
   EXPECT_EQ(executor.jobs_submitted(), 2u);
   EXPECT_EQ(executor.engines_run(), 1u);
   EXPECT_EQ(executor.cache_hits(), 1u);
@@ -95,7 +90,19 @@ TEST(Executor, InFlightDuplicatesCoalesce) {
   EXPECT_EQ(executor.engines_run(), 1u);
   EXPECT_EQ(executor.cache_hits(), 3u);
   for (std::size_t id : ids)
-    EXPECT_TRUE(same_result(executor.result(id), executor.result(ids[0])));
+    EXPECT_TRUE(executor.result(id) == executor.result(ids[0]));
+}
+
+TEST(Executor, CachedChainResultEqualsAFreshRun) {
+  // A chain result carries a per-level vector: equality must compare the
+  // levels' values, not the vector's heap address.
+  SimJob job = small_job(16, 1);
+  job.hierarchy = hs::core::GroupHierarchy::parse("2x2");
+  job.lookahead = 2;
+  ParallelExecutor executor({.jobs = 1});
+  const hs::core::RunResult& cached = executor.result(executor.submit(job));
+  ASSERT_FALSE(cached.timing.max_level_comm_time.empty());
+  EXPECT_TRUE(cached == hs::exec::run_sim_job(job));
 }
 
 TEST(Executor, CacheDisabledRunsEveryJob) {
@@ -120,7 +127,7 @@ TEST(Executor, UncacheableJobRunsEveryTime) {
   const std::size_t a = executor.submit(job);
   executor.result(a);
   const std::size_t b = executor.submit(job);
-  EXPECT_TRUE(same_result(executor.result(a), executor.result(b)));
+  EXPECT_TRUE(executor.result(a) == executor.result(b));
   EXPECT_EQ(executor.engines_run(), 2u);
   EXPECT_EQ(executor.cache_hits(), 0u);
 }
@@ -166,7 +173,7 @@ TEST(Executor, ManyMixedJobsKeepSubmissionOrderIdentity) {
         : expected_groups[i] == 2 ? 1
         : expected_groups[i] == 4 ? 2
                                   : 3);
-    EXPECT_TRUE(same_result(executor.result(ids[i]), executor.result(first)));
+    EXPECT_TRUE(executor.result(ids[i]) == executor.result(first));
   }
 }
 

@@ -29,11 +29,13 @@ SimJob small_job(int groups, int block = 32) {
 }
 
 TEST(ExecutorCache, ByteBudgetEvictsLeastRecentlyUsed) {
-  // Measure one entry's footprint, then set a budget for about two.
+  // Measure one entry's footprint, then set a budget for about two. The
+  // sizer runs HSUMMA (G = 2): its result carries the two-slot per-level
+  // vector, so its entry is the largest of the G = 1, 2, 4 entries below.
   std::uint64_t entry_bytes = 0;
   {
     ParallelExecutor sizer({.jobs = 1});
-    sizer.result(sizer.submit(small_job(1)));
+    sizer.result(sizer.submit(small_job(2)));
     entry_bytes = sizer.cache_bytes();
     ASSERT_GT(entry_bytes, 0u);
   }

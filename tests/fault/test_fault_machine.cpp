@@ -88,10 +88,8 @@ TEST(FaultMachine, EmptyPlanIsZeroPerturbation) {
   EXPECT_EQ(clean.timing.max_comp_time, with_empty.timing.max_comp_time);
   EXPECT_EQ(clean.timing.mean_comm_time, with_empty.timing.mean_comm_time);
   EXPECT_EQ(clean.timing.mean_comp_time, with_empty.timing.mean_comp_time);
-  EXPECT_EQ(clean.timing.max_outer_comm_time,
-            with_empty.timing.max_outer_comm_time);
-  EXPECT_EQ(clean.timing.max_inner_comm_time,
-            with_empty.timing.max_inner_comm_time);
+  EXPECT_EQ(clean.timing.max_level_comm_time,
+            with_empty.timing.max_level_comm_time);
   EXPECT_EQ(clean.timing.total_flops, with_empty.timing.total_flops);
   EXPECT_EQ(clean.messages, with_empty.messages);
   EXPECT_EQ(clean.wire_bytes, with_empty.wire_bytes);

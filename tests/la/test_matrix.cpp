@@ -77,6 +77,18 @@ TEST(MatrixView, CopyFromContiguousAndStrided) {
   EXPECT_EQ(big(0, 0), 0.0);
 }
 
+TEST(MatrixView, CopyFromEmptyViewIsANoOp) {
+  // A rank that owns no rows or columns holds an empty matrix with no
+  // storage; copying between such views must not touch the null pointer.
+  Matrix none(0, 4), also_none(0, 4);
+  none.view().copy_from(also_none.view());
+  Matrix thin(3, 0), also_thin(3, 0);
+  thin.view().copy_from(also_thin.view());
+  Matrix big(2, 2);
+  big.block(1, 0, 0, 2).copy_from(also_none.view().block(0, 0, 0, 2));
+  EXPECT_EQ(big(1, 0), 0.0);
+}
+
 TEST(MatrixView, CopyFromShapeMismatchThrows) {
   Matrix a(2, 3), b(3, 2);
   EXPECT_THROW(a.view().copy_from(b.view()), hs::PreconditionError);

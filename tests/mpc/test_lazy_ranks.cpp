@@ -100,8 +100,8 @@ TEST(LazyRanks, RandomizedKernelRunsAreBitIdenticalToEager) {
         algos[static_cast<std::size_t>(rng.uniform_int(algos.size()))];
     const auto& kernel = hs::core::kernel_descriptor(algorithm);
     if (grid.rows != grid.cols &&
-        (kernel.requires_square_grid || kernel.factorization ||
-         algorithm == Algorithm::Cannon || algorithm == Algorithm::Fox))
+        (kernel.factorization || algorithm == Algorithm::Cannon ||
+         algorithm == Algorithm::Fox))
       algorithm = Algorithm::Summa;
 
     RunOptions options;

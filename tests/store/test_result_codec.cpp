@@ -20,8 +20,6 @@ RunResult awkward_result() {
   result.timing.max_comp_time = 5e-324;  // smallest subnormal
   result.timing.mean_comm_time = 0.1 + 0.2;
   result.timing.mean_comp_time = 1.7976931348623157e308;
-  result.timing.max_outer_comm_time = 0.7;
-  result.timing.max_inner_comm_time = 0.30000000000000004;
   result.timing.max_level_comm_time = {0.25, 1e-17, 3.0};
   result.timing.total_flops = (1ull << 62) + 12345;  // above 2^53
   result.max_error = -1.0;
@@ -36,8 +34,6 @@ void expect_bit_identical(const RunResult& a, const RunResult& b) {
   EXPECT_EQ(a.timing.max_comp_time, b.timing.max_comp_time);
   EXPECT_EQ(a.timing.mean_comm_time, b.timing.mean_comm_time);
   EXPECT_EQ(a.timing.mean_comp_time, b.timing.mean_comp_time);
-  EXPECT_EQ(a.timing.max_outer_comm_time, b.timing.max_outer_comm_time);
-  EXPECT_EQ(a.timing.max_inner_comm_time, b.timing.max_inner_comm_time);
   EXPECT_EQ(a.timing.max_level_comm_time, b.timing.max_level_comm_time);
   EXPECT_EQ(a.timing.total_flops, b.timing.total_flops);
   EXPECT_EQ(a.max_error, b.max_error);

@@ -114,8 +114,9 @@ TEST(CriticalPath, HsummaDecompositionMatchesTimingReport) {
   // every step's A and B broadcast) holds at least as much outer time as
   // any single rank charged, while ranks skipping an outer step absorb the
   // wait inside the next inner collective instead.
-  EXPECT_GE(path.outer_comm, result.timing.max_outer_comm_time - 1e-9);
-  EXPECT_LE(path.inner_comm, result.timing.max_inner_comm_time + 1e-9);
+  // The report's outer and inner phases are level slots 0 and 1.
+  EXPECT_GE(path.outer_comm, result.timing.level_comm(0) - 1e-9);
+  EXPECT_LE(path.inner_comm, result.timing.level_comm(1) + 1e-9);
   // Every segment carries a rank and the comm segments carry step marks.
   for (const auto& segment : path.segments)
     if (segment.category != PathCategory::Idle) {

@@ -34,41 +34,44 @@ TEST(PhaseTimer, AccumulatesVirtualTimeAcrossSuspension) {
 TEST(PhaseTimer, NestedTimersChargeBothSlots) {
   Engine engine;
   RankStats stats;
+  stats.level_comm_time = {0.0};
   auto program = [&]() -> Task<void> {
     PhaseTimer total(stats.comm_time, engine);
-    PhaseTimer outer(stats.outer_comm_time, engine);
+    PhaseTimer level0(stats.level_comm_time[0], engine);
     co_await engine.sleep(1.5);
   };
   engine.spawn(program());
   engine.run();
   EXPECT_DOUBLE_EQ(stats.comm_time, 1.5);
-  EXPECT_DOUBLE_EQ(stats.outer_comm_time, 1.5);
+  EXPECT_DOUBLE_EQ(stats.level_comm_time[0], 1.5);
 }
 
 TEST(RankStats, PlusEqualsMergesAllFields) {
-  RankStats a{1.0, 2.0, 0.25, 0.75, {}, 10};
-  RankStats b{0.5, 1.0, 0.25, 0.25, {}, 5};
+  RankStats a{1.0, 2.0, {0.25, 0.75}, 10};
+  RankStats b{0.5, 1.0, {0.25, 0.25}, 5};
   a += b;
   EXPECT_DOUBLE_EQ(a.comm_time, 1.5);
   EXPECT_DOUBLE_EQ(a.comp_time, 3.0);
-  EXPECT_DOUBLE_EQ(a.outer_comm_time, 0.5);
-  EXPECT_DOUBLE_EQ(a.inner_comm_time, 1.0);
+  ASSERT_EQ(a.level_comm_time.size(), 2u);
+  EXPECT_DOUBLE_EQ(a.level_comm_time[0], 0.5);
+  EXPECT_DOUBLE_EQ(a.level_comm_time[1], 1.0);
   EXPECT_EQ(a.flops, 15u);
 }
 
 TEST(TimingReport, AggregatesMaxAndMean) {
   std::vector<RankStats> ranks(3);
-  ranks[0] = {1.0, 4.0, 0.5, 0.5, {}, 100};
-  ranks[1] = {3.0, 2.0, 2.0, 1.0, {}, 200};
-  ranks[2] = {2.0, 6.0, 1.0, 1.0, {}, 300};
+  ranks[0] = {1.0, 4.0, {0.5, 0.5}, 100};
+  ranks[1] = {3.0, 2.0, {2.0, 1.0}, 200};
+  ranks[2] = {2.0, 6.0, {1.0, 1.0}, 300};
   const auto report = TimingReport::aggregate(10.0, ranks);
   EXPECT_DOUBLE_EQ(report.total_time, 10.0);
   EXPECT_DOUBLE_EQ(report.max_comm_time, 3.0);
   EXPECT_DOUBLE_EQ(report.max_comp_time, 6.0);
   EXPECT_DOUBLE_EQ(report.mean_comm_time, 2.0);
   EXPECT_DOUBLE_EQ(report.mean_comp_time, 4.0);
-  EXPECT_DOUBLE_EQ(report.max_outer_comm_time, 2.0);
-  EXPECT_DOUBLE_EQ(report.max_inner_comm_time, 1.0);
+  EXPECT_DOUBLE_EQ(report.level_comm(0), 2.0);
+  EXPECT_DOUBLE_EQ(report.level_comm(1), 1.0);
+  EXPECT_EQ(report.level_comm(2), 0.0);  // past the last slot
   EXPECT_EQ(report.total_flops, 600u);
 }
 
@@ -103,7 +106,7 @@ TEST(TimingReport, EmptyRanksYieldZeros) {
 
 TEST(TimingReport, SingleRankMaxEqualsMean) {
   std::vector<RankStats> ranks(1);
-  ranks[0] = {2.5, 7.5, 1.0, 1.5, {}, 42};
+  ranks[0] = {2.5, 7.5, {1.0, 1.5}, 42};
   const auto report = TimingReport::aggregate(10.0, ranks);
   EXPECT_DOUBLE_EQ(report.max_comm_time, report.mean_comm_time);
   EXPECT_DOUBLE_EQ(report.max_comp_time, report.mean_comp_time);
@@ -114,8 +117,8 @@ TEST(TimingReport, SingleRankMaxEqualsMean) {
 TEST(TimingReport, AggregateZeroTotalTimeKeepsPerRankStats) {
   // Degenerate but legal: an instantaneous run still aggregates.
   std::vector<RankStats> ranks(2);
-  ranks[0] = {0.0, 0.0, 0.0, 0.0, {}, 10};
-  ranks[1] = {0.0, 0.0, 0.0, 0.0, {}, 20};
+  ranks[0] = {0.0, 0.0, {}, 10};
+  ranks[1] = {0.0, 0.0, {}, 20};
   const auto report = TimingReport::aggregate(0.0, ranks);
   EXPECT_DOUBLE_EQ(report.total_time, 0.0);
   EXPECT_EQ(report.total_flops, 30u);
@@ -124,7 +127,7 @@ TEST(TimingReport, AggregateZeroTotalTimeKeepsPerRankStats) {
 
 TEST(TimingReport, SummaryMentionsAllComponents) {
   std::vector<RankStats> ranks(1);
-  ranks[0] = {0.5, 1.5, 0.0, 0.0, {}, 1};
+  ranks[0] = {0.5, 1.5, {}, 1};
   const auto report = TimingReport::aggregate(2.0, ranks);
   const std::string summary = report.summary();
   EXPECT_NE(summary.find("total"), std::string::npos);
@@ -135,7 +138,7 @@ TEST(TimingReport, SummaryMentionsAllComponents) {
 TEST(TimingReport, SummaryReportsAchievedFlopRate) {
   std::vector<RankStats> ranks(1);
   // 2e12 flops over 2 seconds = 1 Tflop/s achieved.
-  ranks[0] = {0.5, 1.5, 0.0, 0.0, {}, 2'000'000'000'000ull};
+  ranks[0] = {0.5, 1.5, {}, 2'000'000'000'000ull};
   const auto report = TimingReport::aggregate(2.0, ranks);
   const std::string summary = report.summary();
   EXPECT_NE(summary.find("flop/s"), std::string::npos);
@@ -144,7 +147,7 @@ TEST(TimingReport, SummaryReportsAchievedFlopRate) {
 
 TEST(TimingReport, SummaryOmitsFlopRateWithoutFlops) {
   std::vector<RankStats> ranks(1);
-  ranks[0] = {0.5, 1.5, 0.0, 0.0, {}, 0};
+  ranks[0] = {0.5, 1.5, {}, 0};
   const auto report = TimingReport::aggregate(2.0, ranks);
   EXPECT_EQ(report.summary().find("flop/s"), std::string::npos);
 }
@@ -152,13 +155,13 @@ TEST(TimingReport, SummaryOmitsFlopRateWithoutFlops) {
 TEST(TimingReport, SummarySplitsLevelsOnlyForDeepChains) {
   // Depth <= 2 keeps the historical single head line byte-for-byte.
   std::vector<RankStats> two(1);
-  two[0] = {0.5, 1.5, 0.3, 0.2, {0.3, 0.2}, 0};
+  two[0] = {0.5, 1.5, {0.3, 0.2}, 0};
   const auto shallow = TimingReport::aggregate(2.0, two);
   EXPECT_EQ(shallow.summary().find('\n'), std::string::npos);
   EXPECT_EQ(shallow.summary().find("level"), std::string::npos);
   // Depth >= 3 appends one continuation line per chain level.
   std::vector<RankStats> four(1);
-  four[0] = {0.9, 1.1, 0.4, 0.5, {0.4, 0.25, 0.15, 0.1}, 0};
+  four[0] = {0.9, 1.1, {0.4, 0.25, 0.15, 0.1}, 0};
   const auto deep = TimingReport::aggregate(2.0, four);
   const std::string summary = deep.summary();
   for (const char* line : {"level 0 comm(max)", "level 1 comm(max)",

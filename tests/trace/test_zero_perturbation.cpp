@@ -15,7 +15,7 @@ using hs::core::RunResult;
 using hs::exec::SimJob;
 
 SimJob base_job(hs::core::Algorithm algorithm, int groups,
-                hs::mpc::CollectiveMode mode, bool overlap = false) {
+                hs::mpc::CollectiveMode mode, int lookahead = 0) {
   SimJob job;
   job.platform = hs::net::Platform::by_name("grid5000");
   job.gamma_flop = 1e-9;
@@ -24,7 +24,7 @@ SimJob base_job(hs::core::Algorithm algorithm, int groups,
   job.ranks = 16;
   job.groups = groups;
   job.problem = hs::core::ProblemSpec::square(512, 64);
-  job.overlap = overlap;
+  job.lookahead = lookahead;
   return job;
 }
 
@@ -34,10 +34,8 @@ void expect_bit_identical(const RunResult& bare, const RunResult& traced) {
   EXPECT_EQ(bare.timing.max_comp_time, traced.timing.max_comp_time);
   EXPECT_EQ(bare.timing.mean_comm_time, traced.timing.mean_comm_time);
   EXPECT_EQ(bare.timing.mean_comp_time, traced.timing.mean_comp_time);
-  EXPECT_EQ(bare.timing.max_outer_comm_time,
-            traced.timing.max_outer_comm_time);
-  EXPECT_EQ(bare.timing.max_inner_comm_time,
-            traced.timing.max_inner_comm_time);
+  EXPECT_EQ(bare.timing.max_level_comm_time,
+            traced.timing.max_level_comm_time);
   EXPECT_EQ(bare.timing.total_flops, traced.timing.total_flops);
   EXPECT_EQ(bare.max_error, traced.max_error);
   EXPECT_EQ(bare.messages, traced.messages);
@@ -76,7 +74,7 @@ TEST(ZeroPerturbation, HsummaClosedForm) {
 TEST(ZeroPerturbation, OverlappedSummaClosedForm) {
   expect_recorder_transparent(
       base_job(hs::core::Algorithm::Summa, 1,
-               hs::mpc::CollectiveMode::ClosedForm, /*overlap=*/true));
+               hs::mpc::CollectiveMode::ClosedForm, /*lookahead=*/1));
 }
 
 TEST(ZeroPerturbation, SinkJobsBypassTheCacheKey) {
