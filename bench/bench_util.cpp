@@ -189,8 +189,9 @@ void add_lookahead_option(CliParser& cli, long long* lookahead) {
   *lookahead = 0;
   cli.add_int("lookahead",
               "look-ahead depth D (0 blocking, 1 the broadcast/update "
-              "overlap pipeline; D >= 2 prefetches D steps ahead on: " +
-                  core::lookahead_kernel_name_list(2) + ")",
+              "overlap pipeline, D >= 2 prefetches D steps ahead; D >= 1 "
+              "runs on: " +
+                  core::lookahead_kernel_name_list() + ")",
               lookahead);
 }
 

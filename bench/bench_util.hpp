@@ -59,7 +59,8 @@ struct Config {
   std::vector<int> col_levels;
   int layers = 1;                 // 2.5D only
   /// Look-ahead depth D (see core::RunOptions::lookahead): 0 blocking, 1
-  /// the double-buffered pipeline, >= 2 needs a task-plan kernel.
+  /// the double-buffered pipeline, >= 2 deeper prefetch; D >= 1 needs a
+  /// task-plan kernel.
   int lookahead = 0;
   /// Optional scripted fault plan (fault/fault_plan.hpp); null or empty
   /// perturbs nothing. Forces point-to-point collectives in run_sim_job.
@@ -143,7 +144,7 @@ void emit_trace_artifacts(const trace::Recorder& recorder,
                           const TraceCli& trace, const std::string& label);
 
 /// Registers --lookahead D (default 0 = blocking; 1 is the double-buffered
-/// pipeline; D >= 2 needs a task-plan kernel) into `cli`.
+/// pipeline; D >= 1 needs a task-plan kernel) into `cli`.
 void add_lookahead_option(CliParser& cli, long long* lookahead);
 
 /// Registers --hierarchy ("flat" or a multi-level chain like "64x16x4");

@@ -19,6 +19,8 @@
 
 #include <cstdio>
 #include <iostream>
+#include <string>
+#include <utility>
 
 #include "common/strings.hpp"
 #include "fault/fault_plan.hpp"
@@ -120,8 +122,14 @@ int bench_main(int argc, char** argv) {
       hs::bench::run_configs(points, &executor);
 
   std::vector<std::string> columns{"G", "clean comm"};
-  for (double factor : factors)
-    columns.push_back("x" + hs::format_double(factor, 3) + " inflation");
+  for (double factor : factors) {
+    // Appending, not "x" + std::string&&: GCC 12 reports a false
+    // -Wrestrict overlap inside the inlined string insert.
+    std::string column = "x";
+    column += hs::format_double(factor, 3);
+    column += " inflation";
+    columns.push_back(std::move(column));
+  }
   hs::Table table(columns);
   std::vector<std::vector<std::string>> csv_rows;
 

@@ -18,7 +18,7 @@
 // each regressed row; the exit status is 1 when anything regressed, 0
 // otherwise — ready for CI gating:
 //
-//   trace_compare --baseline-spans a.spans --candidate-spans b.spans \
+//   trace_compare --baseline-spans a.spans --candidate-spans b.spans
 //                 --baseline-metrics a.json --candidate-metrics b.json
 #include "bench_util.hpp"
 

@@ -19,7 +19,6 @@ void check_cholesky_preconditions(grid::GridShape shape, index_t n,
   HS_REQUIRE_MSG(shape.rows == shape.cols,
                  "Cholesky requires a square process grid (the transpose "
                  "path pairs grid row i with grid col i)");
-  HS_REQUIRE_MSG(n > 0 && block > 0, "n and block must be positive");
   HS_REQUIRE_MSG(n % shape.rows == 0,
                  "n=" << n << " must be divisible by the grid dimension");
   HS_REQUIRE_MSG((n / shape.rows) % block == 0,

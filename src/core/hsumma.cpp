@@ -22,6 +22,10 @@ void check_hsumma_divisibility(grid::GridShape shape, grid::GridShape groups,
   HS_REQUIRE_MSG(p.k % (static_cast<index_t>(shape.rows) * outer) == 0,
                  "k=" << p.k << " must be divisible by s*B = "
                       << shape.rows * outer);
+  check_group_arrangement(shape, groups);
+}
+
+void check_group_arrangement(grid::GridShape shape, grid::GridShape groups) {
   HS_REQUIRE_MSG(groups.rows >= 1 && shape.rows % groups.rows == 0 &&
                      groups.cols >= 1 && shape.cols % groups.cols == 0,
                  "group arrangement " << groups.rows << "x" << groups.cols
@@ -41,10 +45,8 @@ desim::Task<void> hsumma_loop(HsummaArgs args) {
   const ProblemSpec& prob = args.problem;
   const index_t b = prob.block;
   const index_t outer = prob.effective_outer_block();
-  const index_t local_m = prob.m / args.shape.rows;
-  const index_t local_n = prob.n / args.shape.cols;
-  const index_t local_k_a = prob.k / args.shape.cols;
-  const index_t local_k_b = prob.k / args.shape.rows;
+  const auto [local_m, local_n, a_kb, b_kb] = panel_layout(
+      prob, args.shape, args.comm.rank(), args.cyclic ? outer : 0);
   const grid::GridShape local_shape = hg.local_shape();
   const PayloadMode mode =
       args.local == nullptr ? PayloadMode::Phantom : PayloadMode::Real;
@@ -69,30 +71,28 @@ desim::Task<void> hsumma_loop(HsummaArgs args) {
     const index_t pivot = big_step * outer;
 
     // --- outer phase: inter-group broadcasts of the outer blocks -------
-    // A's outer pivot panel lives on grid column a_col; within each group
-    // that is local column a_local_col of group column a_group_col.
-    const int a_col = static_cast<int>(pivot / local_k_a);
-    const int a_group_col = a_col / local_shape.cols;
-    const int a_local_col = a_col % local_shape.cols;
+    // A's outer pivot panel lives on grid column a_owner.root; within each
+    // group that is local column a_local_col of group column a_group_col.
+    const PanelOwner a_owner = panel_owner(pivot, a_kb, args.shape.cols);
+    const int a_group_col = a_owner.root / local_shape.cols;
+    const int a_local_col = a_owner.root % local_shape.cols;
     if (hg.local_col() == a_local_col) {
-      if (mode == PayloadMode::Real && hg.flat().my_col() == a_col) {
-        const index_t col0 = pivot - static_cast<index_t>(a_col) * local_k_a;
-        a_outer.view().copy_from(args.local->a.block(0, col0, local_m, outer));
-      }
+      if (mode == PayloadMode::Real && hg.flat().my_col() == a_owner.root)
+        a_outer.view().copy_from(
+            args.local->a.block(0, a_owner.offset, local_m, outer));
       const double start = engine.now();
       co_await mpc::bcast(hg.group_row_comm(), a_group_col, a_outer.buf(),
                           args.bcast_algo);
       charge(0, engine.now() - start);
     }
 
-    const int b_row = static_cast<int>(pivot / local_k_b);
-    const int b_group_row = b_row / local_shape.rows;
-    const int b_local_row = b_row % local_shape.rows;
+    const PanelOwner b_owner = panel_owner(pivot, b_kb, args.shape.rows);
+    const int b_group_row = b_owner.root / local_shape.rows;
+    const int b_local_row = b_owner.root % local_shape.rows;
     if (hg.local_row() == b_local_row) {
-      if (mode == PayloadMode::Real && hg.flat().my_row() == b_row) {
-        const index_t row0 = pivot - static_cast<index_t>(b_row) * local_k_b;
-        b_outer.view().copy_from(args.local->b.block(row0, 0, outer, local_n));
-      }
+      if (mode == PayloadMode::Real && hg.flat().my_row() == b_owner.root)
+        b_outer.view().copy_from(
+            args.local->b.block(b_owner.offset, 0, outer, local_n));
       const double start = engine.now();
       co_await mpc::bcast(hg.group_col_comm(), b_group_row, b_outer.buf(),
                           args.bcast_algo);

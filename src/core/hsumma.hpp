@@ -15,6 +15,11 @@
 // equal SUMMA's; only the broadcast participant counts change — which is
 // precisely where the Section IV analysis gets its G = sqrt(p) optimum.
 // G = 1 and G = p degenerate to SUMMA exactly.
+//
+// Block-cyclic HSUMMA (`hsumma-cyclic`) is this kernel over the block-cyclic
+// layout (see core/summa.hpp) with the outer block B as the distribution
+// block: each outer panel still has a single owner column (and row), which
+// rotates every big step, so the two-phase hierarchy is preserved.
 #pragma once
 
 #include "core/spec.hpp"
@@ -45,17 +50,24 @@ struct HsummaArgs {
   /// big_step*inner_steps + inner) so collective and compute spans carry
   /// the phase attribution the critical-path analyzer splits on.
   trace::RankTracer tracer;
+  /// Block-cyclic layout with distribution block B (core/panel.hpp's
+  /// panel_layout) instead of the block-checkerboard one.
+  bool cyclic = false;
 };
 
 /// The per-rank HSUMMA program (the paper's Algorithm 1).
 /// Preconditions (checked by the registry before any rank spawns, not
 /// here): SUMMA's divisibility for block b, plus b | B, B aligned to single
-/// owners ((t*B) | k and (s*B) | k), and groups dividing the grid.
+/// owners ((t*B) | k and (s*B) | k), and groups dividing the grid; for the
+/// block-cyclic layout b | B, B | k and groups dividing the grid.
 desim::Task<void> hsumma_rank(HsummaArgs args);
 
-/// The preconditions above; throws PreconditionError with a precise
-/// message on violation.
+/// The block layout's preconditions above; throws PreconditionError with a
+/// precise message on violation.
 void check_hsumma_divisibility(grid::GridShape shape, grid::GridShape groups,
                                const ProblemSpec& p);
+
+/// The I x J group arrangement divides the s x t grid (both layouts).
+void check_group_arrangement(grid::GridShape shape, grid::GridShape groups);
 
 }  // namespace hs::core

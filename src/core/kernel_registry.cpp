@@ -9,7 +9,6 @@
 
 #include "core/cannon.hpp"
 #include "core/cholesky.hpp"
-#include "core/cyclic.hpp"
 #include "core/fox.hpp"
 #include "core/hier_bcast.hpp"
 #include "core/hsumma.hpp"
@@ -94,27 +93,22 @@ class GemmRun final : public KernelRun {
     LocalBlocks* local = local_of(rank);
     switch (options.algorithm) {
       case Algorithm::Summa:  // the empty chain, whatever levels are set
+      case Algorithm::SummaCyclic:
         return summa_rank({world, options.grid, prob, local, stats,
                            options.bcast_algo, options.lookahead,
-                           trace::RankTracer(options.recorder, rank)});
+                           trace::RankTracer(options.recorder, rank),
+                           {}, {}, cyclic_});
       case Algorithm::HsummaMultilevel:
         return summa_rank({world, options.grid, prob, local, stats,
                            options.bcast_algo, options.lookahead,
                            trace::RankTracer(options.recorder, rank),
                            options.row_levels, options.col_levels});
       case Algorithm::Hsumma:
+      case Algorithm::HsummaCyclic:
         return hsumma_rank({world, options.grid, options.groups, prob, local,
                             stats, options.bcast_algo, options.lookahead,
-                            trace::RankTracer(options.recorder, rank)});
-      case Algorithm::SummaCyclic:
-        return summa_cyclic_rank({world, options.grid, prob, local, stats,
-                                  options.bcast_algo, options.lookahead,
-                                  trace::RankTracer(options.recorder, rank)});
-      case Algorithm::HsummaCyclic:
-        return hsumma_cyclic_rank({world, options.grid, options.groups, prob,
-                                   local, stats, options.bcast_algo,
-                                   options.lookahead,
-                                   trace::RankTracer(options.recorder, rank)});
+                            trace::RankTracer(options.recorder, rank),
+                            cyclic_});
       case Algorithm::Cannon:
         return cannon_rank({world, options.grid, prob, local, stats,
                             options.lookahead,
@@ -361,16 +355,14 @@ void require_factorization_options(const RunOptions& options) {
 
 /// Block-cyclic layouts: only k must be a multiple of the distribution
 /// block (b for summa-cyclic, B for hsumma-cyclic).
-void check_cyclic_preconditions(const ProblemSpec& prob, index_t dist_block) {
-  HS_REQUIRE_MSG(prob.m > 0 && prob.n > 0 && prob.k > 0 && prob.block > 0,
-                 "problem dimensions must be positive");
+void check_cyclic_k(const ProblemSpec& prob, index_t dist_block) {
   HS_REQUIRE_MSG(prob.k % dist_block == 0,
                  "k=" << prob.k << " must be a multiple of the distribution "
                       << "block " << dist_block);
 }
 
 void validate_summa_cyclic(const RunOptions& options) {
-  check_cyclic_preconditions(options.problem, options.problem.block);
+  check_cyclic_k(options.problem, options.problem.block);
 }
 
 void validate_hsumma_cyclic(const RunOptions& options) {
@@ -380,7 +372,8 @@ void validate_hsumma_cyclic(const RunOptions& options) {
                  "outer block B=" << outer
                                   << " must be a multiple of inner block b="
                                   << prob.block);
-  check_cyclic_preconditions(prob, outer);
+  check_cyclic_k(prob, outer);
+  check_group_arrangement(options.grid, options.groups);
 }
 
 void validate_cannon(const RunOptions& options) {
@@ -446,7 +439,7 @@ std::vector<KernelDescriptor> build_registry() {
   {
     KernelDescriptor& summa = add(Algorithm::Summa, "summa", Algorithm::Summa,
                                   Algorithm::Hsumma, make_gemm_run);
-    summa.max_lookahead = kAnyLookahead;
+    summa.task_plan = true;
     summa.multilevel = Algorithm::HsummaMultilevel;
     summa.validate = validate_summa;
   }
@@ -454,7 +447,7 @@ std::vector<KernelDescriptor> build_registry() {
     KernelDescriptor& hsumma = add(Algorithm::Hsumma, "hsumma",
                                    Algorithm::Summa, Algorithm::Hsumma,
                                    make_gemm_run);
-    hsumma.max_lookahead = kAnyLookahead;
+    hsumma.task_plan = true;
     hsumma.multilevel = Algorithm::HsummaMultilevel;
     hsumma.validate = validate_hsumma;
   }
@@ -463,7 +456,7 @@ std::vector<KernelDescriptor> build_registry() {
         add(Algorithm::HsummaMultilevel, "hsumma-multilevel",
             Algorithm::HsummaMultilevel, Algorithm::HsummaMultilevel,
             make_gemm_run);
-    multilevel.max_lookahead = kAnyLookahead;
+    multilevel.task_plan = true;
     multilevel.multilevel = Algorithm::HsummaMultilevel;
     multilevel.validate = validate_multilevel;
   }
@@ -471,21 +464,21 @@ std::vector<KernelDescriptor> build_registry() {
     KernelDescriptor& cyclic =
         add(Algorithm::SummaCyclic, "summa-cyclic", Algorithm::SummaCyclic,
             Algorithm::HsummaCyclic, make_gemm_run);
-    cyclic.max_lookahead = 1;
+    cyclic.task_plan = true;
     cyclic.validate = validate_summa_cyclic;
   }
   {
     KernelDescriptor& cyclic =
         add(Algorithm::HsummaCyclic, "hsumma-cyclic", Algorithm::SummaCyclic,
             Algorithm::HsummaCyclic, make_gemm_run);
-    cyclic.max_lookahead = 1;
+    cyclic.task_plan = true;
     cyclic.validate = validate_hsumma_cyclic;
   }
   {
     KernelDescriptor& cannon = add(Algorithm::Cannon, "cannon",
                                    Algorithm::Cannon, Algorithm::Cannon,
                                    make_gemm_run);
-    cannon.max_lookahead = kAnyLookahead;
+    cannon.task_plan = true;
     cannon.validate = validate_cannon;
   }
   add(Algorithm::Fox, "fox", Algorithm::Fox, Algorithm::Fox, make_gemm_run)
@@ -502,7 +495,7 @@ std::vector<KernelDescriptor> build_registry() {
     KernelDescriptor& lu = add(Algorithm::Lu, "lu", Algorithm::Lu,
                                Algorithm::Lu, make_lu_run);
     lu.factorization = true;
-    lu.max_lookahead = kAnyLookahead;
+    lu.task_plan = true;
     lu.validate = validate_lu;
   }
   {
@@ -556,10 +549,10 @@ std::string kernel_name_list() {
   return list;
 }
 
-std::string lookahead_kernel_name_list(int lookahead) {
+std::string lookahead_kernel_name_list() {
   std::string list;
   for (const KernelDescriptor& kernel : all_kernels()) {
-    if (kernel.max_lookahead < lookahead) continue;
+    if (!kernel.task_plan) continue;
     if (!list.empty()) list += ", ";
     list += kernel.name;
   }
@@ -568,10 +561,10 @@ std::string lookahead_kernel_name_list(int lookahead) {
 
 void require_lookahead(const KernelDescriptor& kernel, int lookahead) {
   HS_REQUIRE_MSG(lookahead >= 0, "lookahead must be >= 0");
-  HS_REQUIRE_MSG(lookahead <= kernel.max_lookahead,
+  HS_REQUIRE_MSG(lookahead == 0 || kernel.task_plan,
                  "kernel '" << kernel.name << "' cannot run look-ahead depth "
                  << lookahead << "; kernels that can: "
-                 << lookahead_kernel_name_list(lookahead));
+                 << lookahead_kernel_name_list());
 }
 
 std::string multilevel_kernel_name_list() {

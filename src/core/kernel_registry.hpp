@@ -14,11 +14,13 @@
 // check shapes, spawn per-rank programs, verify outputs); the kernels
 // themselves (core/summa.hpp, core/lu.hpp, ...) stay plain coroutine
 // factories with no registry dependency. One kernel may serve several
-// entries: `summa` and `hsumma-multilevel` both run core::summa_rank, the
-// first always over empty broadcast chains.
+// entries: `summa`, `summa-cyclic` and `hsumma-multilevel` all run
+// core::summa_rank, the first two always over empty broadcast chains, and
+// `hsumma` and `hsumma-cyclic` both run core::hsumma_rank. The cyclic
+// entries differ only in the operands' layout (block-cyclic instead of
+// block-checkerboard).
 #pragma once
 
-#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -47,10 +49,6 @@ class KernelRun {
   virtual double verify(const RunOptions& options) = 0;
 };
 
-/// KernelDescriptor::max_lookahead of a kernel that lowers to a task-plan
-/// schedule (core/task_plan.hpp), which accepts any look-ahead depth.
-inline constexpr int kAnyLookahead = std::numeric_limits<int>::max();
-
 struct KernelDescriptor {
   Algorithm kernel = Algorithm::Summa;
   /// Canonical name: CLI spelling, engine task names, error messages.
@@ -60,11 +58,10 @@ struct KernelDescriptor {
   /// executor's group-count adaptation maps G onto hierarchical panel
   /// broadcast level factors instead of an HSUMMA group arrangement.
   bool factorization = false;
-  /// The deepest communication/computation look-ahead the kernel runs: 0
-  /// for a blocking kernel, 1 for a hand-rolled double-buffered pipeline
-  /// (the cyclic kernels), kAnyLookahead for a task-plan kernel. Enforced
-  /// by require_lookahead.
-  int max_lookahead = 0;
+  /// The kernel lowers to a task-plan schedule (core/task_plan.hpp), so it
+  /// runs any communication/computation look-ahead depth; without one it
+  /// runs only the blocking D = 0. Enforced by require_lookahead.
+  bool task_plan = false;
   /// RunOptions::layers > 1 replication (2.5D family).
   bool supports_layers = false;
   /// Group-count family policy for exec::run_sim_job: a requested group
@@ -80,7 +77,9 @@ struct KernelDescriptor {
   /// Kernel-specific precondition checks (grid shape, divisibility, chain
   /// factors, ...), run by core::run before any rank spawns, so a bad shape
   /// costs no simulated event. The kernels leave their shape checks to it.
-  /// Null when the kernel has no precondition beyond the runner's own.
+  /// It runs after the runner's own checks, which include m, k, n and b all
+  /// positive, so it may divide by any of them. Null when the kernel has no
+  /// precondition beyond the runner's own.
   void (*validate)(const RunOptions& options) = nullptr;
   /// Per-run state factory; materializes Real-mode inputs.
   std::unique_ptr<KernelRun> (*make_run)(const RunOptions& options) = nullptr;
@@ -98,13 +97,13 @@ const KernelDescriptor* find_kernel(std::string_view name);
 /// "summa, hsumma, ..., lu, cholesky" — for CLI help and error messages.
 std::string kernel_name_list();
 
-/// Kernels that run look-ahead depth `lookahead` (max_lookahead >= it) —
+/// Kernels that run a look-ahead depth D >= 1 (those with a task plan) —
 /// for CLI help and the error require_lookahead throws.
-std::string lookahead_kernel_name_list(int lookahead);
+std::string lookahead_kernel_name_list();
 
-/// The look-ahead rule: throws PreconditionError unless 0 <= lookahead <=
-/// kernel.max_lookahead. The message names the kernel and lists the
-/// kernels that do run the requested depth.
+/// The look-ahead rule: throws PreconditionError unless lookahead == 0, or
+/// lookahead > 0 and the kernel has a task plan. The message names the
+/// kernel and lists the kernels that do run look-ahead.
 void require_lookahead(const KernelDescriptor& kernel, int lookahead);
 
 /// Kernels with a multi-level policy — for the hard error emitted when a

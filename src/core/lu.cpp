@@ -15,7 +15,6 @@
 namespace hs::core {
 
 void check_lu_preconditions(grid::GridShape shape, index_t n, index_t block) {
-  HS_REQUIRE_MSG(n > 0 && block > 0, "n and block must be positive");
   HS_REQUIRE_MSG(n % shape.rows == 0 && n % shape.cols == 0,
                  "n=" << n << " must be divisible by both grid dimensions");
   HS_REQUIRE_MSG((n / shape.rows) % block == 0 &&

@@ -1,4 +1,5 @@
-// Contiguous panel scratch buffers that honor the payload mode.
+// Contiguous panel scratch buffers that honor the payload mode, and where
+// the SUMMA family's pivot panels live.
 //
 // A PanelBuffer is the staging area a rank uses to hold a pivot panel it
 // sends or receives. In Real mode it owns rows*cols doubles; in Phantom
@@ -10,10 +11,53 @@
 #include <vector>
 
 #include "core/spec.hpp"
+#include "grid/distribution.hpp"
 #include "la/matrix.hpp"
 #include "mpc/buffer.hpp"
 
 namespace hs::core {
+
+/// The owner of the pivot panel that starts at global index `pivot` of the
+/// k dimension, when k is dealt over `ranks` grid ranks in distribution
+/// blocks of `kb`: the root (grid column for A's panels, grid row for B's)
+/// and the panel's first index in the root's local block. With kb = k/ranks
+/// (the block-checkerboard layout) the root is pivot / kb; with kb = the
+/// kernel's block (the block-cyclic layout) it rotates every kb indices.
+struct PanelOwner {
+  int root;
+  index_t offset;
+};
+
+inline PanelOwner panel_owner(index_t pivot, index_t kb, int ranks) {
+  const index_t block = pivot / kb;
+  return {static_cast<int>(block % ranks), block / ranks * kb + pivot % kb};
+}
+
+/// One rank's share of C = A * B over an s x t grid: the extents of its
+/// local blocks and the distribution block of each operand's k dimension
+/// (what panel_owner takes as kb).
+struct PanelLayout {
+  index_t local_m;  // rows of the rank's A and C blocks
+  index_t local_n;  // columns of its B and C blocks
+  index_t a_kb;     // A's k dimension (columns), dealt over the t columns
+  index_t b_kb;     // B's k dimension (rows), dealt over the s rows
+};
+
+/// The layout of grid rank `grid_rank` (row-major). cyclic_block = 0 is the
+/// paper's block-checkerboard layout: one m/s x k/t block of A per rank.
+/// Otherwise square blocks of cyclic_block are dealt round-robin over the
+/// grid (ScaLAPACK style), and the local extents are numroc counts, so m
+/// and n need not divide evenly.
+inline PanelLayout panel_layout(const ProblemSpec& prob, grid::GridShape shape,
+                                int grid_rank, index_t cyclic_block) {
+  if (cyclic_block == 0)
+    return {prob.m / shape.rows, prob.n / shape.cols, prob.k / shape.cols,
+            prob.k / shape.rows};
+  const grid::BlockCyclicDistribution c(prob.m, prob.n, cyclic_block,
+                                        cyclic_block, shape.rows, shape.cols);
+  return {c.local_rows(grid_rank / shape.cols),
+          c.local_cols(grid_rank % shape.cols), cyclic_block, cyclic_block};
+}
 
 class PanelBuffer {
  public:

@@ -92,6 +92,9 @@ RunResult run(mpc::Machine& machine, const RunOptions& options) {
   HS_REQUIRE_MSG(options.mode == PayloadMode::Real || !options.verify,
                  "verification requires real payloads");
   require_lookahead(kernel, options.lookahead);
+  const ProblemSpec& prob = options.problem;
+  HS_REQUIRE_MSG(prob.m >= 1 && prob.k >= 1 && prob.n >= 1 && prob.block >= 1,
+                 "problem dimensions must be positive");
   if (kernel.validate != nullptr) kernel.validate(options);
 
   const std::unique_ptr<KernelRun> body = kernel.make_run(options);

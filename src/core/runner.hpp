@@ -39,8 +39,8 @@ struct RunOptions {
   /// Communication/computation look-ahead depth D, the run's one overlap
   /// knob: 0 is the classic blocking schedule, 1 the double-buffered
   /// pipeline, D >= 2 prefetches up to D panels (see core/task_plan.hpp).
-  /// A negative depth, or one past the kernel's
-  /// KernelDescriptor::max_lookahead, is a hard error.
+  /// A negative depth, or D >= 1 on a kernel without a task plan
+  /// (KernelDescriptor::task_plan), is a hard error.
   int lookahead = 0;
   bool verify = false;             // Real mode only
   std::uint64_t seed = 2013;       // input generator seed

@@ -10,8 +10,6 @@ namespace hs::core {
 
 void check_summa_divisibility(grid::GridShape shape, const ProblemSpec& p) {
   const index_t b = p.block;
-  HS_REQUIRE_MSG(p.m > 0 && p.n > 0 && p.k > 0 && b > 0,
-                 "problem dimensions must be positive");
   HS_REQUIRE_MSG(p.m % shape.rows == 0,
                  "m=" << p.m << " not divisible by grid rows " << shape.rows);
   HS_REQUIRE_MSG(p.n % shape.cols == 0,
@@ -52,10 +50,8 @@ desim::Task<void> summa_loop(SummaArgs args) {
 
   const ProblemSpec& prob = args.problem;
   const index_t b = prob.block;
-  const index_t local_m = prob.m / args.shape.rows;
-  const index_t local_n = prob.n / args.shape.cols;
-  const index_t local_k_a = prob.k / args.shape.cols;  // my slice of A's cols
-  const index_t local_k_b = prob.k / args.shape.rows;  // my slice of B's rows
+  const auto [local_m, local_n, a_kb, b_kb] = panel_layout(
+      prob, args.shape, args.comm.rank(), args.cyclic ? b : 0);
   const PayloadMode mode =
       args.local == nullptr ? PayloadMode::Phantom : PayloadMode::Real;
   const bool split_levels =
@@ -76,12 +72,12 @@ desim::Task<void> summa_loop(SummaArgs args) {
     const index_t pivot = q * b;  // global position along the k dimension
 
     // Horizontal broadcast of A's pivot column panel along my grid row.
-    const int a_root = static_cast<int>(pivot / local_k_a);
-    if (mode == PayloadMode::Real && a_chain.rank() == a_root) {
-      const index_t col0 = pivot - static_cast<index_t>(a_root) * local_k_a;
-      a_panel.view().copy_from(args.local->a.block(0, col0, local_m, b));
-    }
-    for (BcastChain::Stage stage = a_chain.stages(a_root); stage; ++stage) {
+    const PanelOwner a_owner = panel_owner(pivot, a_kb, args.shape.cols);
+    if (mode == PayloadMode::Real && a_chain.rank() == a_owner.root)
+      a_panel.view().copy_from(
+          args.local->a.block(0, a_owner.offset, local_m, b));
+    for (BcastChain::Stage stage = a_chain.stages(a_owner.root); stage;
+         ++stage) {
       const double start = engine.now();
       if (split_levels) args.tracer.set_level(stage.level());
       co_await mpc::bcast(stage.comm(), stage.root(), a_panel.buf(),
@@ -91,12 +87,12 @@ desim::Task<void> summa_loop(SummaArgs args) {
     }
 
     // Vertical broadcast of B's pivot row panel along my grid column.
-    const int b_root = static_cast<int>(pivot / local_k_b);
-    if (mode == PayloadMode::Real && b_chain.rank() == b_root) {
-      const index_t row0 = pivot - static_cast<index_t>(b_root) * local_k_b;
-      b_panel.view().copy_from(args.local->b.block(row0, 0, b, local_n));
-    }
-    for (BcastChain::Stage stage = b_chain.stages(b_root); stage; ++stage) {
+    const PanelOwner b_owner = panel_owner(pivot, b_kb, args.shape.rows);
+    if (mode == PayloadMode::Real && b_chain.rank() == b_owner.root)
+      b_panel.view().copy_from(
+          args.local->b.block(b_owner.offset, 0, b, local_n));
+    for (BcastChain::Stage stage = b_chain.stages(b_owner.root); stage;
+         ++stage) {
       const double start = engine.now();
       if (split_levels) args.tracer.set_level(stage.level());
       co_await mpc::bcast(stage.comm(), stage.root(), b_panel.buf(),

@@ -8,6 +8,18 @@
 // update. Each broadcast is a hierarchical broadcast over a factor chain
 // (core/hier_bcast.hpp): the empty chain is SUMMA itself, and the paper's
 // HSUMMA with G in {1, p} is the same empty chain.
+//
+// Block-cyclic SUMMA (`summa-cyclic`) is this kernel over the block-cyclic
+// layout the paper names as its main future work ("by using block-cyclic
+// distribution the communication can be better overlapped and
+// parallelized"). With ScaLAPACK-style b x b blocks dealt round-robin, the
+// pivot panel's owner rotates every step: step q's A panel lives on grid
+// column q mod t and its B panel on grid row q mod s. Consecutive steps
+// therefore broadcast from different roots, so look-ahead's forked
+// broadcasts contend less on any one root's send port than in the
+// block-checkerboard layout, where one column roots k/(t*b) consecutive
+// steps. Pivot alignment is automatic: only k must be a multiple of b, and
+// m and n may be anything numroc can deal.
 #pragma once
 
 #include <utility>
@@ -46,6 +58,9 @@ struct SummaArgs {
   /// every chain level moves panels of b.
   std::vector<int> row_levels = {};
   std::vector<int> col_levels = {};
+  /// Block-cyclic layout with distribution block b (core/panel.hpp's
+  /// panel_layout) instead of the block-checkerboard one.
+  bool cyclic = false;
 };
 
 /// The per-rank SUMMA program over the args' factor chains, whose
@@ -53,7 +68,7 @@ struct SummaArgs {
 /// registry before any rank spawns, not here): s | m, t | n, (t*b) | k and
 /// (s*b) | k so every pivot panel lies within one grid row/column (the
 /// paper's divisibility assumptions), and every factor divides the group
-/// size remaining at its level.
+/// size remaining at its level; for the block-cyclic layout only b | k.
 ///
 /// With row_levels = {J} and col_levels = {I} this issues the broadcasts
 /// of HSUMMA(I x J groups, b = B) in a different order: each step runs all

@@ -137,10 +137,8 @@ desim::Task<void> summa_task_plan(SummaArgs args) {
 
   const ProblemSpec& prob = args.problem;
   const index_t b = prob.block;
-  const index_t local_m = prob.m / args.shape.rows;
-  const index_t local_n = prob.n / args.shape.cols;
-  const index_t local_k_a = prob.k / args.shape.cols;
-  const index_t local_k_b = prob.k / args.shape.rows;
+  const auto [local_m, local_n, a_kb, b_kb] = panel_layout(
+      prob, args.shape, args.comm.rank(), args.cyclic ? b : 0);
   const PayloadMode mode =
       args.local == nullptr ? PayloadMode::Phantom : PayloadMode::Real;
   const bool split_levels =
@@ -166,8 +164,8 @@ desim::Task<void> summa_task_plan(SummaArgs args) {
   for (index_t q = 0; q < steps; ++q) {
     const int slot = static_cast<int>(q % slots);
     const index_t pivot = q * b;
-    const int a_root = static_cast<int>(pivot / local_k_a);
-    const int b_root = static_cast<int>(pivot / local_k_b);
+    const PanelOwner a_owner = panel_owner(pivot, a_kb, args.shape.cols);
+    const PanelOwner b_owner = panel_owner(pivot, b_kb, args.shape.rows);
     const desim::RegionId a_region =
         desim::region_id("summa.a", static_cast<std::uint64_t>(slot));
     const desim::RegionId b_region =
@@ -216,24 +214,24 @@ desim::Task<void> summa_task_plan(SummaArgs args) {
     };
 
     desim::TaskGraph::Hook a_copy;
-    if (mode == PayloadMode::Real && a_chain.rank() == a_root)
+    if (mode == PayloadMode::Real && a_chain.rank() == a_owner.root)
       a_copy = [&args, &panel = a_panels[static_cast<std::size_t>(slot)],
-                pivot, a_root, local_m, b, local_k_a] {
-        const index_t col0 = pivot - static_cast<index_t>(a_root) * local_k_a;
+                col0 = a_owner.offset, local_m, b] {
         panel.view().copy_from(args.local->a.block(0, col0, local_m, b));
       };
     desim::TaskGraph::Hook b_copy;
-    if (mode == PayloadMode::Real && b_chain.rank() == b_root)
+    if (mode == PayloadMode::Real && b_chain.rank() == b_owner.root)
       b_copy = [&args, &panel = b_panels[static_cast<std::size_t>(slot)],
-                pivot, b_root, b, local_n, local_k_b] {
-        const index_t row0 = pivot - static_cast<index_t>(b_root) * local_k_b;
+                row0 = b_owner.offset, b, local_n] {
         panel.view().copy_from(args.local->b.block(row0, 0, b, local_n));
       };
 
     // The root copy rides the panel's first stage.
-    for (BcastChain::Stage stage = a_chain.stages(a_root); stage; ++stage)
+    for (BcastChain::Stage stage = a_chain.stages(a_owner.root); stage;
+         ++stage)
       add_stage(stage, /*is_a=*/true, std::exchange(a_copy, {}));
-    for (BcastChain::Stage stage = b_chain.stages(b_root); stage; ++stage)
+    for (BcastChain::Stage stage = b_chain.stages(b_owner.root); stage;
+         ++stage)
       add_stage(stage, /*is_a=*/false, std::exchange(b_copy, {}));
 
     desim::TaskSpec c_spec;
@@ -291,10 +289,8 @@ desim::Task<void> hsumma_task_plan(HsummaArgs args) {
   const ProblemSpec& prob = args.problem;
   const index_t b = prob.block;
   const index_t outer = prob.effective_outer_block();
-  const index_t local_m = prob.m / args.shape.rows;
-  const index_t local_n = prob.n / args.shape.cols;
-  const index_t local_k_a = prob.k / args.shape.cols;
-  const index_t local_k_b = prob.k / args.shape.rows;
+  const auto [local_m, local_n, a_kb, b_kb] = panel_layout(
+      prob, args.shape, args.comm.rank(), args.cyclic ? outer : 0);
   const grid::GridShape local_shape = hg.local_shape();
   const PayloadMode mode =
       args.local == nullptr ? PayloadMode::Phantom : PayloadMode::Real;
@@ -332,12 +328,12 @@ desim::Task<void> hsumma_task_plan(HsummaArgs args) {
   int last_compute = -1;  // C(s-1, last): the D<=1 big-step drain barrier
   for (index_t s = 0; s < outer_steps; ++s) {
     const index_t pivot = s * outer;
-    const int a_col = static_cast<int>(pivot / local_k_a);
-    const int a_group_col = a_col / local_shape.cols;
-    const int a_local_col = a_col % local_shape.cols;
-    const int b_row = static_cast<int>(pivot / local_k_b);
-    const int b_group_row = b_row / local_shape.rows;
-    const int b_local_row = b_row % local_shape.rows;
+    const PanelOwner a_owner = panel_owner(pivot, a_kb, args.shape.cols);
+    const int a_group_col = a_owner.root / local_shape.cols;
+    const int a_local_col = a_owner.root % local_shape.cols;
+    const PanelOwner b_owner = panel_owner(pivot, b_kb, args.shape.rows);
+    const int b_group_row = b_owner.root / local_shape.rows;
+    const int b_local_row = b_owner.root % local_shape.rows;
     const int oslot = static_cast<int>(s % outer_slots);
     const desim::RegionId ao_region =
         desim::region_id("hsumma.ao", static_cast<std::uint64_t>(oslot));
@@ -370,10 +366,9 @@ desim::Task<void> hsumma_task_plan(HsummaArgs args) {
       take_marks(spec, -1);
       if (D <= 1 && last_compute >= 0) spec.after = {last_compute};
       desim::TaskGraph::Hook before;
-      if (mode == PayloadMode::Real && hg.flat().my_col() == a_col)
+      if (mode == PayloadMode::Real && hg.flat().my_col() == a_owner.root)
         before = [&args, &panel = a_outers[static_cast<std::size_t>(oslot)],
-                  pivot, a_col, local_m, outer, local_k_a] {
-          const index_t col0 = pivot - static_cast<index_t>(a_col) * local_k_a;
+                  col0 = a_owner.offset, local_m, outer] {
           panel.view().copy_from(args.local->a.block(0, col0, local_m, outer));
         };
       oa_id = graph.add(
@@ -402,10 +397,9 @@ desim::Task<void> hsumma_task_plan(HsummaArgs args) {
         if (oa_id >= 0) spec.after.push_back(oa_id);
       }
       desim::TaskGraph::Hook before;
-      if (mode == PayloadMode::Real && hg.flat().my_row() == b_row)
+      if (mode == PayloadMode::Real && hg.flat().my_row() == b_owner.root)
         before = [&args, &panel = b_outers[static_cast<std::size_t>(oslot)],
-                  pivot, b_row, outer, local_n, local_k_b] {
-          const index_t row0 = pivot - static_cast<index_t>(b_row) * local_k_b;
+                  row0 = b_owner.offset, outer, local_n] {
           panel.view().copy_from(args.local->b.block(row0, 0, outer, local_n));
         };
       ob_id = graph.add(

@@ -25,11 +25,13 @@
 //
 // summa_task_plan serves flat SUMMA and every broadcast factor chain: each
 // phase of a chain's hierarchical broadcast is its own comm task, and the
-// empty chain is one task per panel. The kernels keep their blocking loops
-// for the production D = 0 path (a graph materializes O(steps) task records
-// per rank — fine for any D >= 1 window, wasteful for a million-rank
-// blocking run); *_task_plan with lookahead 0 exists so tests can drive the
-// inline scheduler directly.
+// empty chain is one task per panel. It and hsumma_task_plan serve both
+// operand layouts (core/panel.hpp's panel_layout): the block-cyclic one
+// only changes which rank roots each panel. The kernels keep their
+// blocking loops for the production D = 0 path (a graph materializes
+// O(steps) task records per rank — fine for any D >= 1 window, wasteful
+// for a million-rank blocking run); *_task_plan with lookahead 0 exists so
+// tests can drive the inline scheduler directly.
 #pragma once
 
 #include "core/cannon.hpp"

@@ -8,7 +8,12 @@ namespace hs::desim {
 
 Task<void> Engine::supervise(Task<void> inner, std::size_t index) {
   try {
-    co_await std::move(inner);
+    // A coroutine's parameters live as long as its frame, and supervisors_
+    // keeps this frame until the engine dies. The task moves into a local
+    // so its frame (and every frame it owns, such as a forked broadcast's)
+    // is freed the moment it finishes.
+    Task<void> task = std::move(inner);
+    co_await std::move(task);
   } catch (...) {
     if (!failure_) failure_ = std::current_exception();
   }

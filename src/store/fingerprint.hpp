@@ -21,7 +21,7 @@
 namespace hs::store {
 
 /// The manual component of the fingerprint. Format: "<name>-v<N>".
-inline constexpr std::string_view kSimulatorSalt = "hsumma-sim-v1";
+inline constexpr std::string_view kSimulatorSalt = "hsumma-sim-v2";
 
 /// FNV-1a 64-bit, the repo's stable string hash (also used for content
 /// addressing in the result store).

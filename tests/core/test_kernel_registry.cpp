@@ -49,6 +49,24 @@ TEST(KernelRegistry, FactorizationKernelsAreRegistered) {
   EXPECT_FALSE(kernel_descriptor(Algorithm::Summa).factorization);
 }
 
+TEST(KernelRegistry, TaskPlanKernelsAreTheLookaheadKernels) {
+  // Every look-ahead kernel lowers to a task plan, which runs any depth;
+  // the block-cyclic layouts ride the SUMMA and HSUMMA plans.
+  for (const Algorithm algorithm :
+       {Algorithm::Summa, Algorithm::Hsumma, Algorithm::HsummaMultilevel,
+        Algorithm::SummaCyclic, Algorithm::HsummaCyclic, Algorithm::Cannon,
+        Algorithm::Lu})
+    EXPECT_TRUE(kernel_descriptor(algorithm).task_plan)
+        << hs::core::to_string(algorithm);
+  for (const Algorithm algorithm :
+       {Algorithm::Fox, Algorithm::Summa25D, Algorithm::Cholesky})
+    EXPECT_FALSE(kernel_descriptor(algorithm).task_plan)
+        << hs::core::to_string(algorithm);
+  EXPECT_EQ(hs::core::lookahead_kernel_name_list(),
+            "summa, hsumma, hsumma-multilevel, summa-cyclic, hsumma-cyclic, "
+            "cannon, lu");
+}
+
 TEST(KernelRegistry, UnknownNameErrorListsEveryKernel) {
   EXPECT_EQ(find_kernel("strassen"), nullptr);
   try {
@@ -184,9 +202,9 @@ TEST_P(FactorizationParityTest, PhantomMatchesRealVirtualTime) {
 INSTANTIATE_TEST_SUITE_P(LuAndCholesky, FactorizationParityTest,
                          ::testing::Values(Algorithm::Lu,
                                            Algorithm::Cholesky),
-                         [](const auto& info) {
+                         [](const auto& param_info) {
                            return std::string(
-                               hs::core::to_string(info.param));
+                               hs::core::to_string(param_info.param));
                          });
 
 TEST(KernelRegistry, VerifyInPhantomModeIsAHardError) {

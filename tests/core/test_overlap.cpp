@@ -188,16 +188,24 @@ TEST(Overlap, UnsupportingKernelFailsListingSupportingOnes) {
   }
 }
 
-TEST(Overlap, DoubleBufferKernelsCapTheDepthAtOne) {
-  RunOptions options;
-  options.algorithm = Algorithm::SummaCyclic;
-  options.grid = {4, 4};
-  options.problem = ProblemSpec::square(256, 16);
-  options.mode = PayloadMode::Phantom;
-  options.lookahead = 1;  // fine: the hand-rolled double buffer
-  EXPECT_GT(run_once(options, 1e-9).timing.total_time, 0.0);
-  options.lookahead = 2;  // needs a task plan the cyclic kernels lack
-  EXPECT_THROW(run_once(options, 1e-9), hs::PreconditionError);
+TEST(Overlap, CyclicKernelsRunAnyDepth) {
+  // The block-cyclic layouts run the SUMMA and HSUMMA task plans, so no
+  // kernel caps the depth at the D = 1 double buffer any more.
+  for (const Algorithm algorithm :
+       {Algorithm::SummaCyclic, Algorithm::HsummaCyclic}) {
+    RunOptions options;
+    options.algorithm = algorithm;
+    options.grid = {4, 4};
+    options.groups = {2, 2};
+    options.problem = ProblemSpec::square(256, 16);
+    options.mode = PayloadMode::Phantom;
+    const double blocking = run_once(options, 1e-9).timing.total_time;
+    for (const int depth : {1, 2, 4}) {
+      options.lookahead = depth;
+      EXPECT_LE(run_once(options, 1e-9).timing.total_time, blocking)
+          << hs::core::to_string(algorithm) << " D=" << depth;
+    }
+  }
 }
 
 }  // namespace

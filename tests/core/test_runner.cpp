@@ -70,6 +70,9 @@ TEST(Runner, ShapeChecksFailBeforeAnyRankSpawns) {
   RunOptions summa25d =
       options_for(Algorithm::Summa25D, {2, 2}, ProblemSpec::square(32, 4));
   summa25d.layers = 3;
+  RunOptions hsumma_cyclic = options_for(Algorithm::HsummaCyclic, {4, 4},
+                                         ProblemSpec::square(96, 8));
+  hsumma_cyclic.groups = {3, 2};
   const std::vector<Case> cases = {
       {"summa: k=24 is not a multiple of t*b=16",
        options_for(Algorithm::Summa, {2, 4}, ProblemSpec{32, 24, 32, 4, 0}),
@@ -86,6 +89,8 @@ TEST(Runner, ShapeChecksFailBeforeAnyRankSpawns) {
        options_for(Algorithm::HsummaCyclic, {2, 4},
                    ProblemSpec::square(48, 4, 6)),
        "outer block B=6 must be a multiple of inner block b=4"},
+      {"hsumma-cyclic: 3x2 groups on a 4x4 grid", hsumma_cyclic,
+       "group arrangement 3x2 must divide the process grid"},
       {"cannon: 2x4 grid",
        options_for(Algorithm::Cannon, {2, 4}, ProblemSpec::square(32, 4)),
        "Cannon requires a square process grid, got 2x4"},
@@ -101,6 +106,14 @@ TEST(Runner, ShapeChecksFailBeforeAnyRankSpawns) {
        options_for(Algorithm::Cholesky, {2, 4},
                    ProblemSpec::factorization(32, 4)),
        "Cholesky requires a square process grid"},
+      // b = 0 reaches no validate hook: cannon's used to fail inside the
+      // block-cyclic distribution, summa-2.5d's divided by it.
+      {"cannon: b=0",
+       options_for(Algorithm::Cannon, {2, 2}, ProblemSpec::square(32, 0)),
+       "problem dimensions must be positive"},
+      {"summa-2.5d: b=0",
+       options_for(Algorithm::Summa25D, {2, 2}, ProblemSpec::square(32, 0)),
+       "problem dimensions must be positive"},
   };
   for (const Case& c : cases) {
     hs::desim::Engine engine;

@@ -80,9 +80,13 @@ TEST(Summa, DivisibilityViolationsThrowPrecisely) {
                hs::PreconditionError);
   problem.block = 8;
   EXPECT_NO_THROW(hs::core::check_summa_divisibility({4, 4}, problem));
-  // Zero dimensions rejected.
-  EXPECT_THROW(hs::core::check_summa_divisibility({1, 1}, {0, 8, 8, 4}),
-               hs::PreconditionError);
+  // Zero dimensions are rejected by core::run for every kernel, before the
+  // divisibility checks run.
+  RunOptions zero;
+  zero.algorithm = Algorithm::Summa;
+  zero.grid = {1, 1};
+  zero.problem = {0, 8, 8, 4};
+  EXPECT_THROW(run_once(zero), hs::PreconditionError);
 }
 
 TEST(Summa, PhantomAndRealHaveIdenticalTiming) {

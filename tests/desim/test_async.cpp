@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "desim/engine.hpp"
@@ -94,6 +95,50 @@ TEST(Async, CompleteReflectsChildState) {
   };
   engine.spawn(parent());
   engine.run();
+}
+
+/// Sets *destroyed when the last owner of the witness goes away.
+class Witness {
+ public:
+  explicit Witness(bool* destroyed) : destroyed_(destroyed) {}
+  Witness(Witness&& other) noexcept
+      : destroyed_(std::exchange(other.destroyed_, nullptr)) {}
+  Witness(const Witness&) = delete;
+  Witness& operator=(const Witness&) = delete;
+  Witness& operator=(Witness&&) = delete;
+  ~Witness() {
+    if (destroyed_ != nullptr) *destroyed_ = true;
+  }
+
+ private:
+  bool* destroyed_;
+};
+
+/// A task whose frame holds a by-value witness until the frame is freed.
+Task<void> hold(Engine& engine, [[maybe_unused]] Witness witness) {
+  co_await engine.sleep(1.0);
+}
+
+TEST(Async, ForkedTaskFrameIsFreedBeforeItsJoinerResumes) {
+  Engine engine;
+  bool destroyed = false;
+  bool destroyed_at_join = false;
+  auto parent = [&]() -> Task<void> {
+    Async forked = Async::start(engine, hold(engine, Witness(&destroyed)));
+    co_await forked.wait();
+    destroyed_at_join = destroyed;
+  };
+  engine.spawn(parent());
+  engine.run();
+  EXPECT_TRUE(destroyed_at_join);
+}
+
+TEST(Async, SpawnedProcessFrameIsFreedBeforeRunReturns) {
+  Engine engine;
+  bool destroyed = false;
+  engine.spawn(hold(engine, Witness(&destroyed)));
+  engine.run();
+  EXPECT_TRUE(destroyed);
 }
 
 TEST(Async, ChildExceptionSurfacesFromRun) {

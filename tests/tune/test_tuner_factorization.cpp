@@ -61,9 +61,9 @@ TEST_P(FactorizationTunerTest, SecondIdenticalTuneIsAllCacheHits) {
 INSTANTIATE_TEST_SUITE_P(LuAndCholesky, FactorizationTunerTest,
                          ::testing::Values(Algorithm::Lu,
                                            Algorithm::Cholesky),
-                         [](const auto& info) {
+                         [](const auto& param_info) {
                            return std::string(
-                               hs::core::to_string(info.param));
+                               hs::core::to_string(param_info.param));
                          });
 
 TEST(FactorizationTuner, ParallelExecutorMatchesSerialBitExactly) {
