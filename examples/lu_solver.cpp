@@ -1,9 +1,9 @@
 // Scenario: factor a distributed linear system and inspect the
 // communication timeline. Demonstrates the LU extension (the paper's
-// "apply the same approach to LU/QR" future work) plus the transfer log:
+// "apply the same approach to LU/QR" future work) plus the trace recorder:
 // after factoring A with hierarchical panel broadcasts, the example solves
-// A x = rhs on the host from the distributed factors and writes the full
-// message timeline to lu_timeline.csv.
+// A x = rhs on the host from the distributed factors and writes every
+// recorded wire transfer to lu_timeline.csv.
 //
 //   $ ./lu_solver [--n 256] [--p 16] [--block 16] [--timeline out.csv]
 #include <cmath>
@@ -11,6 +11,7 @@
 #include <fstream>
 
 #include "common/cli.hpp"
+#include "common/csv.hpp"
 #include "core/hier_bcast.hpp"
 #include "core/lu.hpp"
 #include "core/runner.hpp"
@@ -18,6 +19,7 @@
 #include "la/factor.hpp"
 #include "la/generate.hpp"
 #include "net/platform.hpp"
+#include "trace/recorder.hpp"
 
 int main(int argc, char** argv) {
   long long n = 256, ranks = 16, block = 16;
@@ -36,8 +38,8 @@ int main(int argc, char** argv) {
   hs::mpc::Machine machine(engine, platform.make_network(),
                            {.ranks = static_cast<int>(ranks),
                             .gamma_flop = platform.gamma_flop});
-  hs::mpc::TransferLog log;
-  machine.set_transfer_log(&log);
+  hs::trace::Recorder recorder;
+  machine.set_recorder(&recorder);
 
   hs::core::RunOptions options;
   options.algorithm = hs::core::Algorithm::Lu;
@@ -54,7 +56,7 @@ int main(int argc, char** argv) {
   std::printf("  virtual time        : %s\n",
               result.timing.summary().c_str());
   std::printf("  transfers recorded  : %zu (%llu bytes on the wire)\n",
-              log.records().size(),
+              recorder.wires().size(),
               static_cast<unsigned long long>(result.wire_bytes));
 
   // Solve A x = 1 on the host from the verified factors: forward then back
@@ -94,7 +96,11 @@ int main(int argc, char** argv) {
   if (!timeline.empty()) {
     std::ofstream out(timeline);
     if (out) {
-      log.write_csv(out);
+      hs::CsvWriter csv(out);
+      csv.header({"start", "end", "src", "dst", "bytes", "ctx", "tag"});
+      for (const auto& wire : recorder.wires())
+        csv.row(wire.start, wire.end, wire.src, wire.dst,
+                static_cast<long long>(wire.bytes), wire.ctx, wire.tag);
       std::printf("  timeline written    : %s\n", timeline.c_str());
     }
   }

@@ -82,7 +82,7 @@ class Engine {
   ///
   /// Thread affinity: the first run() pins the engine to the calling
   /// thread, and every later run() must come from that same thread. The
-  /// coroutine frames, Request/Async states and collective bookkeeping an
+  /// coroutine frames, Async states and collective bookkeeping an
   /// engine drives are all recycled through the *thread-local* desim
   /// FramePool; resuming them from another thread would silently migrate
   /// memory between per-thread pools, so cross-thread misuse fails loudly

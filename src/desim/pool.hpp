@@ -1,7 +1,7 @@
 // Pooled allocation for the simulation hot path.
 //
 // A 16384-rank simulation allocates millions of small, short-lived objects:
-// coroutine frames (one per Task invocation), Request/Async states, pending
+// coroutine frames (one per Task invocation), Async states, pending
 // send/recv queue nodes. Under the seed engine these all hit the global
 // allocator; FramePool replaces that with a size-binned free list so
 // steady-state simulation performs no heap allocation at all. The

@@ -35,12 +35,9 @@ trace::CollectiveSpan span_for(const Comm& comm, trace::CollectiveOp op,
 // collective, per-pair FIFO matching keeps multi-round phases ordered.
 enum CollectivePhase : int {
   kPhaseBcast = 0,
-  kPhaseScatter = 1,
-  kPhaseAllgather = 2,
+  kPhaseScatter = 1,    // van de Geijn broadcast: scatter phase
+  kPhaseAllgather = 2,  // van de Geijn broadcast: allgather phase
   kPhaseReduce = 3,
-  kPhaseGather = 4,
-  kPhaseBarrier = 5,
-  kPhaseReduceScatter = 6,
 };
 
 int collective_tag(CollectivePhase phase, std::uint64_t seq) {
@@ -50,10 +47,9 @@ int collective_tag(CollectivePhase phase, std::uint64_t seq) {
 }
 
 // Blocking one-shot transfers inside collectives use comm.send_op/recv_op
-// (TransferOp awaiters): same rendezvous semantics and event schedule as
-// the old isend+wait helper coroutines, but the gate lives in the awaiting
-// collective's frame — no child coroutine and no Request allocation per
-// tree edge, which is most of what a 2^20-rank broadcast does.
+// (TransferOp awaiters): the gate lives in the awaiting collective's frame
+// — no child coroutine and no heap state per tree edge, which is most of
+// what a 2^20-rank broadcast does.
 
 bool is_power_of_two(int p) { return p > 0 && (p & (p - 1)) == 0; }
 
@@ -206,17 +202,15 @@ desim::Task<void> bcast_pipelined(Comm comm, int root, Buf buf, int tag) {
     co_return;
   }
   // Interior/last rank: receive segment k+1 while forwarding segment k.
-  // The overlapped next-segment receive keeps a movable Request (PostedOp
-  // is pinned and this one is conditional); the pipeline algorithm is off
-  // the scale-frontier path.
   co_await comm.recv_op(abs_rank(rel - 1), segment(0), tag);
-  for (std::uint64_t k = 0; k < segments; ++k) {
-    Request next_recv;
-    if (k + 1 < segments)
-      next_recv = comm.irecv_internal(abs_rank(rel - 1), segment(k + 1), tag);
+  for (std::uint64_t k = 0; k + 1 < segments; ++k) {
+    PostedOp next_recv = comm.recv_posted(abs_rank(rel - 1), segment(k + 1),
+                                          tag);
     if (has_right) co_await comm.send_op(abs_rank(rel + 1), segment(k), tag);
-    if (next_recv.valid()) co_await next_recv.wait();
+    co_await next_recv.wait();
   }
+  if (has_right)
+    co_await comm.send_op(abs_rank(rel + 1), segment(segments - 1), tag);
 }
 
 }  // namespace
@@ -233,7 +227,7 @@ desim::Task<void> bcast(Comm comm, int root, Buf buf,
   const bool closed_form =
       machine.config().collective_mode == CollectiveMode::ClosedForm;
   const net::BcastAlgo resolved = net::resolve_auto(algo, p, buf.bytes());
-  machine.note_collective(Machine::SiteKind::Bcast,
+  machine.note_collective(trace::CollectiveOp::Bcast,
                           static_cast<int>(resolved), buf.bytes());
   trace::Recorder* recorder = machine.recorder();
   trace::CollectiveSpanGuard trace_guard(
@@ -245,10 +239,8 @@ desim::Task<void> bcast(Comm comm, int root, Buf buf,
 
   if (closed_form) {
     desim::Gate gate(comm.engine());
-    const bool is_root = comm.rank() == root;
-    machine.join_bcast(comm.context(), seq, &gate, root,
-                       is_root ? ConstBuf(buf) : ConstBuf{},
-                       is_root ? Buf{} : buf, algo);
+    machine.join_site(trace::CollectiveOp::Bcast, comm.context(), seq, &gate,
+                      comm.rank(), root, buf, buf, algo);
     co_await gate.wait();
     co_return;
   }
@@ -321,7 +313,7 @@ desim::Task<void> reduce(Comm comm, int root, ConstBuf send, Buf recv) {
       machine.next_collective_seq(comm.context(), comm.rank());
   const bool closed_form =
       machine.config().collective_mode == CollectiveMode::ClosedForm;
-  machine.note_collective(Machine::SiteKind::Reduce, -1, send.bytes());
+  machine.note_collective(trace::CollectiveOp::Reduce, -1, send.bytes());
   trace::Recorder* recorder = machine.recorder();
   trace::CollectiveSpanGuard trace_guard(
       recorder, comm.engine(),
@@ -331,9 +323,9 @@ desim::Task<void> reduce(Comm comm, int root, ConstBuf send, Buf recv) {
 
   if (closed_form) {
     desim::Gate gate(comm.engine());
-    machine.join_data_collective(Machine::SiteKind::Reduce, comm.context(),
-                                 seq, &gate, comm.rank(), root, send,
-                                 comm.rank() == root ? recv : Buf{});
+    machine.join_site(trace::CollectiveOp::Reduce, comm.context(), seq, &gate,
+                      comm.rank(), root, send,
+                      comm.rank() == root ? recv : Buf{});
     co_await gate.wait();
     co_return;
   }
@@ -341,16 +333,16 @@ desim::Task<void> reduce(Comm comm, int root, ConstBuf send, Buf recv) {
   const int tag = collective_tag(kPhaseReduce, seq);
   const bool real = send.is_real();
   // Accumulator holds my partial sum; scratch receives child contributions.
-  // Real payloads stage through the communicator's arena (no per-call
-  // allocation in steady state); phantom payloads stage nothing at all.
-  ScratchArena::Lease acc_lease, scratch_lease;
+  // Both are owned by this frame, so a run torn down mid-reduce frees them
+  // with the frame; phantom payloads stage nothing at all.
+  std::vector<double> acc_data, scratch_data;
   if (real && count > 0) {
-    ScratchArena& arena = comm.machine().scratch_arena(comm.context());
-    acc_lease = arena.acquire_copy(send.data(), count);
-    scratch_lease = arena.acquire(count);
+    acc_data.assign(send.data(), send.data() + count);
+    scratch_data.resize(count);
   }
-  Buf acc = real ? acc_lease.buf() : Buf::phantom(count);
-  Buf scratch = real ? scratch_lease.buf() : Buf::phantom(count);
+  Buf acc = real ? Buf(std::span<double>(acc_data)) : Buf::phantom(count);
+  Buf scratch =
+      real ? Buf(std::span<double>(scratch_data)) : Buf::phantom(count);
 
   int mask = 1;
   while (mask < p) {
@@ -371,469 +363,6 @@ desim::Task<void> reduce(Comm comm, int root, ConstBuf send, Buf recv) {
     HS_REQUIRE_MSG(recv.is_real() && recv.count() == count,
                    "reduce: root recv buffer mismatch");
     std::memcpy(recv.data(), acc.data(), count * sizeof(double));
-  }
-}
-
-namespace {
-
-// Recursive-halving reduce-scatter over a full-size working buffer (power
-// of two ranks, uniform chunks). On return, work[rank*chunk .. +chunk)
-// holds the caller's share of the element-wise sum. Phantom-aware: when
-// `real` is false both buffers are phantom and only wire traffic is
-// modeled; otherwise `scratch` must be a real buffer of work.count().
-desim::Task<void> reduce_scatter_halving(Comm comm, Buf work, Buf scratch,
-                                         bool real, std::uint64_t seq) {
-  const int p = comm.size();
-  const int rank = comm.rank();
-  const std::size_t count = work.count();
-  const std::size_t chunk = count / static_cast<std::size_t>(p);
-  const int tag = collective_tag(kPhaseReduceScatter, seq);
-
-  int lo = 0, hi = p;
-  while (hi - lo > 1) {
-    const int half = (hi - lo) / 2;
-    const int mid = lo + half;
-    const int partner = rank ^ half;
-    const bool lower = rank < mid;
-    // I keep [keep_lo, keep_hi) and ship the other half's range.
-    const int ship_lo = lower ? mid : lo;
-    const int ship_hi = lower ? hi : mid;
-    const int keep_lo = lower ? lo : mid;
-    const std::size_t ship_off = static_cast<std::size_t>(ship_lo) * chunk;
-    const std::size_t ship_len =
-        static_cast<std::size_t>(ship_hi - ship_lo) * chunk;
-    const std::size_t keep_off = static_cast<std::size_t>(keep_lo) * chunk;
-
-    PostedOp send_op = comm.send_posted(
-        partner, ConstBuf(work).slice(ship_off, ship_len), tag);
-    Buf recv_buf =
-        real ? scratch.slice(0, ship_len) : Buf::phantom(ship_len);
-    PostedOp recv_op = comm.recv_posted(partner, recv_buf, tag);
-    co_await send_op.wait();
-    co_await recv_op.wait();
-    if (real)
-      for (std::size_t i = 0; i < ship_len; ++i)
-        work.data()[keep_off + i] += scratch.data()[i];
-    if (lower)
-      hi = mid;
-    else
-      lo = mid;
-  }
-}
-
-desim::Task<void> allreduce_rabenseifner(Comm comm, ConstBuf send, Buf recv,
-                                         std::uint64_t seq) {
-  const int p = comm.size();
-  const std::size_t count = send.count();
-  HS_REQUIRE_MSG(count % static_cast<std::size_t>(p) == 0,
-                 "Rabenseifner allreduce requires size | count");
-  const bool real = send.is_real();
-  ScratchArena::Lease work_lease, scratch_lease;
-  if (real && count > 0) {
-    ScratchArena& arena = comm.machine().scratch_arena(comm.context());
-    work_lease = arena.acquire_copy(send.data(), count);
-    scratch_lease = arena.acquire(count);
-  }
-  Buf work = real ? work_lease.buf() : Buf::phantom(count);
-  Buf scratch = real ? scratch_lease.buf() : Buf::phantom(count);
-  co_await reduce_scatter_halving(comm, work, scratch, real, seq);
-  // Recursive-doubling allgather of the per-rank chunks (root 0: ranks are
-  // already absolute).
-  const Chunks chunks{count, p};
-  co_await allgather_recdbl_ranges(comm, 0, work, chunks,
-                                   collective_tag(kPhaseAllgather, seq));
-  if (real && count > 0) {
-    HS_REQUIRE_MSG(recv.is_real() && recv.count() == count,
-                   "allreduce: recv buffer mismatch");
-    std::memcpy(recv.data(), work.data(), count * sizeof(double));
-  }
-}
-
-}  // namespace
-
-desim::Task<void> reduce_scatter(Comm comm, ConstBuf send, Buf recv_chunk) {
-  const int p = comm.size();
-  const std::size_t count = send.count();
-  HS_REQUIRE_MSG(count % static_cast<std::size_t>(p) == 0,
-                 "reduce_scatter requires size | send.count()");
-  const std::size_t chunk = count / static_cast<std::size_t>(p);
-  HS_REQUIRE_MSG(recv_chunk.count() == chunk,
-                 "reduce_scatter: recv must hold send.count()/size elements");
-  if (p == 1) {
-    if (send.is_real() && recv_chunk.is_real() && count > 0 &&
-        recv_chunk.data() != send.data())
-      std::memcpy(recv_chunk.data(), send.data(), count * sizeof(double));
-    co_return;
-  }
-
-  Machine& machine = comm.machine();
-  const std::uint64_t seq =
-      machine.next_collective_seq(comm.context(), comm.rank());
-  const bool closed_form =
-      machine.config().collective_mode == CollectiveMode::ClosedForm;
-  machine.note_collective(Machine::SiteKind::ReduceScatter, -1, send.bytes());
-  trace::Recorder* recorder = machine.recorder();
-  trace::CollectiveSpanGuard trace_guard(
-      recorder, comm.engine(),
-      recorder ? span_for(comm, trace::CollectiveOp::ReduceScatter, seq, -1,
-                          send.bytes(), -1, closed_form)
-               : trace::CollectiveSpan{});
-
-  if (closed_form) {
-    desim::Gate gate(comm.engine());
-    machine.join_data_collective(Machine::SiteKind::ReduceScatter,
-                                 comm.context(), seq, &gate, comm.rank(),
-                                 /*root_index=*/0, send, recv_chunk);
-    co_await gate.wait();
-    co_return;
-  }
-
-  const bool real = send.is_real();
-  if ((p & (p - 1)) == 0) {
-    ScratchArena::Lease work_lease, scratch_lease;
-    if (real && count > 0) {
-      ScratchArena& arena = machine.scratch_arena(comm.context());
-      work_lease = arena.acquire_copy(send.data(), count);
-      scratch_lease = arena.acquire(count);
-    }
-    Buf work = real ? work_lease.buf() : Buf::phantom(count);
-    Buf scratch = real ? scratch_lease.buf() : Buf::phantom(count);
-    co_await reduce_scatter_halving(comm, work, scratch, real, seq);
-    if (real && count > 0)
-      std::memcpy(recv_chunk.data(),
-                  work.data() + static_cast<std::size_t>(comm.rank()) * chunk,
-                  chunk * sizeof(double));
-    co_return;
-  }
-
-  // Non-power-of-two: reduce to rank 0, then scatter the chunks.
-  ScratchArena::Lease full_lease;
-  Buf full = Buf{};
-  if (comm.rank() == 0) {
-    if (real && count > 0)
-      full_lease = machine.scratch_arena(comm.context()).acquire(count);
-    full = real ? full_lease.buf() : Buf::phantom(count);
-  } else if (!real) {
-    full = Buf::phantom(count);
-  }
-  co_await reduce(comm, 0, send, full);
-  co_await scatter(comm, 0,
-                   comm.rank() == 0 ? ConstBuf(full) : ConstBuf{},
-                   recv_chunk);
-}
-
-desim::Task<void> allreduce(Comm comm, ConstBuf send, Buf recv,
-                            AllreduceAlgo algo) {
-  const int p = comm.size();
-  const bool pow2 = (p & (p - 1)) == 0;
-  const bool rabenseifner =
-      algo == AllreduceAlgo::Rabenseifner && pow2 && p > 1 &&
-      send.count() % static_cast<std::size_t>(p) == 0;
-
-  Machine& machine = comm.machine();
-  if (p > 1 &&
-      machine.config().collective_mode == CollectiveMode::ClosedForm) {
-    const std::uint64_t seq =
-        machine.next_collective_seq(comm.context(), comm.rank());
-    const auto kind = rabenseifner ? Machine::SiteKind::AllreduceRabenseifner
-                                   : Machine::SiteKind::Allreduce;
-    machine.note_collective(kind, -1, send.bytes());
-    trace::Recorder* recorder = machine.recorder();
-    trace::CollectiveSpanGuard trace_guard(
-        recorder, comm.engine(),
-        recorder ? span_for(comm, static_cast<trace::CollectiveOp>(kind), seq,
-                            -1, send.bytes(), -1, /*closed_form=*/true)
-                 : trace::CollectiveSpan{});
-    desim::Gate gate(comm.engine());
-    machine.join_data_collective(kind, comm.context(), seq, &gate, comm.rank(),
-                                 /*root_index=*/0, send, recv);
-    co_await gate.wait();
-    co_return;
-  }
-  if (rabenseifner) {
-    const std::uint64_t seq =
-        machine.next_collective_seq(comm.context(), comm.rank());
-    machine.note_collective(Machine::SiteKind::AllreduceRabenseifner, -1,
-                            send.bytes());
-    trace::Recorder* recorder = machine.recorder();
-    trace::CollectiveSpanGuard trace_guard(
-        recorder, comm.engine(),
-        recorder ? span_for(comm, trace::CollectiveOp::AllreduceRabenseifner,
-                            seq, -1, send.bytes(), -1, /*closed_form=*/false)
-                 : trace::CollectiveSpan{});
-    co_await allreduce_rabenseifner(comm, send, recv, seq);
-    co_return;
-  }
-  // The default point-to-point allreduce delegates: the nested reduce and
-  // bcast calls consume their own sequence numbers and record their own
-  // spans/counters, so there is nothing separate to trace here.
-  co_await reduce(comm, 0, send, recv);
-  co_await bcast(comm, 0, recv, net::BcastAlgo::Binomial);
-}
-
-desim::Task<void> gather(Comm comm, int root, ConstBuf send, Buf recv_all) {
-  const int p = comm.size();
-  HS_REQUIRE(root >= 0 && root < p);
-  const int rel = (comm.rank() - root + p) % p;
-  auto abs_rank = [&](int r) { return (r + root) % p; };
-  const std::size_t chunk = send.count();
-  const bool real = send.is_real();
-
-  if (rel == 0)
-    HS_REQUIRE_MSG(recv_all.count() == chunk * static_cast<std::size_t>(p),
-                   "gather: recv buffer must hold size*send.count elements");
-  if (p == 1) {
-    if (real && chunk > 0 && recv_all.data() != send.data())
-      std::memcpy(recv_all.data(), send.data(), chunk * sizeof(double));
-    co_return;
-  }
-
-  Machine& machine = comm.machine();
-  const std::uint64_t seq =
-      machine.next_collective_seq(comm.context(), comm.rank());
-  const bool closed_form =
-      machine.config().collective_mode == CollectiveMode::ClosedForm;
-  machine.note_collective(Machine::SiteKind::Gather, -1, send.bytes());
-  trace::Recorder* recorder = machine.recorder();
-  trace::CollectiveSpanGuard trace_guard(
-      recorder, comm.engine(),
-      recorder ? span_for(comm, trace::CollectiveOp::Gather, seq, root,
-                          send.bytes(), -1, closed_form)
-               : trace::CollectiveSpan{});
-
-  if (closed_form) {
-    desim::Gate gate(comm.engine());
-    machine.join_data_collective(Machine::SiteKind::Gather, comm.context(),
-                                 seq, &gate, comm.rank(), root, send,
-                                 comm.rank() == root ? recv_all : Buf{});
-    co_await gate.wait();
-    co_return;
-  }
-
-  const int tag = collective_tag(kPhaseGather, seq);
-
-  // Staging buffer indexed by *relative* chunk position; the root unpacks
-  // to absolute positions at the end. Every position read below is written
-  // first (own chunk here, the rest by the merge receives), so the arena's
-  // recycled storage needs no zero fill.
-  ScratchArena::Lease stage_lease;
-  if (real && chunk > 0)
-    stage_lease = machine.scratch_arena(comm.context())
-                      .acquire(chunk * static_cast<std::size_t>(p));
-  Buf stage = real ? stage_lease.buf()
-                   : Buf::phantom(chunk * static_cast<std::size_t>(p));
-  if (real && chunk > 0)
-    std::memcpy(stage.data() + static_cast<std::size_t>(rel) * chunk,
-                send.data(), chunk * sizeof(double));
-
-  // Reverse of the recursive-halving scatter: replay the split sequence
-  // bottom-up, merging ranges.
-  struct Split {
-    int lo, mid, hi;
-    bool sender;  // I am `mid` at this level and send [mid,hi) to lo
-  };
-  std::vector<Split> splits;
-  {
-    int lo = 0, hi = p;
-    while (hi - lo > 1) {
-      const int mid = lo + (hi - lo + 1) / 2;
-      if (rel < mid) {
-        splits.push_back({lo, mid, hi, false});
-        hi = mid;
-      } else {
-        splits.push_back({lo, mid, hi, rel == mid});
-        lo = mid;
-      }
-    }
-  }
-  for (auto it = splits.rbegin(); it != splits.rend(); ++it) {
-    const std::size_t off = static_cast<std::size_t>(it->mid) * chunk;
-    const std::size_t len =
-        static_cast<std::size_t>(it->hi - it->mid) * chunk;
-    if (it->sender) {
-      co_await comm.send_op(abs_rank(it->lo), stage.slice(off, len), tag);
-      break;  // after sending up, this rank is done
-    }
-    if (rel == it->lo && len > 0)
-      co_await comm.recv_op(abs_rank(it->mid), stage.slice(off, len), tag);
-  }
-
-  if (rel == 0 && real && chunk > 0) {
-    // stage[relative r] -> recv_all[absolute abs_rank(r)].
-    for (int r = 0; r < p; ++r)
-      std::memcpy(
-          recv_all.data() + static_cast<std::size_t>(abs_rank(r)) * chunk,
-          stage.data() + static_cast<std::size_t>(r) * chunk,
-          chunk * sizeof(double));
-  }
-}
-
-desim::Task<void> scatter(Comm comm, int root, ConstBuf send_all, Buf recv) {
-  const int p = comm.size();
-  HS_REQUIRE(root >= 0 && root < p);
-  const int rel = (comm.rank() - root + p) % p;
-  auto abs_rank = [&](int r) { return (r + root) % p; };
-  const std::size_t chunk = recv.count();
-  const bool real = recv.is_real();
-
-  if (p == 1) {
-    if (real && chunk > 0 && recv.data() != send_all.data())
-      std::memcpy(recv.data(), send_all.data(), chunk * sizeof(double));
-    co_return;
-  }
-
-  Machine& machine = comm.machine();
-  const std::uint64_t seq =
-      machine.next_collective_seq(comm.context(), comm.rank());
-  const bool closed_form =
-      machine.config().collective_mode == CollectiveMode::ClosedForm;
-  machine.note_collective(Machine::SiteKind::Scatter, -1, recv.bytes());
-  trace::Recorder* recorder = machine.recorder();
-  trace::CollectiveSpanGuard trace_guard(
-      recorder, comm.engine(),
-      recorder ? span_for(comm, trace::CollectiveOp::Scatter, seq, root,
-                          recv.bytes(), -1, closed_form)
-               : trace::CollectiveSpan{});
-
-  if (closed_form) {
-    desim::Gate gate(comm.engine());
-    machine.join_data_collective(Machine::SiteKind::Scatter, comm.context(),
-                                 seq, &gate, comm.rank(), root,
-                                 comm.rank() == root ? send_all : ConstBuf{},
-                                 recv);
-    co_await gate.wait();
-    co_return;
-  }
-
-  const int tag = collective_tag(kPhaseScatter, seq);
-
-  // Root re-stages into relative order so ranges are contiguous. As in
-  // gather, each rank writes (receives) its ranges before reading them, so
-  // recycled arena storage needs no zero fill.
-  ScratchArena::Lease stage_lease;
-  if (real && chunk > 0)
-    stage_lease = machine.scratch_arena(comm.context())
-                      .acquire(chunk * static_cast<std::size_t>(p));
-  Buf stage = real ? stage_lease.buf()
-                   : Buf::phantom(chunk * static_cast<std::size_t>(p));
-  if (rel == 0 && real && chunk > 0) {
-    HS_REQUIRE_MSG(send_all.count() == chunk * static_cast<std::size_t>(p),
-                   "scatter: send buffer must hold size*recv.count elements");
-    for (int r = 0; r < p; ++r)
-      std::memcpy(stage.data() + static_cast<std::size_t>(r) * chunk,
-                  send_all.data() + static_cast<std::size_t>(abs_rank(r)) * chunk,
-                  chunk * sizeof(double));
-  }
-
-  int lo = 0, hi = p;
-  while (hi - lo > 1) {
-    const int mid = lo + (hi - lo + 1) / 2;
-    const std::size_t off = static_cast<std::size_t>(mid) * chunk;
-    const std::size_t len = static_cast<std::size_t>(hi - mid) * chunk;
-    if (rel < mid) {
-      if (rel == lo && len > 0)
-        co_await comm.send_op(abs_rank(mid), stage.slice(off, len), tag);
-      hi = mid;
-    } else {
-      if (rel == mid && len > 0)
-        co_await comm.recv_op(abs_rank(lo), stage.slice(off, len), tag);
-      lo = mid;
-    }
-  }
-
-  if (real && chunk > 0)
-    std::memcpy(recv.data(),
-                stage.data() + static_cast<std::size_t>(rel) * chunk,
-                chunk * sizeof(double));
-}
-
-desim::Task<void> allgather(Comm comm, ConstBuf send, Buf recv_all) {
-  const int p = comm.size();
-  const std::size_t chunk = send.count();
-  HS_REQUIRE_MSG(recv_all.count() == chunk * static_cast<std::size_t>(p),
-                 "allgather: recv buffer must hold size*send.count elements");
-  const int rank = comm.rank();
-  if (send.is_real() && chunk > 0 &&
-      recv_all.data() + static_cast<std::size_t>(rank) * chunk != send.data())
-    std::memcpy(recv_all.data() + static_cast<std::size_t>(rank) * chunk,
-                send.data(), chunk * sizeof(double));
-  if (p == 1) co_return;
-
-  Machine& machine = comm.machine();
-  const std::uint64_t seq =
-      machine.next_collective_seq(comm.context(), comm.rank());
-  const bool closed_form =
-      machine.config().collective_mode == CollectiveMode::ClosedForm;
-  machine.note_collective(Machine::SiteKind::Allgather, -1, send.bytes());
-  trace::Recorder* recorder = machine.recorder();
-  trace::CollectiveSpanGuard trace_guard(
-      recorder, comm.engine(),
-      recorder ? span_for(comm, trace::CollectiveOp::Allgather, seq, -1,
-                          send.bytes(), -1, closed_form)
-               : trace::CollectiveSpan{});
-
-  if (closed_form) {
-    desim::Gate gate(comm.engine());
-    machine.join_data_collective(Machine::SiteKind::Allgather,
-                                 comm.context(), seq, &gate, comm.rank(),
-                                 /*root_index=*/0, send, recv_all);
-    co_await gate.wait();
-    co_return;
-  }
-
-  const int tag = collective_tag(kPhaseAllgather, seq);
-
-  const int right = (rank + 1) % p;
-  const int left = (rank - 1 + p) % p;
-  for (int round = 0; round < p - 1; ++round) {
-    const int send_chunk = ((rank - round) % p + p) % p;
-    const int recv_chunk = ((rank - round - 1) % p + p) % p;
-    PostedOp send_op = comm.send_posted(
-        right,
-        ConstBuf(recv_all).slice(static_cast<std::size_t>(send_chunk) * chunk,
-                                 chunk),
-        tag);
-    PostedOp recv_op = comm.recv_posted(
-        left, recv_all.slice(static_cast<std::size_t>(recv_chunk) * chunk, chunk),
-        tag);
-    co_await send_op.wait();
-    co_await recv_op.wait();
-  }
-}
-
-desim::Task<void> barrier(Comm comm) {
-  const int p = comm.size();
-  if (p == 1) co_return;
-  Machine& machine = comm.machine();
-  const std::uint64_t seq =
-      machine.next_collective_seq(comm.context(), comm.rank());
-  const bool closed_form =
-      machine.config().collective_mode == CollectiveMode::ClosedForm;
-  machine.note_collective(Machine::SiteKind::Barrier, -1, 0);
-  trace::Recorder* recorder = machine.recorder();
-  trace::CollectiveSpanGuard trace_guard(
-      recorder, comm.engine(),
-      recorder ? span_for(comm, trace::CollectiveOp::Barrier, seq, -1, 0, -1,
-                          closed_form)
-               : trace::CollectiveSpan{});
-
-  if (closed_form) {
-    desim::Gate gate(comm.engine());
-    machine.join_barrier(comm.context(), seq, &gate);
-    co_await gate.wait();
-    co_return;
-  }
-
-  // Dissemination barrier: round k exchanges tokens at distance 2^k.
-  const int tag = collective_tag(kPhaseBarrier, seq);
-  const int rank = comm.rank();
-  for (int mask = 1; mask < p; mask <<= 1) {
-    const int to = (rank + mask) % p;
-    const int from = (rank - mask + p) % p;
-    PostedOp send_op = comm.send_posted(to, ConstBuf{}, tag);
-    PostedOp recv_op = comm.recv_posted(from, Buf{}, tag);
-    co_await send_op.wait();
-    co_await recv_op.wait();
   }
 }
 

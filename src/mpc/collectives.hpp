@@ -1,4 +1,6 @@
-// Collective operations, implemented on top of point-to-point transfers.
+// The two collectives the kernels issue, implemented on top of
+// point-to-point transfers: broadcast (every kernel but Cannon, which only
+// shifts) and reduce (SUMMA-2.5D's final sum across layers).
 //
 // Broadcast offers the algorithm menu the paper discusses (Section II-B):
 // flat tree, binomial tree, van de Geijn scatter + ring allgather,
@@ -8,8 +10,9 @@
 // simulated completion time matches the closed forms in net/bcast_cost.hpp
 // (asserted by tests), which is what lets CollectiveMode::ClosedForm charge
 // the formula instead of routing O(p) messages at BlueGene/P scale.
+// Reduce is a binomial tree, priced by net::reduce_time in closed form.
 //
-// All collectives follow MPI ordering rules: every member of the
+// Both collectives follow MPI ordering rules: every member of the
 // communicator must call the same collectives in the same order. Payloads
 // may be phantom (see buffer.hpp).
 #pragma once
@@ -30,36 +33,5 @@ desim::Task<void> bcast(Comm comm, int root, Buf buf,
 /// Element-wise sum reduction to `root`. `recv` is significant only at the
 /// root and may alias `send` there.
 desim::Task<void> reduce(Comm comm, int root, ConstBuf send, Buf recv);
-
-enum class AllreduceAlgo {
-  ReduceBcast,   // binomial reduce + binomial broadcast (latency-friendly)
-  Rabenseifner,  // recursive-halving reduce-scatter + recursive-doubling
-                 // allgather: bandwidth-optimal (power-of-two ranks; other
-                 // counts fall back to ReduceBcast)
-};
-
-/// Element-wise sum to everyone; `recv` significant everywhere.
-desim::Task<void> allreduce(Comm comm, ConstBuf send, Buf recv,
-                            AllreduceAlgo algo = AllreduceAlgo::ReduceBcast);
-
-/// Recursive-halving reduce-scatter: rank r receives elements
-/// [r*chunk, (r+1)*chunk) of the element-wise sum, chunk = send.count() /
-/// size. Requires size | send.count(); power-of-two ranks take the
-/// recursive-halving path, others reduce-then-scatter.
-desim::Task<void> reduce_scatter(Comm comm, ConstBuf send, Buf recv_chunk);
-
-/// Binomial-tree gather: rank r's `send` lands at recv_all[r*send.count()].
-/// All ranks must pass equally sized `send`; `recv_all` significant at root
-/// with count == size * send.count().
-desim::Task<void> gather(Comm comm, int root, ConstBuf send, Buf recv_all);
-
-/// Inverse of gather (binomial scatter of equal chunks).
-desim::Task<void> scatter(Comm comm, int root, ConstBuf send_all, Buf recv);
-
-/// Ring allgather: every rank ends with all contributions, in rank order.
-desim::Task<void> allgather(Comm comm, ConstBuf send, Buf recv_all);
-
-/// Dissemination barrier.
-desim::Task<void> barrier(Comm comm);
 
 }  // namespace hs::mpc

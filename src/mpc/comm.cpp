@@ -1,7 +1,5 @@
 #include "mpc/comm.hpp"
 
-#include <algorithm>
-
 namespace hs::mpc {
 
 Comm Comm::sub(const std::vector<int>& comm_ranks) const {
@@ -20,16 +18,6 @@ Comm Comm::sub(const std::vector<int>& comm_ranks) const {
   return Comm(machine_, ctx, my_new_rank);
 }
 
-desim::Task<void> Comm::send(int dst, ConstBuf buf, int tag) const {
-  Request request = isend(dst, buf, tag);
-  co_await request.wait();
-}
-
-desim::Task<void> Comm::recv(int src, Buf buf, int tag) const {
-  Request request = irecv(src, buf, tag);
-  co_await request.wait();
-}
-
 desim::Task<void> Comm::sendrecv(int dst, ConstBuf send_buf, int src,
                                  Buf recv_buf, int send_tag,
                                  int recv_tag) const {
@@ -38,15 +26,6 @@ desim::Task<void> Comm::sendrecv(int dst, ConstBuf send_buf, int src,
   PostedOp recv_op = recv_posted(src, recv_buf, recv_tag);
   co_await send_op.wait();
   co_await recv_op.wait();
-}
-
-desim::Task<void> wait_all(Request& a, Request& b) {
-  co_await a.wait();
-  co_await b.wait();
-}
-
-desim::Task<void> wait_all(std::vector<Request>& requests) {
-  for (auto& request : requests) co_await request.wait();
 }
 
 }  // namespace hs::mpc

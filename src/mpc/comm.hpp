@@ -5,14 +5,12 @@
 // is in *communicator ranks*; the context id keeps traffic in different
 // communicators from ever matching, exactly like MPI communicator contexts.
 //
-// Sub-communicators are created with `sub` (explicit membership) or `split`
-// (color/key, computed locally — the simulated machine has global knowledge,
-// so no setup traffic is charged; MPI communicator construction cost is
-// excluded from the paper's timings as well).
+// Sub-communicators are created with `sub` (explicit membership, computed
+// locally — the simulated machine has global knowledge, so no setup traffic
+// is charged; MPI communicator construction cost is excluded from the
+// paper's timings as well).
 #pragma once
 
-#include <algorithm>
-#include <utility>
 #include <vector>
 
 #include "desim/task.hpp"
@@ -52,49 +50,22 @@ class Comm {
   /// same list.
   Comm sub(const std::vector<int>& comm_ranks) const;
 
-  /// MPI_Comm_split semantics: ranks sharing `color` form a communicator,
-  /// ordered by (key, rank). `color_of`/`key_of` are evaluated for every
-  /// member rank locally (they must be pure and identical across callers).
-  template <typename ColorFn, typename KeyFn>
-  Comm split(ColorFn&& color_of, KeyFn&& key_of) const {
-    const int my_color = color_of(rank_);
-    std::vector<std::pair<int, int>> keyed;  // (key, comm rank)
-    for (int r = 0; r < size(); ++r)
-      if (color_of(r) == my_color) keyed.emplace_back(key_of(r), r);
-    std::stable_sort(keyed.begin(), keyed.end());
-    std::vector<int> ranks;
-    ranks.reserve(keyed.size());
-    for (const auto& [key, r] : keyed) ranks.push_back(r);
-    return sub(ranks);
-  }
-
   // --- point-to-point ----------------------------------------------------
 
-  /// Nonblocking send/recv to/from a communicator rank. Tags must be >= 0
-  /// (negative tags are reserved for collectives).
-  Request isend(int dst, ConstBuf buf, int tag = 0) const {
+  /// Blocking (rendezvous) send/recv to/from a communicator rank:
+  /// `co_await comm.send(...)` posts when awaited and resumes when the
+  /// transfer has completed (see TransferOp). Tags must be >= 0 (negative
+  /// tags are reserved for collectives).
+  TransferOp send(int dst, ConstBuf buf, int tag = 0) const {
     HS_REQUIRE(tag >= 0);
-    return isend_internal(dst, buf, tag);
+    return send_op(dst, buf, tag);
   }
-  Request irecv(int src, Buf buf, int tag = 0) const {
+  TransferOp recv(int src, Buf buf, int tag = 0) const {
     HS_REQUIRE(tag >= 0);
-    return irecv_internal(src, buf, tag);
+    return recv_op(src, buf, tag);
   }
 
-  /// Internal variants allowing reserved (negative) tags; used by the
-  /// collective implementations.
-  Request isend_internal(int dst, ConstBuf buf, int tag) const {
-    return machine().isend(my_world_rank(), world_rank(dst), ctx_, tag, buf);
-  }
-  Request irecv_internal(int src, Buf buf, int tag) const {
-    return machine().irecv(world_rank(src), my_world_rank(), ctx_, tag, buf);
-  }
-
-  /// Allocation-free blocking send/recv for the collectives' hot path:
-  /// `co_await comm.send_op(...)` posts and completes one transfer with the
-  /// rendezvous gate living in the awaiting frame (see TransferOp). Same
-  /// virtual-time and event schedule as send/recv, minus the intermediate
-  /// coroutine and Request state.
+  /// send/recv without the tag check, for the collectives' reserved tags.
   TransferOp send_op(int dst, ConstBuf buf, int tag) const {
     return TransferOp(machine(), my_world_rank(), world_rank(dst), ctx_, tag,
                       buf, Buf{}, /*is_send=*/true);
@@ -104,9 +75,9 @@ class Comm {
                       ConstBuf{}, buf, /*is_send=*/false);
   }
 
-  /// Posted-now, awaited-later counterparts (inline-gate Request): post on
+  /// Posted-now, awaited-later counterparts (see PostedOp): post on
   /// construction, `co_await op.wait()` to join. For overlapping pairs
-  /// (ring exchanges, sendrecv).
+  /// (ring exchanges, sendrecv). No tag check, like send_op/recv_op.
   PostedOp send_posted(int dst, ConstBuf buf, int tag) const {
     return PostedOp(machine(), my_world_rank(), world_rank(dst), ctx_, tag,
                     buf, Buf{}, /*is_send=*/true);
@@ -115,10 +86,6 @@ class Comm {
     return PostedOp(machine(), world_rank(src), my_world_rank(), ctx_, tag,
                     ConstBuf{}, buf, /*is_send=*/false);
   }
-
-  /// Blocking (rendezvous) send: resumes when the transfer completed.
-  desim::Task<void> send(int dst, ConstBuf buf, int tag = 0) const;
-  desim::Task<void> recv(int src, Buf buf, int tag = 0) const;
 
   /// Simultaneous exchange (both transfers may overlap), as used by the
   /// shift steps of Cannon's algorithm.
@@ -130,10 +97,6 @@ class Comm {
   int ctx_ = 0;
   int rank_ = 0;
 };
-
-/// Await both requests (in either completion order).
-desim::Task<void> wait_all(Request& a, Request& b);
-desim::Task<void> wait_all(std::vector<Request>& requests);
 
 /// Spawn `machine.ranks()` copies of `rank_main` (one per rank, each handed
 /// its world communicator) and run the engine to completion. Returns the

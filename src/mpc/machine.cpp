@@ -4,7 +4,6 @@
 #include <cstring>
 #include <string>
 
-#include "common/csv.hpp"
 #include "fault/fault_plan.hpp"
 #include "mpc/comm.hpp"
 #include "trace/metrics.hpp"
@@ -12,27 +11,22 @@
 
 namespace hs::mpc {
 
-// trace::CollectiveOp mirrors SiteKind value-for-value so the machine can
-// cast between them when recording; keep both enums in lockstep.
-static_assert(trace::kCollectiveOpCount == 9);
-static_assert(static_cast<int>(trace::CollectiveOp::Bcast) ==
-              static_cast<int>(Machine::SiteKind::Bcast));
-static_assert(static_cast<int>(trace::CollectiveOp::Barrier) ==
-              static_cast<int>(Machine::SiteKind::Barrier));
-static_assert(static_cast<int>(trace::CollectiveOp::Reduce) ==
-              static_cast<int>(Machine::SiteKind::Reduce));
-static_assert(static_cast<int>(trace::CollectiveOp::Allreduce) ==
-              static_cast<int>(Machine::SiteKind::Allreduce));
-static_assert(static_cast<int>(trace::CollectiveOp::AllreduceRabenseifner) ==
-              static_cast<int>(Machine::SiteKind::AllreduceRabenseifner));
-static_assert(static_cast<int>(trace::CollectiveOp::ReduceScatter) ==
-              static_cast<int>(Machine::SiteKind::ReduceScatter));
-static_assert(static_cast<int>(trace::CollectiveOp::Gather) ==
-              static_cast<int>(Machine::SiteKind::Gather));
-static_assert(static_cast<int>(trace::CollectiveOp::Scatter) ==
-              static_cast<int>(Machine::SiteKind::Scatter));
-static_assert(static_cast<int>(trace::CollectiveOp::Allgather) ==
-              static_cast<int>(Machine::SiteKind::Allgather));
+namespace {
+
+// The payload contract of one transfer, shared by committed point-to-point
+// transfers and the closed-form sites that stand in for them.
+void require_matching_payloads(ConstBuf send, ConstBuf recv, int src,
+                               int dst) {
+  HS_REQUIRE_MSG(send.count() == recv.count(),
+                 "send/recv size mismatch: " << send.count() << " vs "
+                                             << recv.count()
+                                             << " elements (src=" << src
+                                             << " dst=" << dst << ")");
+  HS_REQUIRE_MSG(send.is_real() == recv.is_real(),
+                 "mixing real and phantom payloads in one transfer");
+}
+
+}  // namespace
 
 Machine::Machine(desim::Engine& engine,
                  std::shared_ptr<const net::NetworkModel> net,
@@ -91,13 +85,7 @@ void Machine::materialize_page(std::unique_ptr<RankPage>& page) {
 double Machine::commit_transfer(int src, int dst, int ctx, int tag,
                                 double send_post, double recv_post,
                                 ConstBuf send_buf, Buf recv_buf) {
-  HS_REQUIRE_MSG(send_buf.count() == recv_buf.count(),
-                 "send/recv size mismatch: " << send_buf.count() << " vs "
-                                             << recv_buf.count()
-                                             << " elements (src=" << src
-                                             << " dst=" << dst << ")");
-  HS_REQUIRE_MSG(send_buf.is_real() == recv_buf.is_real(),
-                 "mixing real and phantom payloads in one transfer");
+  require_matching_payloads(send_buf, recv_buf, src, dst);
   auto& src_port = rank_state(src).port;
   auto& dst_port = rank_state(dst).port;
   const double start = std::max({send_post, recv_post, src_port.send_free,
@@ -119,21 +107,10 @@ double Machine::commit_transfer(int src, int dst, int ctx, int tag,
   ++messages_;
   bytes_ += send_buf.bytes();
   transfer_latency_s_.add(completion - start);
-  if (transfer_log_ != nullptr)
-    transfer_log_->record(
-        {start, completion, src, dst, send_buf.bytes(), ctx, tag});
   if (recorder_ != nullptr)
     recorder_->add_transfer(
         {start, completion, src, dst, send_buf.bytes(), ctx, tag});
   return completion;
-}
-
-void TransferLog::write_csv(std::ostream& out) const {
-  CsvWriter csv(out);
-  csv.header({"start", "end", "src", "dst", "bytes", "ctx", "tag"});
-  for (const auto& record : records_)
-    csv.row(record.start, record.end, record.src, record.dst,
-            static_cast<long long>(record.bytes), record.ctx, record.tag);
 }
 
 bool Machine::post_send(int src, int dst, int ctx, int tag, ConstBuf buf,
@@ -186,18 +163,6 @@ bool Machine::post_recv(int src, int dst, int ctx, int tag, Buf buf,
   return false;
 }
 
-Request Machine::isend(int src, int dst, int ctx, int tag, ConstBuf buf) {
-  Request request(*engine_);
-  post_send(src, dst, ctx, tag, buf, request.gate());
-  return request;
-}
-
-Request Machine::irecv(int src, int dst, int ctx, int tag, Buf buf) {
-  Request request(*engine_);
-  post_recv(src, dst, ctx, tag, buf, request.gate());
-  return request;
-}
-
 double Machine::compute_duration(int rank, double base) const {
   HS_REQUIRE(rank >= 0 && rank < config_.ranks);
   if (!config_.rank_gamma.empty())
@@ -233,105 +198,71 @@ std::uint64_t Machine::next_collective_seq(int ctx, int member_index) {
   return context.op_seq[static_cast<std::size_t>(member_index)]++;
 }
 
-ScratchArena& Machine::scratch_arena(int ctx) {
-  HS_REQUIRE(ctx >= 0 && ctx < static_cast<int>(contexts_.size()));
-  return *contexts_[static_cast<std::size_t>(ctx)].arena;
-}
-
-Machine::Site& Machine::site_for(int ctx, std::uint64_t seq, SiteKind kind,
-                                 int expected) {
+void Machine::join_site(trace::CollectiveOp op, int ctx, std::uint64_t seq,
+                        desim::Gate* gate, int member_index, int root_index,
+                        ConstBuf send, Buf recv, net::BcastAlgo algo) {
   const std::uint64_t key = (static_cast<std::uint64_t>(ctx) << 40) | seq;
   Site& site = sites_[key];
   if (site.expected == 0) {
-    site.kind = kind;
-    site.expected = expected;
-    site.participants.reserve(static_cast<std::size_t>(expected));
+    site.op = op;
+    site.expected = static_cast<int>(
+        contexts_[static_cast<std::size_t>(ctx)].members.size());
+    site.participants.reserve(static_cast<std::size_t>(site.expected));
   }
-  HS_REQUIRE_MSG(site.kind == kind,
+  HS_REQUIRE_MSG(site.op == op,
                  "collective mismatch: ranks issued different collectives at "
                  "the same sequence point");
   site.max_entry = std::max(site.max_entry, engine_->now());
-  return site;
+  site.root_index = root_index;
+  site.algo = algo;
+  if (member_index == root_index) site.root_buf = send;
+  site.participants.push_back({gate, member_index, send, recv});
+  ++site.arrived;
+  if (site.arrived == site.expected) complete_site(ctx, key, site);
 }
 
 void Machine::complete_site(int ctx, std::uint64_t key, Site& site) {
-  double duration = 0.0;
-  const int p = site.expected;
-  const std::uint64_t total_bytes =
-      site.bytes * static_cast<std::uint64_t>(p);
-  switch (site.kind) {
-    case SiteKind::Bcast:
-      duration = net::bcast_time(site.algo, p, site.bytes, alpha(), beta());
-      break;
-    case SiteKind::Barrier:
-      duration = net::barrier_time(p, alpha());
-      break;
-    case SiteKind::Reduce:
-      duration = net::reduce_time(p, site.bytes, alpha(), beta());
-      break;
-    case SiteKind::Allreduce:
-      duration = net::allreduce_time(p, site.bytes, alpha(), beta());
-      break;
-    case SiteKind::AllreduceRabenseifner:
-      duration =
-          net::allreduce_rabenseifner_time(p, site.bytes, alpha(), beta());
-      break;
-    case SiteKind::ReduceScatter:
-      duration = net::reduce_scatter_time(p, site.bytes, alpha(), beta());
-      break;
-    case SiteKind::Gather:
-      duration = net::gather_time(p, total_bytes, alpha(), beta());
-      break;
-    case SiteKind::Scatter:
-      duration = net::scatter_time(p, total_bytes, alpha(), beta());
-      break;
-    case SiteKind::Allgather:
-      duration = net::allgather_time(p, total_bytes, alpha(), beta());
-      break;
-  }
-  const double completion = site.max_entry + duration;
   deliver_site_payloads(ctx, site);
+  const int p = site.expected;
+  // Per-member payload: the root's for a broadcast; for a reduce, every
+  // contribution's (deliver_site_payloads checked that they agree).
+  const bool is_bcast = site.op == trace::CollectiveOp::Bcast;
+  const std::uint64_t bytes = is_bcast
+                                  ? site.root_buf.bytes()
+                                  : site.participants.front().send.bytes();
+  const double duration =
+      is_bcast ? net::bcast_time(site.algo, p, bytes, alpha(), beta())
+               : net::reduce_time(p, bytes, alpha(), beta());
+  const double completion = site.max_entry + duration;
   // Wire-accounting convention: a closed-form collective charges
   // (p-1) * per-member-bytes — one full payload per non-root member, i.e.
-  // exactly what a binomial tree moves for bcast/reduce and what the
-  // chunked collectives (gather/scatter/allgather with per-member chunks)
-  // move in total. Bandwidth-saving algorithms (scatter+allgather bcast,
-  // Rabenseifner) really move a different volume; the convention trades
-  // that fidelity for counters that stay comparable between PointToPoint
-  // and ClosedForm runs of the same program (locked by
-  // tests/mpc/test_closed_form.cpp). See DESIGN.md "Observability".
+  // exactly what a binomial tree moves for bcast/reduce. Bandwidth-saving
+  // broadcasts (scatter+allgather) really move a different volume; the
+  // convention trades that fidelity for counters that stay comparable
+  // between PointToPoint and ClosedForm runs of the same program (locked
+  // by tests/mpc/test_closed_form.cpp). See DESIGN.md "Observability".
   const std::uint64_t wire_bytes =
-      site.bytes * static_cast<std::uint64_t>(p > 1 ? p - 1 : 0);
+      bytes * static_cast<std::uint64_t>(p > 1 ? p - 1 : 0);
   messages_ += static_cast<std::uint64_t>(p > 1 ? p - 1 : 0);
   bytes_ += wire_bytes;
-  if (transfer_log_ != nullptr || recorder_ != nullptr) {
-    // Synthetic visibility record for the whole site (there are no real
-    // per-message transfers to log in this mode). Root is reported as a
-    // world rank; rootless collectives use -1.
+  if (recorder_ != nullptr) {
+    // Synthetic visibility span for the whole site (there are no real
+    // per-message transfers to record in this mode). Root is reported as
+    // a world rank.
     const auto& members = contexts_[static_cast<std::size_t>(ctx)].members;
-    const int root_world =
-        site.root_index >= 0 &&
-                site.root_index < static_cast<int>(members.size())
-            ? members[static_cast<std::size_t>(site.root_index)]
-            : -1;
+    const int root_world = members[static_cast<std::size_t>(site.root_index)];
     const std::uint64_t seq = key & ((std::uint64_t{1} << 40) - 1);
-    if (transfer_log_ != nullptr)
-      transfer_log_->record({site.max_entry, completion, root_world, -1,
-                             wire_bytes, ctx,
-                             -(static_cast<int>(site.kind) + 1)});
-    if (recorder_ != nullptr)
-      recorder_->add_site({site.max_entry, completion,
-                           static_cast<trace::CollectiveOp>(site.kind), ctx,
-                           seq, root_world, wire_bytes, p});
+    recorder_->add_site({site.max_entry, completion, site.op, ctx, seq,
+                         root_world, wire_bytes, p});
   }
   for (auto& participant : site.participants)
     participant.gate->fire_at(completion);
   sites_.erase(key);
 }
 
-void Machine::note_collective(SiteKind kind, int algo_index,
+void Machine::note_collective(trace::CollectiveOp op, int algo_index,
                               std::uint64_t bytes) noexcept {
-  const auto k = static_cast<std::size_t>(kind);
+  const auto k = static_cast<std::size_t>(op);
   ++collective_calls_[k];
   collective_bytes_[k] += bytes;
   if (algo_index >= 0 && algo_index < kBcastAlgos)
@@ -343,11 +274,11 @@ void Machine::collect_metrics(trace::MetricsRegistry& metrics) const {
   metrics.add_counter("mpc.wire_bytes", bytes_);
   if (!transfer_latency_s_.empty())
     metrics.histogram("mpc.transfer.latency_s").merge(transfer_latency_s_);
-  for (int k = 0; k < kSiteKinds; ++k) {
-    const auto index = static_cast<std::size_t>(k);
+  for (const trace::CollectiveOp op :
+       {trace::CollectiveOp::Bcast, trace::CollectiveOp::Reduce}) {
+    const auto index = static_cast<std::size_t>(op);
     if (collective_calls_[index] == 0) continue;
-    const std::string name(
-        trace::to_string(static_cast<trace::CollectiveOp>(k)));
+    const std::string name(trace::to_string(op));
     metrics.add_counter("mpc.collective." + name + ".calls",
                         collective_calls_[index]);
     metrics.add_counter("mpc.collective." + name + ".bytes",
@@ -382,173 +313,48 @@ void Machine::collect_metrics(trace::MetricsRegistry& metrics) const {
 }
 
 void Machine::deliver_site_payloads(int ctx, Site& site) {
-  switch (site.kind) {
-    case SiteKind::Barrier:
-      return;
-    case SiteKind::Bcast: {
-      if (!site.root_buf.is_real() || site.root_buf.count() == 0) return;
-      for (auto& participant : site.participants) {
-        Buf& buf = participant.recv;
-        if (buf.data() != nullptr && buf.data() != site.root_buf.data())
-          std::memcpy(buf.data(), site.root_buf.data(),
-                      site.root_buf.count() * sizeof(double));
-      }
-      return;
+  // Every member's view is checked the way the point-to-point tree checks
+  // its transfers, so a buffer that routed messages would reject cannot
+  // pass (or overrun) here.
+  const auto& members = contexts_[static_cast<std::size_t>(ctx)].members;
+  auto world = [&members](int member_index) {
+    return members[static_cast<std::size_t>(member_index)];
+  };
+  if (site.op == trace::CollectiveOp::Bcast) {
+    const ConstBuf root = site.root_buf;
+    const bool copy = root.is_real() && root.count() > 0;
+    for (auto& participant : site.participants) {
+      if (participant.member_index == site.root_index) continue;
+      require_matching_payloads(root, participant.recv,
+                                world(site.root_index),
+                                world(participant.member_index));
+      if (copy)
+        std::memcpy(participant.recv.data(), root.data(),
+                    root.count() * sizeof(double));
     }
-    case SiteKind::Reduce:
-    case SiteKind::Allreduce:
-    case SiteKind::AllreduceRabenseifner:
-    case SiteKind::ReduceScatter: {
-      // Sum all real contributions; deliver to the root (Reduce), to every
-      // member (Allreduce), or chunk-wise (ReduceScatter). Phantom sites
-      // must stay allocation-free, so scan for real contributions *before*
-      // touching the accumulator.
-      const std::size_t count = site.participants.empty()
-                                    ? 0
-                                    : site.participants.front().send.count();
-      if (count == 0) return;
-      bool any_real = false;
-      for (const auto& participant : site.participants)
-        if (participant.send.is_real() && participant.send.data() != nullptr) {
-          any_real = true;
-          break;
-        }
-      if (!any_real) return;
-      ScratchArena::Lease sum_lease = scratch_arena(ctx).acquire(count);
-      double* sum = sum_lease.data();
-      std::fill_n(sum, count, 0.0);
-      for (auto& participant : site.participants) {
-        if (!participant.send.is_real() || participant.send.data() == nullptr)
-          continue;
-        const double* src = participant.send.data();
-        for (std::size_t i = 0; i < count; ++i) sum[i] += src[i];
-      }
-      if (site.kind == SiteKind::ReduceScatter) {
-        const std::size_t chunk =
-            count / static_cast<std::size_t>(site.expected);
-        for (auto& participant : site.participants) {
-          if (participant.recv.data() == nullptr) continue;
-          std::memcpy(participant.recv.data(),
-                      sum + static_cast<std::size_t>(participant.member_index) *
-                                chunk,
-                      chunk * sizeof(double));
-        }
-        return;
-      }
-      for (auto& participant : site.participants) {
-        const bool wants_result =
-            site.kind != SiteKind::Reduce ||
-            participant.member_index == site.root_index;
-        if (wants_result && participant.recv.data() != nullptr)
-          std::memcpy(participant.recv.data(), sum, count * sizeof(double));
-      }
-      return;
-    }
-    case SiteKind::Gather: {
-      // Root's recv gets chunk j at offset j*chunk.
-      Site::Participant* root = nullptr;
-      for (auto& participant : site.participants)
-        if (participant.member_index == site.root_index) root = &participant;
-      if (root == nullptr || root->recv.data() == nullptr) return;
-      for (auto& participant : site.participants) {
-        if (participant.send.data() == nullptr) continue;
-        const std::size_t chunk = participant.send.count();
-        std::memcpy(root->recv.data() +
-                        static_cast<std::size_t>(participant.member_index) *
-                            chunk,
-                    participant.send.data(), chunk * sizeof(double));
-      }
-      return;
-    }
-    case SiteKind::Scatter: {
-      Site::Participant* root = nullptr;
-      for (auto& participant : site.participants)
-        if (participant.member_index == site.root_index) root = &participant;
-      if (root == nullptr || root->send.data() == nullptr) return;
-      for (auto& participant : site.participants) {
-        if (participant.recv.data() == nullptr) continue;
-        const std::size_t chunk = participant.recv.count();
-        std::memcpy(participant.recv.data(),
-                    root->send.data() +
-                        static_cast<std::size_t>(participant.member_index) *
-                            chunk,
-                    chunk * sizeof(double));
-      }
-      return;
-    }
-    case SiteKind::Allgather: {
-      for (auto& receiver : site.participants) {
-        if (receiver.recv.data() == nullptr) continue;
-        for (auto& sender : site.participants) {
-          if (sender.send.data() == nullptr) continue;
-          const std::size_t chunk = sender.send.count();
-          std::memcpy(receiver.recv.data() +
-                          static_cast<std::size_t>(sender.member_index) *
-                              chunk,
-                      sender.send.data(), chunk * sizeof(double));
-        }
-      }
-      return;
-    }
+    return;
   }
-}
-
-void Machine::join_bcast(int ctx, std::uint64_t seq, desim::Gate* gate,
-                         int root_index, ConstBuf send_view, Buf recv_view,
-                         net::BcastAlgo algo) {
-  auto& context = contexts_[static_cast<std::size_t>(ctx)];
-  Site& site = site_for(ctx, seq, SiteKind::Bcast,
-                        static_cast<int>(context.members.size()));
-  site.root_index = root_index;
-  site.algo = algo;
-  // The root is the participant carrying the send view (non-roots pass an
-  // empty ConstBuf).
-  if (send_view.data() != nullptr || send_view.count() > 0) {
-    site.root_buf = send_view;
-    site.bytes = send_view.bytes();
+  // Reduce: every contribution must match the first one. The sum stages in
+  // a local vector; phantom sites allocate nothing.
+  const Site::Participant& first = site.participants.front();
+  const Site::Participant* root = nullptr;
+  for (const auto& participant : site.participants) {
+    require_matching_payloads(participant.send, first.send,
+                              world(participant.member_index),
+                              world(first.member_index));
+    if (participant.member_index == site.root_index) root = &participant;
   }
-  site.participants.push_back({gate, -1, ConstBuf{}, recv_view});
-  ++site.arrived;
-  if (site.arrived == site.expected) {
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(ctx) << 40) | seq;
-    complete_site(ctx, key, site);
+  const std::size_t count = first.send.count();
+  if (!first.send.is_real() || count == 0) return;
+  HS_REQUIRE_MSG(root != nullptr && root->recv.is_real() &&
+                     root->recv.count() == count,
+                 "reduce: root recv buffer mismatch");
+  std::vector<double> sum(count, 0.0);
+  for (const auto& participant : site.participants) {
+    const double* src = participant.send.data();
+    for (std::size_t i = 0; i < count; ++i) sum[i] += src[i];
   }
-}
-
-void Machine::join_barrier(int ctx, std::uint64_t seq, desim::Gate* gate) {
-  auto& context = contexts_[static_cast<std::size_t>(ctx)];
-  Site& site = site_for(ctx, seq, SiteKind::Barrier,
-                        static_cast<int>(context.members.size()));
-  site.participants.push_back({gate, -1, ConstBuf{}, Buf{}});
-  ++site.arrived;
-  if (site.arrived == site.expected) {
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(ctx) << 40) | seq;
-    complete_site(ctx, key, site);
-  }
-}
-
-void Machine::join_data_collective(SiteKind kind, int ctx, std::uint64_t seq,
-                                   desim::Gate* gate, int member_index,
-                                   int root_index, ConstBuf send_view,
-                                   Buf recv_view) {
-  auto& context = contexts_[static_cast<std::size_t>(ctx)];
-  Site& site = site_for(ctx, seq, kind,
-                        static_cast<int>(context.members.size()));
-  site.root_index = root_index;
-  // Per-member payload size: the contribution size for reduce-family and
-  // gather/allgather, the received chunk for scatter.
-  const std::uint64_t member_bytes =
-      kind == SiteKind::Scatter ? recv_view.bytes() : send_view.bytes();
-  site.bytes = std::max(site.bytes, member_bytes);
-  site.participants.push_back({gate, member_index, send_view, recv_view});
-  ++site.arrived;
-  if (site.arrived == site.expected) {
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(ctx) << 40) | seq;
-    complete_site(ctx, key, site);
-  }
+  std::memcpy(root->recv.data(), sum.data(), count * sizeof(double));
 }
 
 }  // namespace hs::mpc

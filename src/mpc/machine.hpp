@@ -4,16 +4,18 @@
 // state to a discrete-event engine, and provides MPI-like point-to-point
 // semantics:
 //
-//   * isend/irecv are plain function calls that either match an already
-//     posted counterpart or register a pending operation — no coroutine
+//   * post_send/post_recv are plain function calls that either match an
+//     already posted counterpart or park a pending operation — no coroutine
 //     frame is allocated for a transfer, which keeps 16384-rank runs cheap.
 //   * A transfer's wire time starts when (a) both sides have posted, (b)
 //     the sender's send port is free, and (c) the receiver's receive port
 //     is free — the single-port full-duplex assumption under which the
 //     paper's broadcast cost formulas hold — and lasts
 //     NetworkModel::transfer_time(src, dst, bytes).
-//   * Blocking send/recv are awaitables over the same machinery (rendezvous
-//     semantics: the sender resumes when the transfer completes).
+//   * TransferOp (post when awaited, resume at completion: rendezvous
+//     send/recv) and PostedOp (post now, await later) are the two
+//     awaitables over that machinery; both keep their gate in the caller's
+//     coroutine frame.
 //
 // Collectives (see collectives.hpp) run either as real p2p message trees or,
 // in CollectiveMode::ClosedForm, as one synchronization site per collective
@@ -22,11 +24,9 @@
 
 #include <array>
 #include <cstdint>
-#include <iosfwd>
 #include <map>
 #include <memory>
 #include <span>
-#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -36,10 +36,10 @@
 #include "mpc/buffer.hpp"
 #include "net/bcast_cost.hpp"
 #include "net/model.hpp"
+#include "trace/recorder.hpp"
 
 namespace hs::trace {
 class MetricsRegistry;
-class Recorder;
 }  // namespace hs::trace
 
 namespace hs::fault {
@@ -52,7 +52,7 @@ class Comm;
 
 enum class CollectiveMode {
   PointToPoint,  // collectives route every tree message through the network
-  ClosedForm,    // collectives charge closed-form Hockney costs (bcast/barrier)
+  ClosedForm,    // collectives charge closed-form Hockney costs (bcast/reduce)
 };
 
 struct MachineConfig {
@@ -80,150 +80,6 @@ struct MachineConfig {
   std::vector<double> rank_gamma = {};
 };
 
-/// Optional per-transfer event recorder. Attach one to a Machine to dump
-/// a timeline of every committed transfer (virtual start/end, endpoints,
-/// size) — the raw material for Gantt-style visualization and for
-/// debugging overlap schedules.
-struct TransferRecord {
-  double start = 0.0;
-  double end = 0.0;
-  int src = -1;
-  int dst = -1;
-  std::uint64_t bytes = 0;
-  int ctx = 0;
-  int tag = 0;
-};
-
-class TransferLog {
- public:
-  void record(const TransferRecord& record) { records_.push_back(record); }
-  const std::vector<TransferRecord>& records() const noexcept {
-    return records_;
-  }
-  void clear() { records_.clear(); }
-
-  /// RFC-4180 CSV with a header row.
-  void write_csv(std::ostream& out) const;
-
- private:
-  std::vector<TransferRecord> records_;
-};
-
-/// Reusable staging storage for real-payload collectives.
-///
-/// Point-to-point collective implementations (reduce trees, scatter/gather
-/// staging, Rabenseifner working buffers) need temporary double storage per
-/// call. Allocating a fresh std::vector per collective costs an allocation
-/// and a page-fault storm on every SUMMA step; the arena instead recycles
-/// buffers through a free list, so steady-state collectives reuse the same
-/// few allocations. Checkouts are RAII Leases and may interleave arbitrarily
-/// across suspended coroutines (release order does not matter: each Lease
-/// owns its vector while checked out).
-///
-/// Phantom runs never touch the arena — phantom payloads stage nothing.
-class ScratchArena {
- public:
-  class Lease {
-   public:
-    Lease() = default;
-    Lease(Lease&& other) noexcept
-        : arena_(std::exchange(other.arena_, nullptr)),
-          storage_(std::move(other.storage_)) {}
-    Lease& operator=(Lease&& other) noexcept {
-      if (this != &other) {
-        release();
-        arena_ = std::exchange(other.arena_, nullptr);
-        storage_ = std::move(other.storage_);
-      }
-      return *this;
-    }
-    Lease(const Lease&) = delete;
-    Lease& operator=(const Lease&) = delete;
-    ~Lease() { release(); }
-
-    double* data() noexcept { return storage_.data(); }
-    std::size_t count() const noexcept { return storage_.size(); }
-    Buf buf() noexcept { return Buf(std::span<double>(storage_)); }
-    std::vector<double>& storage() noexcept { return storage_; }
-
-   private:
-    friend class ScratchArena;
-    Lease(ScratchArena* arena, std::vector<double>&& storage) noexcept
-        : arena_(arena), storage_(std::move(storage)) {}
-    void release() noexcept {
-      if (arena_ == nullptr) return;
-      try {
-        arena_->free_.push_back(std::move(storage_));
-      } catch (...) {
-        // Free-list growth failed; the storage is simply dropped.
-      }
-      arena_ = nullptr;
-    }
-    ScratchArena* arena_ = nullptr;
-    std::vector<double> storage_;
-  };
-
-  /// Check out `count` elements. Contents are *unspecified* (recycled
-  /// buffers keep stale values); callers that need zeros must fill.
-  Lease acquire(std::size_t count) {
-    std::vector<double> storage = take();
-    storage.resize(count);
-    return Lease(this, std::move(storage));
-  }
-
-  /// Check out a buffer initialized as a copy of [src, src+count).
-  Lease acquire_copy(const double* src, std::size_t count) {
-    std::vector<double> storage = take();
-    storage.assign(src, src + count);
-    return Lease(this, std::move(storage));
-  }
-
- private:
-  std::vector<double> take() {
-    if (free_.empty()) return {};
-    std::vector<double> storage = std::move(free_.back());
-    free_.pop_back();
-    return storage;
-  }
-  std::vector<std::vector<double>> free_;
-};
-
-/// Handle returned by isend/irecv; must be waited (or the op must be known
-/// complete) before destruction. Movable, not copyable.
-class Request {
- public:
-  Request() = default;
-  explicit Request(desim::Engine& engine)
-      : state_(std::make_unique<State>(engine)) {}
-  Request(Request&&) noexcept = default;
-  Request& operator=(Request&&) noexcept = default;
-
-  bool valid() const noexcept { return state_ != nullptr; }
-  bool complete() const noexcept { return state_ && state_->gate.fired(); }
-
-  /// Awaitable: resumes once the transfer has completed.
-  auto wait() {
-    HS_REQUIRE_MSG(state_ != nullptr, "waiting on an empty Request");
-    return state_->gate.wait();
-  }
-
-  desim::Gate* gate() noexcept { return state_ ? &state_->gate : nullptr; }
-
- private:
-  struct State {
-    explicit State(desim::Engine& engine) : gate(engine) {}
-    // Two Requests per message round-trip; recycle the states.
-    static void* operator new(std::size_t size) {
-      return desim::FramePool::allocate(size);
-    }
-    static void operator delete(void* ptr, std::size_t size) noexcept {
-      desim::FramePool::deallocate(ptr, size);
-    }
-    desim::Gate gate;
-  };
-  std::unique_ptr<State> state_;
-};
-
 class Machine {
  public:
   Machine(desim::Engine& engine, std::shared_ptr<const net::NetworkModel> net,
@@ -236,11 +92,6 @@ class Machine {
 
   /// Communicator over all ranks; `self` is the calling rank's world rank.
   Comm world(int self);
-
-  /// Nonblocking point-to-point. Ranks are world ranks; `ctx` is the
-  /// communicator context (cross-context messages never match).
-  Request isend(int src, int dst, int ctx, int tag, ConstBuf buf);
-  Request irecv(int src, int dst, int ctx, int tag, Buf buf);
 
   /// Awaitable compute charge: `flops * gamma_flop` virtual seconds.
   auto compute(double flops) {
@@ -285,39 +136,18 @@ class Machine {
   /// it to key synchronization sites.
   std::uint64_t next_collective_seq(int ctx, int member_index);
 
-  /// Per-communicator staging arena for real-payload collectives. The
-  /// returned reference is stable for the machine's lifetime (contexts may
-  /// be added while leases are outstanding).
-  ScratchArena& scratch_arena(int ctx);
-
   /// Closed-form collective sites (ClosedForm mode). Each member calls
-  /// join_* once per collective, in program order, and awaits the gate.
-  /// Data semantics are honored for real payloads: broadcast copies the
-  /// root's view everywhere, reduce sums contributions into the root's
-  /// receive view, gather/scatter/allgather move the member-indexed
-  /// chunks.
-  enum class SiteKind {
-    Bcast,
-    Barrier,
-    Reduce,
-    Allreduce,
-    AllreduceRabenseifner,
-    ReduceScatter,
-    Gather,
-    Scatter,
-    Allgather,
-  };
-  void join_bcast(int ctx, std::uint64_t seq, desim::Gate* gate,
-                  int root_index, ConstBuf send_view, Buf recv_view,
-                  net::BcastAlgo algo);
-  void join_barrier(int ctx, std::uint64_t seq, desim::Gate* gate);
-  /// Reduce-family join: `member_index` is the caller's rank in the
-  /// communicator, `send_view` its contribution, `recv_view` where results
-  /// land (semantics per kind; pass an empty Buf where not applicable).
-  void join_data_collective(SiteKind kind, int ctx, std::uint64_t seq,
-                            desim::Gate* gate, int member_index,
-                            int root_index, ConstBuf send_view,
-                            Buf recv_view);
+  /// join_site once per collective, in program order, and awaits `gate`.
+  /// `member_index` is the caller's rank in the communicator; a broadcast
+  /// copies the root's `send` view into every other member's `recv` view,
+  /// a reduce sums every member's `send` view into the root's `recv` view.
+  /// The views must agree as a point-to-point transfer's would: equal
+  /// element counts and payload kinds, else PreconditionError with the
+  /// transfer's message. `algo` prices a broadcast; reduce ignores it.
+  void join_site(trace::CollectiveOp op, int ctx, std::uint64_t seq,
+                 desim::Gate* gate, int member_index, int root_index,
+                 ConstBuf send, Buf recv,
+                 net::BcastAlgo algo = net::BcastAlgo::Binomial);
 
   /// Statistics: total messages matched and bytes charged (wire bytes).
   std::uint64_t messages_transferred() const noexcept { return messages_; }
@@ -330,20 +160,13 @@ class Machine {
     return transfer_latency_s_;
   }
 
-  /// Attach (or detach with nullptr) a transfer recorder; the log must
-  /// outlive the simulation. Point-to-point transfers are logged as they
-  /// commit; in ClosedForm mode every collective site emits one synthetic
-  /// record spanning [last participant entry, completion] with src = the
-  /// root's world rank (-1 for rootless collectives), dst = -1, bytes =
-  /// the site's (p-1)*bytes wire charge, and tag = -(SiteKind+1), so
-  /// synthetic rows are distinguishable from real transfers.
-  void set_transfer_log(TransferLog* log) noexcept { transfer_log_ = log; }
-
   /// Attach (or detach with nullptr) a structured trace recorder (see
   /// trace/recorder.hpp); it must outlive the simulation. The machine
-  /// feeds it wire-transfer spans and ClosedForm site spans; collective
-  /// call spans and compute spans are recorded by the collectives layer
-  /// and the kernels. Recording never perturbs virtual time.
+  /// feeds it one WireSpan per committed transfer and, in ClosedForm mode,
+  /// one SiteSpan per collective site (there are no per-message transfers
+  /// to record in that mode); collective call spans and compute spans are
+  /// recorded by the collectives layer and the kernels. Recording never
+  /// perturbs virtual time.
   void set_recorder(trace::Recorder* recorder) noexcept {
     recorder_ = recorder;
   }
@@ -363,17 +186,19 @@ class Machine {
   /// PointToPoint and ClosedForm mode). `algo_index` is the resolved
   /// net::BcastAlgo for broadcasts, -1 otherwise; `bytes` the per-member
   /// payload.
-  void note_collective(SiteKind kind, int algo_index,
+  void note_collective(trace::CollectiveOp op, int algo_index,
                        std::uint64_t bytes) noexcept;
 
   /// Dump always-on counters into `metrics` under the mpc.* namespace:
-  /// per-SiteKind call/byte counts, per-BcastAlgo usage, message/wire
+  /// per-collective call/byte counts, per-BcastAlgo usage, message/wire
   /// totals, and port busy-time gauges.
   void collect_metrics(trace::MetricsRegistry& metrics) const;
 
-  /// Shared isend/irecv body (the primitive under Request and the
-  /// send/recv awaitables below): match-and-commit (firing both gates and
-  /// returning true) or park the op.
+  /// Post one side of a point-to-point transfer (the primitive under the
+  /// TransferOp and PostedOp awaitables below). Ranks are world ranks;
+  /// `ctx` is the communicator context (cross-context messages never
+  /// match). Match-and-commit (firing both gates and returning true) or
+  /// park the op.
   bool post_send(int src, int dst, int ctx, int tag, ConstBuf buf,
                  desim::Gate* gate);
   bool post_recv(int src, int dst, int ctx, int tag, Buf buf,
@@ -399,9 +224,9 @@ class Machine {
     double recv_busy = 0.0;
   };
 
-  // One pending isend or irecv, parked at the *receiver's* RankState.
+  // One pending send or recv, parked at the *receiver's* RankState.
   // Buf/ConstBuf are flattened to (data, count) so both kinds share a
-  // slot; sends and recvs live in separate lists, and irecv buffers
+  // slot; sends and recvs live in separate lists, and recv buffers
   // round-trip through a const_cast on match. `peer` is the sender's
   // world rank for both kinds (the receiver is the list's owner).
   struct PendingOp {
@@ -417,20 +242,16 @@ class Machine {
   struct Context {
     std::vector<int> members;            // world ranks in comm-rank order
     std::vector<std::uint64_t> op_seq;   // per-member collective sequence
-    // Behind a unique_ptr so the arena address survives contexts_ growth
-    // while collective coroutines hold leases into it.
-    std::unique_ptr<ScratchArena> arena = std::make_unique<ScratchArena>();
   };
 
   struct Site {
-    SiteKind kind = SiteKind::Barrier;
+    trace::CollectiveOp op = trace::CollectiveOp::Bcast;
     int expected = 0;
     int arrived = 0;
     double max_entry = 0.0;
     int root_index = -1;
     net::BcastAlgo algo = net::BcastAlgo::Binomial;
-    ConstBuf root_buf;
-    std::uint64_t bytes = 0;  // per-member payload bytes
+    ConstBuf root_buf;  // the root's send view
     struct Participant {
       desim::Gate* gate = nullptr;
       int member_index = -1;
@@ -446,7 +267,6 @@ class Machine {
                          double send_post, double recv_post,
                          ConstBuf send_buf, Buf recv_buf);
 
-  Site& site_for(int ctx, std::uint64_t seq, SiteKind kind, int expected);
   void complete_site(int ctx, std::uint64_t key, Site& site);
   void deliver_site_payloads(int ctx, Site& site);
 
@@ -523,25 +343,26 @@ class Machine {
   std::uint64_t messages_ = 0;
   std::uint64_t bytes_ = 0;
   hs::Histogram transfer_latency_s_;
-  static constexpr int kSiteKinds = 9;
+  // Per-collective counters, indexed by CollectiveOp value.
+  static constexpr std::size_t kOpSlots =
+      static_cast<std::size_t>(trace::CollectiveOp::Reduce) + 1;
   static constexpr int kBcastAlgos =
       static_cast<int>(net::BcastAlgo::MpichAuto) + 1;
-  std::array<std::uint64_t, kSiteKinds> collective_calls_{};
-  std::array<std::uint64_t, kSiteKinds> collective_bytes_{};
+  std::array<std::uint64_t, kOpSlots> collective_calls_{};
+  std::array<std::uint64_t, kOpSlots> collective_bytes_{};
   std::array<std::uint64_t, kBcastAlgos> bcast_algo_calls_{};
-  TransferLog* transfer_log_ = nullptr;
   trace::Recorder* recorder_ = nullptr;
   const fault::FaultPlan* faults_ = nullptr;
 };
 
 /// Single-shot awaitable over one blocking point-to-point op: posts the op
-/// when awaited and resumes the caller at transfer completion. Equivalent
-/// in virtual time and event schedule to isend/irecv + Request::wait, but
-/// with the Gate inline in the caller's coroutine frame — no Request state
-/// allocation and no intermediate coroutine. This is the collectives' hot
-/// path: at the 2^20-rank scale frontier every tree edge goes through one
-/// of these. Not movable (the parked op holds the gate's address); only
-/// ever materialized directly in a co_await expression.
+/// when awaited and resumes the caller at transfer completion (rendezvous:
+/// a send resumes when its transfer completes), with the Gate inline in
+/// the caller's coroutine frame — no heap state and no intermediate
+/// coroutine. This is the collectives' hot path: at the 2^20-rank scale
+/// frontier every tree edge goes through one of these. Not movable (the
+/// parked op holds the gate's address); only ever materialized directly
+/// in a co_await expression.
 class TransferOp {
  public:
   TransferOp(Machine& machine, int src, int dst, int ctx, int tag,
@@ -567,7 +388,7 @@ class TransferOp {
     if (gate_.fired()) {
       // Matched immediately. A zero-latency completion resumes without
       // suspending (exactly Gate::wait's await_ready fast path, so event
-      // counts stay identical to the Request formulation).
+      // counts equal a PostedOp posted and awaited at once).
       if (gate_.fire_time() <= machine_->engine().now()) return false;
       machine_->engine().schedule_at(gate_.fire_time(), handle);
       return true;
@@ -586,11 +407,13 @@ class TransferOp {
   bool is_send_;
 };
 
-/// Posted-now, awaited-later counterpart of TransferOp: a Request with the
-/// gate inline instead of heap-allocated. Used where two ops must overlap
+/// Posted-now, awaited-later counterpart of TransferOp: posts on
+/// construction, `co_await op.wait()` joins. Used where ops must overlap
 /// (ring/recursive-doubling exchanges post the send and recv together,
-/// then await both). Pinned for the same reason as TransferOp; lives as a
-/// local (or std::optional) in the posting coroutine's frame.
+/// then await both; the pipelined broadcast receives the next segment
+/// while forwarding the current one). Pinned for the same reason as
+/// TransferOp; lives as a local (or std::optional) in the posting
+/// coroutine's frame.
 class PostedOp {
  public:
   PostedOp(Machine& machine, int src, int dst, int ctx, int tag,

@@ -78,61 +78,6 @@ double reduce_time(int ranks, std::uint64_t bytes, double alpha, double beta) {
   return lg * (alpha + static_cast<double>(bytes) * beta);
 }
 
-double allreduce_time(int ranks, std::uint64_t bytes, double alpha,
-                      double beta) {
-  // Implemented as binomial reduce followed by binomial broadcast.
-  return reduce_time(ranks, bytes, alpha, beta) +
-         bcast_time(BcastAlgo::Binomial, ranks, bytes, alpha, beta);
-}
-
-double allreduce_rabenseifner_time(int ranks, std::uint64_t bytes,
-                                   double alpha, double beta) {
-  if (ranks <= 1) return 0.0;
-  const double p = static_cast<double>(ranks);
-  const double lg = static_cast<double>(log2_ceil(ranks));
-  // Recursive-halving reduce-scatter: log2(p) rounds of m/2, m/4, ...
-  // then recursive-doubling allgather with the mirror sizes.
-  return 2.0 * lg * alpha +
-         2.0 * (1.0 - 1.0 / p) * static_cast<double>(bytes) * beta;
-}
-
-double reduce_scatter_time(int ranks, std::uint64_t total_bytes, double alpha,
-                           double beta) {
-  if (ranks <= 1) return 0.0;
-  const double p = static_cast<double>(ranks);
-  const double lg = static_cast<double>(log2_ceil(ranks));
-  return lg * alpha +
-         (1.0 - 1.0 / p) * static_cast<double>(total_bytes) * beta;
-}
-
-double gather_time(int ranks, std::uint64_t total_bytes, double alpha,
-                   double beta) {
-  if (ranks <= 1) return 0.0;
-  const double p = static_cast<double>(ranks);
-  const double lg = static_cast<double>(log2_ceil(ranks));
-  return lg * alpha +
-         (1.0 - 1.0 / p) * static_cast<double>(total_bytes) * beta;
-}
-
-double scatter_time(int ranks, std::uint64_t total_bytes, double alpha,
-                    double beta) {
-  return gather_time(ranks, total_bytes, alpha, beta);
-}
-
-double allgather_time(int ranks, std::uint64_t total_bytes, double alpha,
-                      double beta) {
-  if (ranks <= 1) return 0.0;
-  const double p = static_cast<double>(ranks);
-  // Ring allgather.
-  return (p - 1.0) * alpha +
-         (1.0 - 1.0 / p) * static_cast<double>(total_bytes) * beta;
-}
-
-double barrier_time(int ranks, double alpha) {
-  if (ranks <= 1) return 0.0;
-  return static_cast<double>(log2_ceil(ranks)) * alpha;  // dissemination
-}
-
 std::string_view to_string(BcastAlgo algo) {
   switch (algo) {
     case BcastAlgo::Flat: return "flat";

@@ -58,27 +58,9 @@ BcastCoefficients bcast_coefficients(BcastAlgo algo, int ranks,
 double bcast_time(BcastAlgo algo, int ranks, std::uint64_t bytes, double alpha,
                   double beta);
 
-/// Closed-form costs for the other collectives the library offers (used by
-/// the fast collective mode; matched by the p2p implementations on
-/// power-of-two rank counts).
+/// Closed-form cost of the binomial-tree reduce (the fast collective mode's
+/// charge; matched by the p2p implementation on power-of-two rank counts).
 double reduce_time(int ranks, std::uint64_t bytes, double alpha, double beta);
-/// Binomial reduce followed by binomial broadcast (the default allreduce).
-double allreduce_time(int ranks, std::uint64_t bytes, double alpha,
-                      double beta);
-/// Rabenseifner: recursive-halving reduce-scatter + recursive-doubling
-/// allgather — bandwidth-optimal for large messages (power-of-two ranks).
-double allreduce_rabenseifner_time(int ranks, std::uint64_t bytes,
-                                   double alpha, double beta);
-/// Recursive-halving reduce-scatter (each rank ends with 1/p of the sum).
-double reduce_scatter_time(int ranks, std::uint64_t total_bytes, double alpha,
-                           double beta);
-double gather_time(int ranks, std::uint64_t total_bytes, double alpha,
-                   double beta);
-double scatter_time(int ranks, std::uint64_t total_bytes, double alpha,
-                    double beta);
-double allgather_time(int ranks, std::uint64_t total_bytes, double alpha,
-                      double beta);
-double barrier_time(int ranks, double alpha);
 
 std::string_view to_string(BcastAlgo algo);
 /// Parses the names produced by to_string; throws PreconditionError on

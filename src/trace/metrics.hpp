@@ -5,7 +5,7 @@
 // exec::ParallelExecutor) or a free collector (collect_engine_metrics below)
 // that dumps their always-on counters under a dotted-name convention:
 //
-//   mpc.collective.bcast.calls     per-SiteKind call counts / payload bytes
+//   mpc.collective.bcast.calls     per-collective call counts / payload bytes
 //   mpc.bcast_algo.binomial.calls  broadcast algorithm usage
 //   mpc.port.send_busy_max_s       port utilization gauges
 //   desim.events_processed         engine event loop counters

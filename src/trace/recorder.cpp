@@ -9,14 +9,7 @@ namespace hs::trace {
 std::string_view to_string(CollectiveOp op) {
   switch (op) {
     case CollectiveOp::Bcast: return "bcast";
-    case CollectiveOp::Barrier: return "barrier";
     case CollectiveOp::Reduce: return "reduce";
-    case CollectiveOp::Allreduce: return "allreduce";
-    case CollectiveOp::AllreduceRabenseifner: return "allreduce-rabenseifner";
-    case CollectiveOp::ReduceScatter: return "reduce-scatter";
-    case CollectiveOp::Gather: return "gather";
-    case CollectiveOp::Scatter: return "scatter";
-    case CollectiveOp::Allgather: return "allgather";
   }
   return "unknown";
 }

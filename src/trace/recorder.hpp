@@ -1,13 +1,12 @@
 // Structured event recording for simulation runs.
 //
-// A Recorder is an optional sink attachable to mpc::Machine (like
-// TransferLog, but structured and collective-aware): it captures per-rank
-// *spans* for every collective call (operation, broadcast algorithm,
-// communicator context, collective sequence number, root, payload bytes,
-// virtual start/end), per-rank compute charges, pivot-step/phase markers
-// emitted by the kernels, every committed wire transfer, and — in
-// ClosedForm mode — one synthetic site span per collective, so timelines
-// cover both CollectiveModes.
+// A Recorder is an optional sink attachable to mpc::Machine: it captures
+// per-rank *spans* for every collective call (operation, broadcast
+// algorithm, communicator context, collective sequence number, root,
+// payload bytes, virtual start/end), per-rank compute charges,
+// pivot-step/phase markers emitted by the kernels, every committed wire
+// transfer, and — in ClosedForm mode — one synthetic site span per
+// collective, so timelines cover both CollectiveModes.
 //
 // Hard invariant: recording must not perturb the simulation. Every hook
 // only *reads* the engine clock (desim::Engine::now()) and appends to a
@@ -34,21 +33,16 @@ namespace hs::trace {
 
 class SpanChunkWriter;
 
-/// Collective operation identifier. Mirrors mpc::Machine::SiteKind (kept in
-/// sync by a static_assert in machine.cpp) but lives here so the trace
-/// layer needs no mpc dependency — hs_mpc links hs_trace, not vice versa.
+/// The collectives the kernels issue; mpc::Machine keys its closed-form
+/// sites and counters by it too. It lives here so the trace layer needs no
+/// mpc dependency — hs_mpc links hs_trace, not vice versa. The values are
+/// the op bytes of span chunk files (trace/stream_sink.hpp): the gap keeps
+/// the byte of a collective this library no longer offers from decoding
+/// as a different op.
 enum class CollectiveOp {
-  Bcast,
-  Barrier,
-  Reduce,
-  Allreduce,
-  AllreduceRabenseifner,
-  ReduceScatter,
-  Gather,
-  Scatter,
-  Allgather,
+  Bcast = 0,
+  Reduce = 2,
 };
-inline constexpr int kCollectiveOpCount = 9;
 std::string_view to_string(CollectiveOp op);
 
 /// Which algorithmic phase a rank is in, as reported by the kernels: flat
@@ -67,7 +61,7 @@ struct CollectiveSpan {
   int algo = -1;        // resolved net::BcastAlgo index; -1 = not a bcast
   int ctx = 0;          // communicator context id
   std::uint64_t seq = 0;  // collective sequence number on that context
-  int root = -1;        // world rank of the root; -1 = rootless collective
+  int root = -1;        // world rank of the root
   std::uint64_t bytes = 0;  // per-member payload bytes
   long long step = -1;  // kernel pivot step at call time; -1 = unmarked
   Phase phase = Phase::Flat;
@@ -97,8 +91,7 @@ struct StepMark {
   Phase phase = Phase::Flat;
 };
 
-/// One committed point-to-point wire transfer (same data as
-/// mpc::TransferRecord; duplicated here so the exporter needs no mpc types).
+/// One committed point-to-point wire transfer.
 struct WireSpan {
   double start = 0.0;
   double end = 0.0;
@@ -115,10 +108,10 @@ struct WireSpan {
 struct SiteSpan {
   double start = 0.0;  // max over participant entry times
   double end = 0.0;
-  CollectiveOp op = CollectiveOp::Barrier;
+  CollectiveOp op = CollectiveOp::Bcast;
   int ctx = 0;
   std::uint64_t seq = 0;
-  int root = -1;       // world rank of the root; -1 = rootless
+  int root = -1;       // world rank of the root
   std::uint64_t wire_bytes = 0;
   int members = 0;
 };

@@ -117,22 +117,20 @@ class FieldReader {
   std::size_t pos_ = 0;
 };
 
-/// One enum byte, rejected unless it names an enumerator in [0, last]: a
-/// corrupt or foreign chunk must fail loudly, never load a span whose kind
-/// renders as "unknown".
+/// One enum byte, rejected unless it names an enumerator (its to_string is
+/// not "unknown"): a corrupt or foreign chunk must fail loudly, never load
+/// a span whose kind renders as "unknown" or as a different kind.
 template <typename Enum>
-Enum read_enum(FieldReader& r, Enum last, const char* field,
-               const std::string& path) {
+Enum read_enum(FieldReader& r, const char* field, const std::string& path) {
   const std::size_t offset = r.pos();
   const int value = r.u8();
-  HS_REQUIRE_MSG(value <= static_cast<int>(last),
+  const auto e = static_cast<Enum>(value);
+  HS_REQUIRE_MSG(to_string(e) != "unknown",
                  "out-of-range span chunk " << field << " " << value
                                             << " at byte " << offset
                                             << " of '" << path << "'");
-  return static_cast<Enum>(value);
+  return e;
 }
-static_assert(static_cast<int>(CollectiveOp::Allgather) + 1 ==
-              kCollectiveOpCount);
 
 /// TaskSpan::label is a `const char*` into static storage when recorded
 /// live; loaded labels are interned here so the pointer contract survives a
@@ -281,14 +279,14 @@ std::uint64_t load_span_chunks(const std::string& path, Recorder& out) {
         s.start = r.f64();
         s.end = r.f64();
         s.rank = r.i32();
-        s.op = read_enum(r, CollectiveOp::Allgather, "collective op", path);
+        s.op = read_enum<CollectiveOp>(r, "collective op", path);
         s.algo = r.i32();
         s.ctx = r.i32();
         s.seq = r.u64();
         s.root = r.i32();
         s.bytes = r.u64();
         s.step = r.i64();
-        s.phase = read_enum(r, Phase::Inner, "phase", path);
+        s.phase = read_enum<Phase>(r, "phase", path);
         s.level = r.i32();
         s.closed_form = r.u8() != 0;
         out.restore(s);
@@ -301,7 +299,7 @@ std::uint64_t load_span_chunks(const std::string& path, Recorder& out) {
         s.rank = r.i32();
         s.flops = r.f64();
         s.step = r.i64();
-        s.phase = read_enum(r, Phase::Inner, "phase", path);
+        s.phase = read_enum<Phase>(r, "phase", path);
         s.level = r.i32();
         out.restore(s);
         break;
@@ -311,7 +309,7 @@ std::uint64_t load_span_chunks(const std::string& path, Recorder& out) {
         s.time = r.f64();
         s.rank = r.i32();
         s.step = r.i64();
-        s.phase = read_enum(r, Phase::Inner, "phase", path);
+        s.phase = read_enum<Phase>(r, "phase", path);
         out.restore(s);
         break;
       }
@@ -331,7 +329,7 @@ std::uint64_t load_span_chunks(const std::string& path, Recorder& out) {
         SiteSpan s;
         s.start = r.f64();
         s.end = r.f64();
-        s.op = read_enum(r, CollectiveOp::Allgather, "collective op", path);
+        s.op = read_enum<CollectiveOp>(r, "collective op", path);
         s.ctx = r.i32();
         s.seq = r.u64();
         s.root = r.i32();
@@ -344,7 +342,7 @@ std::uint64_t load_span_chunks(const std::string& path, Recorder& out) {
         FaultSpan s;
         s.start = r.f64();
         s.end = r.f64();
-        s.kind = read_enum(r, FaultKind::RankSlowdown, "fault kind", path);
+        s.kind = read_enum<FaultKind>(r, "fault kind", path);
         s.a = r.i32();
         s.b = r.i32();
         s.factor = r.f64();
@@ -356,9 +354,9 @@ std::uint64_t load_span_chunks(const std::string& path, Recorder& out) {
         s.start = r.f64();
         s.end = r.f64();
         s.rank = r.i32();
-        s.kind = read_enum(r, TaskSpanKind::Wait, "task span kind", path);
+        s.kind = read_enum<TaskSpanKind>(r, "task span kind", path);
         s.step = r.i64();
-        s.phase = read_enum(r, Phase::Inner, "phase", path);
+        s.phase = read_enum<Phase>(r, "phase", path);
         s.level = r.i32();
         s.label = intern_label(r.str());
         out.restore(s);

@@ -8,6 +8,7 @@
 // rather than to be big.
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <memory>
 #include <vector>
 
@@ -48,16 +49,16 @@ TEST(ArenaStress, PendingOpListsSurviveHeavyChurn) {
       out[static_cast<std::size_t>(r)] = me * 1000 + r;
     // Post all sends up front (parked at each receiver), then receive
     // with the tag order reversed so nothing matches until the lists are
-    // at their fullest.
-    std::vector<hs::mpc::Request> sends;
+    // at their fullest. The deque never moves its pinned PostedOps.
+    std::deque<hs::mpc::PostedOp> sends;
     for (int r = 0; r < kRounds; ++r)
       for (int peer = 0; peer < kRanks; ++peer) {
         if (peer == me) continue;
-        sends.push_back(comm.isend(
-            peer,
+        sends.emplace_back(
+            comm.machine(), me, peer, comm.context(), r,
             ConstBuf(std::span<const double>(
                 &out[static_cast<std::size_t>(r)], 1)),
-            r));
+            Buf{}, /*is_send=*/true);
       }
     for (int r = kRounds - 1; r >= 0; --r)
       for (int peer = kRanks - 1; peer >= 0; --peer) {
@@ -86,12 +87,12 @@ TEST(ArenaStress, PendingOpListsSurviveHeavyChurn) {
 }
 
 TEST(ArenaStress, MixedTransferPrimitivesInterleave) {
-  // TransferOp (frame-inline gate), PostedOp (posted-now/await-later),
-  // Request (heap state) and sendrecv all interleaved on one
-  // communicator, driven by seeded randomness — the three primitives
-  // share the same pending lists and must compose in any order. Every
-  // rank draws from the same sequence, so ring neighbors agree on each
-  // round's primitive (and so payload size), SPMD-style.
+  // TransferOp (post when awaited), PostedOp (posted-now/await-later, in
+  // both orders against a TransferOp) and sendrecv all interleaved on one
+  // communicator, driven by seeded randomness — the primitives share the
+  // same pending lists and must compose in any order. Every rank draws
+  // from the same sequence, so ring neighbors agree on each round's
+  // primitive (and so payload size), SPMD-style.
   constexpr int kRanks = 6;
   constexpr int kRounds = 64;
   Engine engine;
@@ -118,7 +119,7 @@ TEST(ArenaStress, MixedTransferPrimitivesInterleave) {
           break;
         }
         default: {
-          hs::mpc::Request recv = comm.irecv(left, Buf::phantom(8), r);
+          hs::mpc::PostedOp recv = comm.recv_posted(left, Buf::phantom(8), r);
           co_await comm.send_op(right, ConstBuf::phantom(8), r);
           co_await recv.wait();
           break;

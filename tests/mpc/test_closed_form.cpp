@@ -1,9 +1,12 @@
-// Closed-form mode for the data collectives (reduce / allreduce / gather /
-// scatter / allgather): timing equals the closed forms and data semantics
-// match the point-to-point implementations.
+// Closed-form mode for reduce, and the payload contract of closed-form
+// sites: timing equals the closed forms, data semantics match the
+// point-to-point implementations, and a site rejects exactly the buffers
+// a routed transfer would.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/runner.hpp"
@@ -49,90 +52,19 @@ TEST(ClosedFormData, ReduceSumsToRoot) {
                    hs::net::reduce_time(kRanks, kCount * 8, kAlpha, kBeta));
 }
 
-TEST(ClosedFormData, AllreduceDeliversEverywhere) {
-  constexpr int kRanks = 4;
-  std::vector<std::vector<double>> results(kRanks, std::vector<double>(16));
-  const double t = run_closed(kRanks, [&](Comm comm) -> Task<void> {
-    std::vector<double> mine(16, static_cast<double>(comm.rank()));
-    co_await hs::mpc::allreduce(
-        comm, std::span<const double>(mine),
-        Buf(std::span<double>(results[static_cast<std::size_t>(comm.rank())])));
-  });
-  for (const auto& r : results)
-    for (double v : r) EXPECT_DOUBLE_EQ(v, 6.0);  // 0+1+2+3
-  EXPECT_DOUBLE_EQ(t, hs::net::allreduce_time(kRanks, 16 * 8, kAlpha, kBeta));
-}
-
-TEST(ClosedFormData, GatherCollectsByRank) {
-  constexpr int kRanks = 6;
-  constexpr std::size_t kChunk = 5;
-  std::vector<double> all(kChunk * kRanks, -1.0);
-  run_closed(kRanks, [&](Comm comm) -> Task<void> {
-    std::vector<double> mine(kChunk, static_cast<double>(comm.rank() * 10));
-    co_await hs::mpc::gather(comm, 2, std::span<const double>(mine),
-                             comm.rank() == 2 ? Buf(std::span<double>(all))
-                                              : Buf{});
-  });
-  for (int r = 0; r < kRanks; ++r)
-    for (std::size_t i = 0; i < kChunk; ++i)
-      EXPECT_EQ(all[static_cast<std::size_t>(r) * kChunk + i],
-                static_cast<double>(r * 10));
-}
-
-TEST(ClosedFormData, ScatterDistributesByRank) {
-  constexpr int kRanks = 4;
-  constexpr std::size_t kChunk = 3;
-  std::vector<double> source(kChunk * kRanks);
-  for (std::size_t i = 0; i < source.size(); ++i)
-    source[i] = static_cast<double>(i);
-  std::vector<std::vector<double>> received(kRanks,
-                                            std::vector<double>(kChunk));
-  run_closed(kRanks, [&](Comm comm) -> Task<void> {
-    co_await hs::mpc::scatter(
-        comm, 1,
-        comm.rank() == 1 ? ConstBuf(std::span<const double>(source))
-                         : ConstBuf{},
-        Buf(std::span<double>(received[static_cast<std::size_t>(comm.rank())])));
-  });
-  for (int r = 0; r < kRanks; ++r)
-    for (std::size_t i = 0; i < kChunk; ++i)
-      EXPECT_EQ(received[static_cast<std::size_t>(r)][i],
-                static_cast<double>(static_cast<std::size_t>(r) * kChunk + i));
-}
-
-TEST(ClosedFormData, AllgatherSharesEverything) {
-  constexpr int kRanks = 5;
-  constexpr std::size_t kChunk = 2;
-  std::vector<std::vector<double>> all(
-      kRanks, std::vector<double>(kChunk * kRanks, -1.0));
-  const double t = run_closed(kRanks, [&](Comm comm) -> Task<void> {
-    std::vector<double> mine(kChunk, static_cast<double>(comm.rank() + 100));
-    co_await hs::mpc::allgather(
-        comm, std::span<const double>(mine),
-        Buf(std::span<double>(all[static_cast<std::size_t>(comm.rank())])));
-  });
-  for (int holder = 0; holder < kRanks; ++holder)
-    for (int r = 0; r < kRanks; ++r)
-      for (std::size_t i = 0; i < kChunk; ++i)
-        EXPECT_EQ(all[static_cast<std::size_t>(holder)]
-                     [static_cast<std::size_t>(r) * kChunk + i],
-                  static_cast<double>(r + 100));
-  EXPECT_DOUBLE_EQ(
-      t, hs::net::allgather_time(kRanks, kChunk * kRanks * 8, kAlpha, kBeta));
-}
-
 TEST(ClosedFormData, PhantomPayloadsChargeTimeOnly) {
   constexpr int kRanks = 16;
   const double t = run_closed(kRanks, [&](Comm comm) -> Task<void> {
     co_await hs::mpc::reduce(comm, 0, ConstBuf::phantom(1024),
                              Buf::phantom(1024));
-    co_await hs::mpc::allgather(comm, ConstBuf::phantom(64),
-                                Buf::phantom(64 * kRanks));
+    co_await hs::mpc::bcast(comm, 5, Buf::phantom(64),
+                            hs::net::BcastAlgo::ScatterRingAllgather);
   });
   EXPECT_DOUBLE_EQ(t,
                    hs::net::reduce_time(kRanks, 1024 * 8, kAlpha, kBeta) +
-                       hs::net::allgather_time(kRanks, 64 * kRanks * 8,
-                                               kAlpha, kBeta));
+                       hs::net::bcast_time(
+                           hs::net::BcastAlgo::ScatterRingAllgather, kRanks,
+                           64 * 8, kAlpha, kBeta));
 }
 
 TEST(ClosedFormData, WireAccountingMatchesBinomialPointToPoint) {
@@ -183,6 +115,93 @@ TEST(ClosedFormData, Summa25DRunsAtScaleInClosedForm) {
   const auto result = hs::core::run(machine, options);
   EXPECT_GT(result.timing.max_comm_time, 0.0);
   EXPECT_GT(result.messages, 0u);
+}
+
+// ---- the payload contract, in both modes --------------------------------
+
+// Runs `program` on every rank and returns the PreconditionError message
+// the run ends with ("" when it completes).
+std::string run_error(CollectiveMode mode, int ranks,
+                      const std::function<Task<void>(Comm)>& program) {
+  Engine engine;
+  Machine machine(engine, hockney(),
+                  {.ranks = ranks, .collective_mode = mode});
+  try {
+    hs::mpc::run_spmd(machine, program);
+  } catch (const hs::PreconditionError& error) {
+    return error.what();
+  }
+  return "";
+}
+
+constexpr CollectiveMode kModes[] = {CollectiveMode::PointToPoint,
+                                     CollectiveMode::ClosedForm};
+
+const char* mode_name(CollectiveMode mode) {
+  return mode == CollectiveMode::ClosedForm ? "closed-form" : "point-to-point";
+}
+
+TEST(ClosedFormData, BcastRejectsShortReceiveBuffer) {
+  // The root sends 8 elements; the receiver's 4-element span sits inside a
+  // larger vector, so an unchecked copy would overwrite the guard after it.
+  for (const CollectiveMode mode : kModes) {
+    SCOPED_TRACE(mode_name(mode));
+    std::vector<double> root_data(8, 3.0);
+    std::vector<double> receiver(8, -1.0);
+    const std::string error = run_error(mode, 2, [&](Comm comm) -> Task<void> {
+      Buf buf = comm.rank() == 0 ? Buf(std::span<double>(root_data))
+                                 : Buf(std::span<double>(receiver.data(), 4));
+      co_await hs::mpc::bcast(comm, 0, buf, hs::net::BcastAlgo::Binomial);
+    });
+    EXPECT_NE(error.find("send/recv size mismatch: 8 vs 4 elements"),
+              std::string::npos)
+        << error;
+    EXPECT_EQ(receiver[4], -1.0);
+  }
+}
+
+TEST(ClosedFormData, ReduceRejectsUnequalContributions) {
+  for (const CollectiveMode mode : kModes) {
+    SCOPED_TRACE(mode_name(mode));
+    std::vector<double> result(8, 0.0);
+    const std::string error = run_error(mode, 2, [&](Comm comm) -> Task<void> {
+      std::vector<double> mine(comm.rank() == 0 ? 4 : 8, 1.0);
+      co_await hs::mpc::reduce(
+          comm, 0, std::span<const double>(mine),
+          comm.rank() == 0 ? Buf(std::span<double>(result.data(), 4)) : Buf{});
+    });
+    EXPECT_NE(error.find("send/recv size mismatch"), std::string::npos)
+        << error;
+  }
+}
+
+TEST(ClosedFormData, SitesRejectRealPhantomMix) {
+  for (const CollectiveMode mode : kModes) {
+    SCOPED_TRACE(mode_name(mode));
+    std::vector<double> data(4, 1.0);
+    const std::string bcast_error =
+        run_error(mode, 2, [&](Comm comm) -> Task<void> {
+          Buf buf = comm.rank() == 0 ? Buf(std::span<double>(data))
+                                     : Buf::phantom(4);
+          co_await hs::mpc::bcast(comm, 0, buf, hs::net::BcastAlgo::Binomial);
+        });
+    EXPECT_NE(bcast_error.find("mixing real and phantom payloads"),
+              std::string::npos)
+        << bcast_error;
+    const std::string reduce_error =
+        run_error(mode, 2, [&](Comm comm) -> Task<void> {
+          std::vector<double> mine(4, 1.0);
+          ConstBuf send = comm.rank() == 0
+                              ? ConstBuf(std::span<const double>(mine))
+                              : ConstBuf::phantom(4);
+          co_await hs::mpc::reduce(
+              comm, 0, send,
+              comm.rank() == 0 ? Buf(std::span<double>(data)) : Buf{});
+        });
+    EXPECT_NE(reduce_error.find("mixing real and phantom payloads"),
+              std::string::npos)
+        << reduce_error;
+  }
 }
 
 }  // namespace

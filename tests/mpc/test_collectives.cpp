@@ -178,17 +178,18 @@ TEST(ClosedFormMode, BackToBackCollectivesKeepOrder) {
   auto program = [&](Comm comm) -> Task<void> {
     co_await hs::mpc::bcast(comm, 0, Buf::phantom(64), BcastAlgo::Binomial);
     co_await hs::mpc::bcast(comm, 3, Buf::phantom(256), BcastAlgo::Binomial);
-    co_await hs::mpc::barrier(comm);
+    co_await hs::mpc::reduce(comm, 5, ConstBuf::phantom(32),
+                             Buf::phantom(32));
   };
   const double t = hs::mpc::run_spmd(machine, program);
   const double expected =
       hs::net::bcast_time(BcastAlgo::Binomial, 8, 64 * 8, kAlpha, kBeta) +
       hs::net::bcast_time(BcastAlgo::Binomial, 8, 256 * 8, kAlpha, kBeta) +
-      hs::net::barrier_time(8, kAlpha);
+      hs::net::reduce_time(8, 32 * 8, kAlpha, kBeta);
   EXPECT_DOUBLE_EQ(t, expected);
 }
 
-// ---- other collectives --------------------------------------------------
+// ---- reduce ------------------------------------------------------------
 
 class RankCountTest : public ::testing::TestWithParam<int> {};
 
@@ -216,107 +217,6 @@ TEST_P(RankCountTest, ReduceSumsContributions) {
     EXPECT_DOUBLE_EQ(result[i], rank_sum * static_cast<double>(i));
 }
 
-TEST_P(RankCountTest, AllreduceGivesEveryoneTheSum) {
-  const int ranks = GetParam();
-  Engine engine;
-  Machine machine(engine, hockney(), {.ranks = ranks});
-  std::vector<std::vector<double>> results(
-      static_cast<std::size_t>(ranks), std::vector<double>(5, 0.0));
-  auto program = [&](Comm comm) -> Task<void> {
-    std::vector<double> mine(5, static_cast<double>(comm.rank() + 1));
-    co_await hs::mpc::allreduce(
-        comm, std::span<const double>(mine),
-        Buf(std::span<double>(results[static_cast<std::size_t>(comm.rank())])));
-  };
-  hs::mpc::run_spmd(machine, program);
-  const double expected = ranks * (ranks + 1) / 2.0;
-  for (const auto& r : results)
-    for (double v : r) EXPECT_DOUBLE_EQ(v, expected);
-}
-
-TEST_P(RankCountTest, GatherCollectsInRankOrder) {
-  const int ranks = GetParam();
-  const int root = ranks / 2;
-  constexpr std::size_t kChunk = 7;
-  Engine engine;
-  Machine machine(engine, hockney(), {.ranks = ranks});
-  std::vector<double> all(kChunk * static_cast<std::size_t>(ranks), -1.0);
-  auto program = [&](Comm comm) -> Task<void> {
-    std::vector<double> mine(kChunk, static_cast<double>(comm.rank()));
-    co_await hs::mpc::gather(comm, root, std::span<const double>(mine),
-                             comm.rank() == root ? Buf(std::span<double>(all))
-                                                 : Buf{});
-  };
-  hs::mpc::run_spmd(machine, program);
-  for (int r = 0; r < ranks; ++r)
-    for (std::size_t i = 0; i < kChunk; ++i)
-      EXPECT_EQ(all[static_cast<std::size_t>(r) * kChunk + i],
-                static_cast<double>(r));
-}
-
-TEST_P(RankCountTest, ScatterDistributesInRankOrder) {
-  const int ranks = GetParam();
-  const int root = ranks - 1;
-  constexpr std::size_t kChunk = 5;
-  Engine engine;
-  Machine machine(engine, hockney(), {.ranks = ranks});
-  std::vector<double> source(kChunk * static_cast<std::size_t>(ranks));
-  for (std::size_t i = 0; i < source.size(); ++i)
-    source[i] = static_cast<double>(i);
-  std::vector<std::vector<double>> received(
-      static_cast<std::size_t>(ranks), std::vector<double>(kChunk, -1.0));
-  auto program = [&](Comm comm) -> Task<void> {
-    co_await hs::mpc::scatter(
-        comm, root,
-        comm.rank() == root ? ConstBuf(std::span<const double>(source))
-                            : ConstBuf{},
-        Buf(std::span<double>(received[static_cast<std::size_t>(comm.rank())])));
-  };
-  hs::mpc::run_spmd(machine, program);
-  for (int r = 0; r < ranks; ++r)
-    for (std::size_t i = 0; i < kChunk; ++i)
-      EXPECT_EQ(received[static_cast<std::size_t>(r)][i],
-                static_cast<double>(static_cast<std::size_t>(r) * kChunk + i));
-}
-
-TEST_P(RankCountTest, AllgatherGivesEveryoneEverything) {
-  const int ranks = GetParam();
-  constexpr std::size_t kChunk = 3;
-  Engine engine;
-  Machine machine(engine, hockney(), {.ranks = ranks});
-  std::vector<std::vector<double>> all(
-      static_cast<std::size_t>(ranks),
-      std::vector<double>(kChunk * static_cast<std::size_t>(ranks), -1.0));
-  auto program = [&](Comm comm) -> Task<void> {
-    std::vector<double> mine(kChunk, static_cast<double>(comm.rank() * 10));
-    co_await hs::mpc::allgather(
-        comm, std::span<const double>(mine),
-        Buf(std::span<double>(all[static_cast<std::size_t>(comm.rank())])));
-  };
-  hs::mpc::run_spmd(machine, program);
-  for (int holder = 0; holder < ranks; ++holder)
-    for (int r = 0; r < ranks; ++r)
-      for (std::size_t i = 0; i < kChunk; ++i)
-        EXPECT_EQ(all[static_cast<std::size_t>(holder)]
-                     [static_cast<std::size_t>(r) * kChunk + i],
-                  static_cast<double>(r * 10));
-}
-
-TEST_P(RankCountTest, BarrierSynchronizesStragglers) {
-  const int ranks = GetParam();
-  Engine engine;
-  Machine machine(engine, hockney(), {.ranks = ranks});
-  std::vector<double> exit_times(static_cast<std::size_t>(ranks));
-  auto program = [&](Comm comm) -> Task<void> {
-    co_await engine.sleep(static_cast<double>(comm.rank()) * 0.1);
-    co_await hs::mpc::barrier(comm);
-    exit_times[static_cast<std::size_t>(comm.rank())] = engine.now();
-  };
-  hs::mpc::run_spmd(machine, program);
-  const double slowest_entry = (ranks - 1) * 0.1;
-  for (double t : exit_times) EXPECT_GE(t, slowest_entry);
-}
-
 INSTANTIATE_TEST_SUITE_P(Sweep, RankCountTest,
                          ::testing::Values(1, 2, 3, 4, 5, 8, 13, 16));
 
@@ -329,16 +229,6 @@ TEST(Reduce, PhantomModeChargesTimeOnly) {
   };
   const double t = hs::mpc::run_spmd(machine, program);
   EXPECT_DOUBLE_EQ(t, hs::net::reduce_time(8, 512 * 8, kAlpha, kBeta));
-}
-
-TEST(Barrier, TimingMatchesDissemination) {
-  Engine engine;
-  Machine machine(engine, hockney(), {.ranks = 16});
-  auto program = [&](Comm comm) -> Task<void> {
-    co_await hs::mpc::barrier(comm);
-  };
-  const double t = hs::mpc::run_spmd(machine, program);
-  EXPECT_DOUBLE_EQ(t, hs::net::barrier_time(16, kAlpha));
 }
 
 }  // namespace

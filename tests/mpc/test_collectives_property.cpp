@@ -3,8 +3,7 @@
 // Two properties over a seeded sweep of (ranks, count, root, phantom/real):
 //
 //   1. Payload agreement: every broadcast algorithm delivers payloads
-//      identical to the flat-tree reference, and every allreduce variant
-//      delivers the element-wise sum of all contributions.
+//      identical to the flat-tree reference.
 //   2. Phantom/real time agreement: the phantom variant of a call reports
 //      exactly the same per-rank virtual completion times as the real
 //      variant — phantom payloads change what is *stored*, never what is
@@ -29,7 +28,6 @@ namespace {
 using hs::Rng;
 using hs::desim::Engine;
 using hs::desim::Task;
-using hs::mpc::AllreduceAlgo;
 using hs::mpc::Buf;
 using hs::mpc::CollectiveMode;
 using hs::mpc::Comm;
@@ -122,35 +120,11 @@ CollectiveRun run_bcast(const SweepCase& c, CollectiveMode mode,
       });
 }
 
-CollectiveRun run_allreduce(const SweepCase& c, CollectiveMode mode,
-                            AllreduceAlgo algo, bool real) {
-  return drive(
-      c.ranks, mode, c.count, real,
-      [&](Comm comm, std::vector<double>& payload) -> Task<void> {
-        std::vector<double> send_storage;
-        ConstBuf send = ConstBuf::phantom(c.count);
-        Buf recv = Buf::phantom(c.count);
-        if (!payload.empty()) {
-          send_storage.resize(c.count);
-          for (std::size_t i = 0; i < c.count; ++i)
-            send_storage[i] = element_value(comm.rank(), i);
-          send = ConstBuf(std::span<const double>(send_storage));
-          recv = Buf(std::span<double>(payload));
-        }
-        co_await hs::mpc::allreduce(comm, send, recv, algo);
-      });
-}
-
 constexpr BcastAlgo kBcastAlgos[] = {
     BcastAlgo::Flat,          BcastAlgo::Binomial,
     BcastAlgo::ScatterRingAllgather,
     BcastAlgo::ScatterRecDblAllgather,
     BcastAlgo::Pipelined,     BcastAlgo::MpichAuto,
-};
-
-constexpr AllreduceAlgo kAllreduceAlgos[] = {
-    AllreduceAlgo::ReduceBcast,
-    AllreduceAlgo::Rabenseifner,
 };
 
 // ---- property 1: payload agreement -------------------------------------
@@ -183,28 +157,6 @@ TEST(CollectivesProperty, ClosedFormBcastMatchesFlatReference) {
   }
 }
 
-TEST(CollectivesProperty, AllreduceAlgosDeliverElementwiseSum) {
-  for (const SweepCase& c : sweep_cases()) {
-    std::vector<double> expected(c.count, 0.0);
-    for (int r = 0; r < c.ranks; ++r)
-      for (std::size_t i = 0; i < c.count; ++i)
-        expected[i] += element_value(r, i);
-    for (CollectiveMode mode :
-         {CollectiveMode::PointToPoint, CollectiveMode::ClosedForm}) {
-      for (AllreduceAlgo algo : kAllreduceAlgos) {
-        const CollectiveRun run = run_allreduce(c, mode, algo, /*real=*/true);
-        for (int r = 0; r < c.ranks; ++r)
-          for (std::size_t i = 0; i < c.count; ++i)
-            ASSERT_DOUBLE_EQ(run.payloads[static_cast<std::size_t>(r)][i],
-                             expected[i])
-                << "mode=" << static_cast<int>(mode)
-                << " algo=" << static_cast<int>(algo) << " ranks=" << c.ranks
-                << " count=" << c.count << " rank=" << r << " i=" << i;
-      }
-    }
-  }
-}
-
 // ---- property 2: phantom and real runs agree on virtual time -----------
 
 TEST(CollectivesProperty, BcastPhantomAndRealTimesIdentical) {
@@ -220,24 +172,6 @@ TEST(CollectivesProperty, BcastPhantomAndRealTimesIdentical) {
             << "mode=" << static_cast<int>(mode)
             << " algo=" << hs::net::to_string(algo) << " ranks=" << c.ranks
             << " count=" << c.count << " root=" << c.root;
-      }
-    }
-  }
-}
-
-TEST(CollectivesProperty, AllreducePhantomAndRealTimesIdentical) {
-  for (const SweepCase& c : sweep_cases()) {
-    for (CollectiveMode mode :
-         {CollectiveMode::PointToPoint, CollectiveMode::ClosedForm}) {
-      for (AllreduceAlgo algo : kAllreduceAlgos) {
-        const CollectiveRun real = run_allreduce(c, mode, algo,
-                                                 /*real=*/true);
-        const CollectiveRun phantom =
-            run_allreduce(c, mode, algo, /*real=*/false);
-        ASSERT_EQ(phantom.finish_times, real.finish_times)
-            << "mode=" << static_cast<int>(mode)
-            << " algo=" << static_cast<int>(algo) << " ranks=" << c.ranks
-            << " count=" << c.count;
       }
     }
   }

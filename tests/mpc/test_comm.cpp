@@ -86,20 +86,6 @@ TEST(Comm, DifferentMembershipsGetDifferentContexts) {
   EXPECT_NE(a.context(), c.context());
 }
 
-TEST(Comm, SplitGroupsByColorOrdersByKey) {
-  Engine engine;
-  Machine machine(engine, hockney(), {.ranks = 6});
-  // Colors: even/odd rank; keys: descending rank.
-  Comm world = machine.world(4);
-  Comm evens = world.split([](int r) { return r % 2; },
-                           [](int r) { return -r; });
-  EXPECT_EQ(evens.size(), 3);
-  EXPECT_EQ(evens.world_rank(0), 4);
-  EXPECT_EQ(evens.world_rank(1), 2);
-  EXPECT_EQ(evens.world_rank(2), 0);
-  EXPECT_EQ(evens.rank(), 0);
-}
-
 TEST(Comm, MessagesDoNotCrossCommunicators) {
   Engine engine;
   Machine machine(engine, hockney(), {.ranks = 4});
@@ -110,10 +96,10 @@ TEST(Comm, MessagesDoNotCrossCommunicators) {
 
   auto rank0 = [&](Comm world) -> Task<void> {
     Comm sub = world.sub({0, 1});
-    hs::mpc::Request world_send =
-        world.isend(1, std::span<const double>(world_data), /*tag=*/5);
-    hs::mpc::Request sub_send =
-        sub.isend(1, std::span<const double>(sub_data), /*tag=*/5);
+    hs::mpc::PostedOp world_send =
+        world.send_posted(1, std::span<const double>(world_data), /*tag=*/5);
+    hs::mpc::PostedOp sub_send =
+        sub.send_posted(1, std::span<const double>(sub_data), /*tag=*/5);
     co_await world_send.wait();
     co_await sub_send.wait();
   };
@@ -121,10 +107,10 @@ TEST(Comm, MessagesDoNotCrossCommunicators) {
     Comm sub = world.sub({0, 1});
     // Post the sub receive first: if contexts leaked it would steal the
     // world message (FIFO on the pair).
-    hs::mpc::Request sub_recv =
-        sub.irecv(0, std::span<double>(got_sub), /*tag=*/5);
-    hs::mpc::Request world_recv =
-        world.irecv(0, std::span<double>(got_world), /*tag=*/5);
+    hs::mpc::PostedOp sub_recv =
+        sub.recv_posted(0, std::span<double>(got_sub), /*tag=*/5);
+    hs::mpc::PostedOp world_recv =
+        world.recv_posted(0, std::span<double>(got_world), /*tag=*/5);
     co_await sub_recv.wait();
     co_await world_recv.wait();
   };

@@ -2,7 +2,7 @@
 // machine that materializes rank pages on first touch and one that
 // materializes everything up front (MachineConfig::eager_rank_state)
 // produce bit-identical virtual times, wire counters, event counts and
-// per-transfer logs. This is the property that lets million-rank
+// recorded wire/site spans. This is the property that lets million-rank
 // simulations pay memory only for the ranks a phase actually touches.
 //
 // The first half is a randomized property test over grids, kernels,
@@ -19,6 +19,7 @@
 #include "core/kernel_registry.hpp"
 #include "core/runner.hpp"
 #include "mpc/collectives.hpp"
+#include "trace/recorder.hpp"
 
 namespace {
 
@@ -30,7 +31,6 @@ using hs::mpc::Buf;
 using hs::mpc::Comm;
 using hs::mpc::ConstBuf;
 using hs::mpc::Machine;
-using hs::mpc::TransferLog;
 
 struct Observed {
   double virtual_time = 0.0;
@@ -39,7 +39,7 @@ struct Observed {
   std::uint64_t wire_bytes = 0;
   double total_time = 0.0;
   double max_comm_time = 0.0;
-  std::string transfers;  // CSV dump of the TransferLog, bit for bit
+  std::string spans;  // hexfloat dump of the recorded wires and sites
 };
 
 Observed run_kernel(const RunOptions& options, int ranks, bool eager) {
@@ -49,8 +49,8 @@ Observed run_kernel(const RunOptions& options, int ranks, bool eager) {
                   {.ranks = ranks,
                    .gamma_flop = 1e-10,
                    .eager_rank_state = eager});
-  TransferLog log;
-  machine.set_transfer_log(&log);
+  hs::trace::Recorder recorder;
+  machine.set_recorder(&recorder);
   const auto result = hs::core::run(machine, options);
 
   Observed observed;
@@ -60,9 +60,17 @@ Observed run_kernel(const RunOptions& options, int ranks, bool eager) {
   observed.wire_bytes = result.wire_bytes;
   observed.total_time = result.timing.total_time;
   observed.max_comm_time = result.timing.max_comm_time;
-  std::ostringstream csv;
-  log.write_csv(csv);
-  observed.transfers = csv.str();
+  std::ostringstream dump;
+  dump << std::hexfloat;
+  for (const auto& w : recorder.wires())
+    dump << "wire " << w.start << ' ' << w.end << ' ' << w.src << ' ' << w.dst
+         << ' ' << w.bytes << ' ' << w.ctx << ' ' << w.tag << '\n';
+  for (const auto& site : recorder.sites())
+    dump << "site " << site.start << ' ' << site.end << ' '
+         << hs::trace::to_string(site.op) << ' ' << site.ctx << ' '
+         << site.seq << ' ' << site.root << ' ' << site.wire_bytes << ' '
+         << site.members << '\n';
+  observed.spans = dump.str();
   return observed;
 }
 
@@ -75,7 +83,7 @@ void expect_identical(const Observed& lazy, const Observed& eager) {
   EXPECT_EQ(lazy.wire_bytes, eager.wire_bytes);
   EXPECT_EQ(lazy.total_time, eager.total_time);
   EXPECT_EQ(lazy.max_comm_time, eager.max_comm_time);
-  EXPECT_EQ(lazy.transfers, eager.transfers);
+  EXPECT_EQ(lazy.spans, eager.spans);
 }
 
 TEST(LazyRanks, RandomizedKernelRunsAreBitIdenticalToEager) {

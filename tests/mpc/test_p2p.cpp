@@ -16,7 +16,7 @@ using hs::mpc::Buf;
 using hs::mpc::Comm;
 using hs::mpc::ConstBuf;
 using hs::mpc::Machine;
-using hs::mpc::Request;
+using hs::mpc::PostedOp;
 
 constexpr double kAlpha = 1e-4;
 constexpr double kBeta = 1e-9;
@@ -76,8 +76,8 @@ TEST(P2P, SendPortSerializesConcurrentIsends) {
   std::vector<double> done(3, 0.0);
 
   auto sender = [&](Comm comm) -> Task<void> {
-    Request r1 = comm.isend(1, ConstBuf::phantom(1000));
-    Request r2 = comm.isend(2, ConstBuf::phantom(1000));
+    PostedOp r1 = comm.send_posted(1, ConstBuf::phantom(1000), 0);
+    PostedOp r2 = comm.send_posted(2, ConstBuf::phantom(1000), 0);
     co_await r1.wait();
     co_await r2.wait();
     done[0] = engine.now();
@@ -106,8 +106,8 @@ TEST(P2P, RecvPortSerializesConcurrentSenders) {
     co_await comm.send(2, ConstBuf::phantom(1000));
   };
   auto receiver = [&](Comm comm) -> Task<void> {
-    Request a = comm.irecv(0, Buf::phantom(1000));
-    Request b = comm.irecv(1, Buf::phantom(1000));
+    PostedOp a = comm.recv_posted(0, Buf::phantom(1000), 0);
+    PostedOp b = comm.recv_posted(1, Buf::phantom(1000), 0);
     co_await a.wait();
     co_await b.wait();
   };
@@ -142,15 +142,17 @@ TEST(P2P, TagsKeepMessagesApart) {
 
   auto sender = [&](Comm comm) -> Task<void> {
     // Send tag 9 first, tag 7 second: matching must follow tags, not order.
-    Request r1 = comm.isend(1, std::span<const double>(second), /*tag=*/9);
-    Request r2 = comm.isend(1, std::span<const double>(first), /*tag=*/7);
+    PostedOp r1 =
+        comm.send_posted(1, std::span<const double>(second), /*tag=*/9);
+    PostedOp r2 =
+        comm.send_posted(1, std::span<const double>(first), /*tag=*/7);
     co_await r1.wait();
     co_await r2.wait();
   };
   auto receiver = [&](Comm comm) -> Task<void> {
     std::vector<double> buf7(1), buf9(1);
-    Request r7 = comm.irecv(0, std::span<double>(buf7), /*tag=*/7);
-    Request r9 = comm.irecv(0, std::span<double>(buf9), /*tag=*/9);
+    PostedOp r7 = comm.recv_posted(0, std::span<double>(buf7), /*tag=*/7);
+    PostedOp r9 = comm.recv_posted(0, std::span<double>(buf9), /*tag=*/9);
     co_await r7.wait();
     co_await r9.wait();
     got_tag7 = buf7[0];
@@ -239,8 +241,9 @@ TEST(P2P, NegativeUserTagRejected) {
   Engine engine;
   Machine machine(engine, hockney(), {.ranks = 2});
   Comm world = machine.world(0);
-  EXPECT_THROW(world.isend(1, ConstBuf::phantom(1), -5),
+  EXPECT_THROW(world.send(1, ConstBuf::phantom(1), -5),
                hs::PreconditionError);
+  EXPECT_THROW(world.recv(1, Buf::phantom(1), -5), hs::PreconditionError);
 }
 
 TEST(P2P, ZeroByteMessageChargesLatency) {

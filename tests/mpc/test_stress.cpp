@@ -2,9 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "mpc/collectives.hpp"
+#include "net/platform.hpp"
 #include "net/topology.hpp"
 
 namespace {
@@ -90,7 +92,7 @@ TEST(Stress, InterleavedCollectivesAcrossManySteps) {
 }
 
 TEST(Stress, MismatchedClosedFormCollectivesDetected) {
-  // One rank issues a broadcast while the others issue a barrier at the
+  // One rank issues a broadcast while the others issue a reduce at the
   // same sequence point: the machine must diagnose it, not hang silently.
   Engine engine;
   Machine machine(engine, hockney(),
@@ -101,7 +103,8 @@ TEST(Stress, MismatchedClosedFormCollectivesDetected) {
       co_await hs::mpc::bcast(comm, 0, Buf::phantom(8),
                               hs::net::BcastAlgo::Binomial);
     else
-      co_await hs::mpc::barrier(comm);
+      co_await hs::mpc::reduce(comm, 0, ConstBuf::phantom(8),
+                               Buf::phantom(8));
   };
   for (int r = 0; r < 4; ++r)
     engine.spawn(program(machine.world(r)), "rank " + std::to_string(r));
@@ -152,7 +155,8 @@ TEST(Stress, CollectivesOnTorusTopologyComplete) {
         comm, 3,
         Buf(std::span<double>(bufs[static_cast<std::size_t>(comm.rank())])),
         hs::net::BcastAlgo::Binomial);
-    co_await hs::mpc::barrier(comm);
+    co_await hs::mpc::reduce(comm, 0, ConstBuf::phantom(64),
+                             Buf::phantom(64));
   };
   hs::mpc::run_spmd(machine, program);
   for (const auto& buf : bufs)
@@ -164,7 +168,33 @@ TEST(Stress, ExceptionInsideOneRankAbortsRun) {
   Machine machine(engine, hockney(), {.ranks = 4});
   auto program = [&](Comm comm) -> Task<void> {
     if (comm.rank() == 2) throw std::runtime_error("injected fault");
-    co_await hs::mpc::barrier(comm);
+    co_await hs::mpc::bcast(comm, 0, Buf::phantom(8),
+                            hs::net::BcastAlgo::Binomial);
+  };
+  for (int r = 0; r < 4; ++r)
+    engine.spawn(program(machine.world(r)), "rank " + std::to_string(r));
+  EXPECT_THROW(engine.run(), std::runtime_error);
+}
+
+TEST(Stress, AbortedRealReduceTearsDownInDeclarationOrder) {
+  // Ranks 0-2 sit suspended inside a real-payload reduce, staging buffers
+  // live, when rank 3 throws. The engine is declared before the machine
+  // (as in exec::run_sim_job), so the machine dies first and the engine
+  // then destroys the suspended frames: nothing a frame frees on the way
+  // out may point into the machine.
+  const auto platform = hs::net::Platform::grid5000();
+  Engine engine;
+  Machine machine(engine, platform.make_network(), {.ranks = 4});
+  std::vector<double> sum(8, 0.0);
+  auto program = [&](Comm comm) -> Task<void> {
+    if (comm.rank() == 3) {
+      co_await engine.sleep(1.0);
+      throw std::runtime_error("injected fault");
+    }
+    std::vector<double> mine(8, 1.0);
+    co_await hs::mpc::reduce(
+        comm, 0, std::span<const double>(mine),
+        comm.rank() == 0 ? Buf(std::span<double>(sum)) : Buf{});
   };
   for (int r = 0; r < 4; ++r)
     engine.spawn(program(machine.world(r)), "rank " + std::to_string(r));

@@ -95,21 +95,6 @@ TEST(CollectiveCosts, ReduceEqualsBinomialBcast) {
                                        kBeta));
 }
 
-TEST(CollectiveCosts, AllreduceIsReducePlusBcast) {
-  EXPECT_DOUBLE_EQ(hs::net::allreduce_time(8, 100, kAlpha, kBeta),
-                   2.0 * hs::net::reduce_time(8, 100, kAlpha, kBeta));
-}
-
-TEST(CollectiveCosts, GatherScatterSymmetric) {
-  EXPECT_DOUBLE_EQ(hs::net::gather_time(16, 1 << 20, kAlpha, kBeta),
-                   hs::net::scatter_time(16, 1 << 20, kAlpha, kBeta));
-}
-
-TEST(CollectiveCosts, BarrierIsDissemination) {
-  EXPECT_DOUBLE_EQ(hs::net::barrier_time(32, kAlpha), 5.0 * kAlpha);
-  EXPECT_DOUBLE_EQ(hs::net::barrier_time(1, kAlpha), 0.0);
-}
-
 TEST(BcastCost, NameRoundTrip) {
   for (auto algo : {BcastAlgo::Flat, BcastAlgo::Binomial,
                     BcastAlgo::ScatterRingAllgather,

@@ -152,7 +152,8 @@ TEST(MetricsRegistry, MachineCollectorCountsCollectives) {
   auto program = [&](Comm comm) -> Task<void> {
     co_await hs::mpc::bcast(comm, 0, Buf::phantom(64),
                             hs::net::BcastAlgo::Binomial);
-    co_await hs::mpc::barrier(comm);
+    co_await hs::mpc::reduce(comm, 0, hs::mpc::ConstBuf::phantom(16),
+                             Buf::phantom(16));
   };
   hs::mpc::run_spmd(machine, program);
 
@@ -160,7 +161,8 @@ TEST(MetricsRegistry, MachineCollectorCountsCollectives) {
   machine.collect_metrics(metrics);
   EXPECT_EQ(metrics.counter("mpc.collective.bcast.calls"), 4u);
   EXPECT_EQ(metrics.counter("mpc.collective.bcast.bytes"), 4u * 64u * 8u);
-  EXPECT_EQ(metrics.counter("mpc.collective.barrier.calls"), 4u);
+  EXPECT_EQ(metrics.counter("mpc.collective.reduce.calls"), 4u);
+  EXPECT_EQ(metrics.counter("mpc.collective.reduce.bytes"), 4u * 16u * 8u);
   EXPECT_EQ(metrics.counter("mpc.bcast_algo.binomial.calls"), 4u);
   EXPECT_GT(metrics.counter("mpc.messages"), 0u);
   EXPECT_GT(metrics.counter("mpc.wire_bytes"), 0u);

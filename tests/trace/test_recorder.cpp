@@ -13,6 +13,7 @@ using hs::desim::Task;
 using hs::mpc::Buf;
 using hs::mpc::CollectiveMode;
 using hs::mpc::Comm;
+using hs::mpc::ConstBuf;
 using hs::mpc::Machine;
 using hs::trace::CollectiveOp;
 using hs::trace::CollectiveSpan;
@@ -148,12 +149,13 @@ TEST(Recorder, ClosedFormSitesBecomeSiteSpans) {
 
   auto program = [&](Comm comm) -> Task<void> {
     co_await hs::mpc::bcast(comm, 1, Buf::phantom(128));
-    co_await hs::mpc::barrier(comm);
+    co_await hs::mpc::reduce(comm, 2, ConstBuf::phantom(16),
+                             Buf::phantom(16));
   };
   hs::mpc::run_spmd(machine, program);
 
   // No point-to-point traffic in this mode; each collective leaves one
-  // synthetic site span instead (satellite fix for the TransferLog gap).
+  // synthetic site span instead.
   EXPECT_TRUE(recorder.wires().empty());
   ASSERT_EQ(recorder.sites().size(), 2u);
   const auto& site = recorder.sites()[0];
@@ -162,8 +164,8 @@ TEST(Recorder, ClosedFormSitesBecomeSiteSpans) {
   EXPECT_EQ(site.members, 4);
   EXPECT_EQ(site.wire_bytes, 128u * 8u * 3u);  // (p-1) * bytes convention
   EXPECT_GE(site.end, site.start);
-  EXPECT_EQ(recorder.sites()[1].op, CollectiveOp::Barrier);
-  EXPECT_EQ(recorder.sites()[1].root, -1);
+  EXPECT_EQ(recorder.sites()[1].op, CollectiveOp::Reduce);
+  EXPECT_EQ(recorder.sites()[1].root, 2);
   // Per-rank call spans are recorded in both modes.
   EXPECT_EQ(recorder.collectives().size(), 8u);
   for (const auto& span : recorder.collectives())
@@ -177,10 +179,111 @@ TEST(Recorder, SetRecorderRestoresAndDetaches) {
   machine.set_recorder(&recorder);
   machine.set_recorder(nullptr);
   auto program = [&](Comm comm) -> Task<void> {
-    co_await hs::mpc::barrier(comm);
+    co_await hs::mpc::bcast(comm, 0, Buf::phantom(8));
   };
   hs::mpc::run_spmd(machine, program);
   EXPECT_TRUE(recorder.empty());
+}
+
+TEST(Recorder, ClosedFormSitesLeaveSyntheticRecords) {
+  // ClosedForm collectives move no point-to-point messages; each site
+  // leaves one record spanning [last entry, completion] instead.
+  Engine engine;
+  Machine machine(engine, hockney(),
+                  {.ranks = 8, .collective_mode = CollectiveMode::ClosedForm});
+  Recorder recorder;
+  machine.set_recorder(&recorder);
+  auto program = [&](Comm comm) -> Task<void> {
+    co_await hs::mpc::bcast(comm, 2, Buf::phantom(64));
+    co_await hs::mpc::reduce(comm, 5, ConstBuf::phantom(16),
+                             Buf::phantom(16));
+  };
+  hs::mpc::run_spmd(machine, program);
+
+  ASSERT_EQ(recorder.sites().size(), 2u);
+  const auto& bcast = recorder.sites()[0];
+  EXPECT_EQ(bcast.root, 2);  // root as world rank
+  EXPECT_EQ(bcast.wire_bytes, 64u * 8u * 7u);  // (p-1) * payload convention
+  EXPECT_GT(bcast.end, bcast.start);
+  const auto& reduce = recorder.sites()[1];
+  EXPECT_EQ(reduce.root, 5);
+  EXPECT_EQ(reduce.wire_bytes, 16u * 8u * 7u);
+  EXPECT_NE(reduce.op, bcast.op);  // kinds stay distinguishable
+  EXPECT_GE(reduce.start, bcast.end);  // sites follow program order
+}
+
+TEST(Recorder, ClearEmptiesTheWireLog) {
+  Recorder recorder;
+  recorder.add_transfer({});
+  recorder.add_site({});
+  recorder.clear();
+  EXPECT_TRUE(recorder.wires().empty());
+  EXPECT_TRUE(recorder.sites().empty());
+}
+
+TEST(Recorder, DetachStopsRecording) {
+  Engine engine;
+  Machine machine(engine, hockney(), {.ranks = 2});
+  Recorder recorder;
+  machine.set_recorder(&recorder);
+  machine.set_recorder(nullptr);
+  auto sender = [&](Comm comm) -> Task<void> {
+    co_await comm.send(1, ConstBuf::phantom(8));
+  };
+  auto receiver = [&](Comm comm) -> Task<void> {
+    co_await comm.recv(0, Buf::phantom(8));
+  };
+  engine.spawn(sender(machine.world(0)));
+  engine.spawn(receiver(machine.world(1)));
+  engine.run();
+  EXPECT_TRUE(recorder.wires().empty());
+}
+
+TEST(Recorder, WiresRecordEveryPointToPointTransfer) {
+  Engine engine;
+  Machine machine(engine, hockney(), {.ranks = 2});
+  Recorder recorder;
+  machine.set_recorder(&recorder);
+
+  auto sender = [&](Comm comm) -> Task<void> {
+    co_await comm.send(1, ConstBuf::phantom(100), /*tag=*/7);
+    co_await comm.send(1, ConstBuf::phantom(200), /*tag=*/8);
+  };
+  auto receiver = [&](Comm comm) -> Task<void> {
+    co_await comm.recv(0, Buf::phantom(100), 7);
+    co_await comm.recv(0, Buf::phantom(200), 8);
+  };
+  engine.spawn(sender(machine.world(0)));
+  engine.spawn(receiver(machine.world(1)));
+  engine.run();
+
+  ASSERT_EQ(recorder.wires().size(), 2u);
+  const auto& first = recorder.wires()[0];
+  EXPECT_EQ(first.src, 0);
+  EXPECT_EQ(first.dst, 1);
+  EXPECT_EQ(first.bytes, 800u);
+  EXPECT_EQ(first.tag, 7);
+  EXPECT_DOUBLE_EQ(first.start, 0.0);
+  EXPECT_DOUBLE_EQ(first.end, 1e-5 + 800.0 * 1e-9);
+  const auto& second = recorder.wires()[1];
+  EXPECT_EQ(second.tag, 8);
+  EXPECT_GE(second.start, first.end);  // serialized on the same ports
+}
+
+TEST(Recorder, WiresCaptureBroadcastTreeStructure) {
+  Engine engine;
+  Machine machine(engine, hockney(), {.ranks = 8});
+  Recorder recorder;
+  machine.set_recorder(&recorder);
+  auto program = [&](Comm comm) -> Task<void> {
+    co_await hs::mpc::bcast(comm, 0, Buf::phantom(64),
+                            hs::net::BcastAlgo::Binomial);
+  };
+  hs::mpc::run_spmd(machine, program);
+  // Binomial tree over 8 ranks: exactly 7 transfers.
+  EXPECT_EQ(recorder.wires().size(), 7u);
+  // All transfers originate at earlier tree levels: first is from rank 0.
+  EXPECT_EQ(recorder.wires()[0].src, 0);
 }
 
 }  // namespace

@@ -62,7 +62,7 @@ void fill(Recorder& recorder) {
   recorder.add_compute(comp);
   recorder.add_transfer({1.0, 1.25, 3, 5, 512, 4, 11});
   recorder.add_site(
-      {1.25, 1.5, CollectiveOp::Allreduce, 4, 10, -1, 8192, 16});
+      {1.25, 1.5, CollectiveOp::Reduce, 4, 10, 6, 8192, 16});
   recorder.add_fault({0.0, 2.0, FaultKind::RankSlowdown, 3, -1, 2.5});
   TaskSpan task;
   task.start = 1.5;
@@ -126,10 +126,10 @@ TEST(StreamSink, RoundTripsEverySpanKind) {
     EXPECT_EQ(loaded.wires()[0].tag, 11);
 
     ASSERT_EQ(loaded.sites().size(), 1u);
-    EXPECT_EQ(loaded.sites()[0].op, CollectiveOp::Allreduce);
+    EXPECT_EQ(loaded.sites()[0].op, CollectiveOp::Reduce);
     EXPECT_EQ(loaded.sites()[0].wire_bytes, 8192u);
     EXPECT_EQ(loaded.sites()[0].members, 16);
-    EXPECT_EQ(loaded.sites()[0].root, -1);
+    EXPECT_EQ(loaded.sites()[0].root, 6);
 
     ASSERT_EQ(loaded.faults().size(), 1u);
     EXPECT_EQ(loaded.faults()[0].kind, FaultKind::RankSlowdown);
@@ -234,7 +234,10 @@ std::string chunk_bytes(const Recorder& recorder, const std::string& path) {
 
 // A chunk whose only corruption is one enum byte set past the last
 // enumerator must be rejected like an unknown record kind, for each of the
-// four enum fields the format stores.
+// four enum fields the format stores. The collective op bytes 1 and 3..8
+// named collectives the library no longer offers: a chunk written before
+// they went must still load the ops that remain unchanged and reject those
+// with the field/offset message, never decode them as a different op.
 TEST(StreamSink, LoadRejectsOutOfRangeEnumBytes) {
   const std::string path = temp_path("bad_enum.spans");
   // Each case fills one recorder with a single span whose enum field holds
@@ -284,6 +287,50 @@ TEST(StreamSink, LoadRejectsOutOfRangeEnumBytes) {
     for (std::size_t i = 0; i < good.size(); ++i)
       differing += good[i] != bad[i] ? 1 : 0;
     EXPECT_EQ(differing, 1);
+  }
+
+  // Every op byte a collective or site span can carry, on both record kinds.
+  const std::vector<std::pair<const char*, void (*)(Recorder&, int)>> ops = {
+      {"collective span",
+       [](Recorder& r, int value) {
+         CollectiveSpan span;
+         span.op = static_cast<CollectiveOp>(value);
+         r.restore(span);
+       }},
+      {"site span",
+       [](Recorder& r, int value) {
+         SiteSpan span;
+         span.op = static_cast<CollectiveOp>(value);
+         r.restore(span);
+       }},
+  };
+  for (const auto& [kind, add] : ops) {
+    for (int value = 0; value <= 8; ++value) {
+      SCOPED_TRACE(std::string(kind) + " op byte " + std::to_string(value));
+      Recorder written;
+      add(written, value);
+      chunk_bytes(written, path);
+      Recorder loaded;
+      if (value == static_cast<int>(CollectiveOp::Bcast) ||
+          value == static_cast<int>(CollectiveOp::Reduce)) {
+        ASSERT_EQ(hs::trace::load_span_chunks(path, loaded), 1u);
+        const CollectiveOp op = loaded.sites().empty()
+                                    ? loaded.collectives()[0].op
+                                    : loaded.sites()[0].op;
+        EXPECT_EQ(static_cast<int>(op), value);
+        continue;
+      }
+      try {
+        hs::trace::load_span_chunks(path, loaded);
+        ADD_FAILURE() << "loaded a span with an op byte that names no op";
+      } catch (const hs::PreconditionError& error) {
+        const std::string message = error.what();
+        EXPECT_NE(message.find("out-of-range span chunk collective op " +
+                               std::to_string(value) + " at byte "),
+                  std::string::npos)
+            << message;
+      }
+    }
   }
   std::remove(path.c_str());
 }
