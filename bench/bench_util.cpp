@@ -75,9 +75,10 @@ void add_jobs_option(CliParser& cli, long long* dest) {
 
 void add_cache_dir_option(CliParser& cli, std::string* dest) {
   cli.add_string("cache-dir",
-                 "on-disk result store root: repeated runs (and concurrent "
-                 "processes) pointed at one directory skip already-"
-                 "simulated configurations, bit-identically",
+                 "on-disk result store root, one file per simulated "
+                 "configuration: repeated runs and concurrent processes "
+                 "pointed at one directory skip configurations any of them "
+                 "has simulated, bit-identically (delete it to start over)",
                  dest);
 }
 

@@ -89,8 +89,8 @@ void add_jobs_option(CliParser& cli, long long* dest);
 /// Registers --cache-dir: the content-addressed on-disk result store root
 /// (store/result_store.hpp). Empty (the default) keeps results in memory
 /// only; repeated runs — or concurrent processes — pointed at one
-/// directory serve already-simulated configurations from disk,
-/// bit-identically.
+/// directory serve configurations any of them has simulated from disk,
+/// bit-identically. Nothing bounds the directory's size.
 void add_cache_dir_option(CliParser& cli, std::string* dest);
 
 /// ExecutorOptions for a bench main: worker count from --jobs and, when

@@ -149,16 +149,23 @@ int bench_main(int argc, char** argv) {
         full_steps, static_cast<double>(full_steps) / steps);
 
     hs::Table sim_table({"algorithm", "G", "steps", "virtual time", "full k",
-                         "messages", "events/sec", "wall s", "peak RSS MB"});
+                         "messages"});
+    // Host cost differs run to run, so it goes to stderr: stdout stays a
+    // function of the arguments.
+    hs::Table host_table(
+        {"algorithm", "G", "events/sec", "wall s", "peak RSS MB"});
     for (const int g : {1, hsumma_groups}) {
       point.groups = g;
       const hs::bench::ScaleRunResult run = hs::bench::run_scale_point(point);
       const double scale = static_cast<double>(full_steps) / run.steps;
-      sim_table.add_row(
-          {g == 1 ? "SUMMA" : "HSUMMA", std::to_string(g),
-           std::to_string(run.steps), hs::format_seconds(run.virtual_time),
-           hs::format_seconds(run.virtual_time * scale),
-           std::to_string(run.messages),
+      const std::string algorithm = g == 1 ? "SUMMA" : "HSUMMA";
+      sim_table.add_row({algorithm, std::to_string(g),
+                         std::to_string(run.steps),
+                         hs::format_seconds(run.virtual_time),
+                         hs::format_seconds(run.virtual_time * scale),
+                         std::to_string(run.messages)});
+      host_table.add_row(
+          {algorithm, std::to_string(g),
            hs::format_double(run.wall_seconds > 0.0
                                  ? static_cast<double>(run.events) /
                                        run.wall_seconds
@@ -167,12 +174,14 @@ int bench_main(int argc, char** argv) {
            hs::format_double(run.wall_seconds, 1),
            hs::format_double(static_cast<double>(run.peak_rss_kb) / 1024.0,
                              1)});
-      std::printf("digest [%s G=%d]: %s\n", g == 1 ? "SUMMA" : "HSUMMA", g,
+      std::printf("digest [%s G=%d]: %s\n", algorithm.c_str(), g,
                   run.digest().c_str());
     }
     std::printf("\n");
     sim_table.print(std::cout);
     std::printf("\n");
+    std::fflush(stdout);
+    host_table.print(std::cerr);
   }
 
   if (trace.enabled() && sim_mode.has_value() && !trace_reduced) {

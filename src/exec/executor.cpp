@@ -9,19 +9,6 @@
 
 namespace hs::exec {
 
-namespace {
-
-/// Footprint estimate of one memoized entry: the key (stored twice — map
-/// node and LRU list node), the fixed-size result, its per-level vector,
-/// and a constant for node/bucket overhead.
-std::uint64_t cache_entry_bytes(const std::string& key,
-                                const core::RunResult& result) {
-  return 2 * key.size() + sizeof(core::RunResult) +
-         result.timing.max_level_comm_time.capacity() * sizeof(double) + 128;
-}
-
-}  // namespace
-
 int default_jobs() {
   const unsigned hint = std::thread::hardware_concurrency();
   return hint == 0 ? 1 : static_cast<int>(hint);
@@ -30,11 +17,6 @@ int default_jobs() {
 ParallelExecutor::ParallelExecutor(ExecutorOptions options)
     : store_(std::move(options.store)) {
   const int jobs = options.jobs > 0 ? options.jobs : default_jobs();
-  if (!options.cache) {
-    cache_enabled_ = false;
-    store_.reset();  // the durable tier rides on the cache keys
-  }
-  cache_byte_budget_ = options.cache_bytes;
   workers_.reserve(static_cast<std::size_t>(jobs));
   for (int i = 0; i < jobs; ++i)
     workers_.emplace_back([this] { worker_loop(); });
@@ -51,7 +33,7 @@ ParallelExecutor::~ParallelExecutor() {
 
 std::size_t ParallelExecutor::submit(SimJob job) {
   // The key is a pure function of the job; build it before locking.
-  std::string key = cache_enabled_ ? job.cache_key() : std::string{};
+  std::string key = job.cache_key();
   std::size_t index;
   bool consult_store = false;
   {
@@ -63,11 +45,9 @@ std::size_t ParallelExecutor::submit(SimJob job) {
 
     if (!slot->key.empty()) {
       if (auto hit = cache_.find(slot->key); hit != cache_.end()) {
-        // Memory hit: the slot is born done, no engine runs. Touch the
-        // entry's LRU position.
-        lru_.splice(lru_.begin(), lru_, hit->second.lru);
+        // Memory hit: the slot is born done, no engine runs.
         slot->done = true;
-        slot->result = hit->second.result;
+        slot->result = hit->second;
         ++cache_hits_;
         slots_.push_back(std::move(slot));
         done_cv_.notify_all();
@@ -191,29 +171,7 @@ void ParallelExecutor::complete_primary_locked(std::size_t index,
       finish_slot(*slots_[alias], result, error);
     inflight_.erase(running);
   }
-  if (!error) cache_insert_locked(primary.key, result);
-}
-
-void ParallelExecutor::cache_insert_locked(const std::string& key,
-                                           const core::RunResult& result) {
-  if (cache_.find(key) != cache_.end()) return;
-  lru_.push_front(key);
-  CacheEntry entry{result, cache_entry_bytes(key, result), lru_.begin()};
-  cache_bytes_ += entry.bytes;
-  cache_.emplace(key, std::move(entry));
-  if (cache_byte_budget_ == 0) return;
-  while (cache_bytes_ > cache_byte_budget_ && cache_.size() > 1) {
-    // Evict least-recently-used, but never the entry just inserted (the
-    // cache must always be able to hold the current result).
-    const std::string& victim_key = lru_.back();
-    if (victim_key == key) break;
-    const auto victim = cache_.find(victim_key);
-    HS_ASSERT(victim != cache_.end());
-    cache_bytes_ -= std::min(cache_bytes_, victim->second.bytes);
-    cache_.erase(victim);
-    lru_.pop_back();
-    ++cache_evictions_;
-  }
+  if (!error) cache_.emplace(primary.key, result);
 }
 
 void ParallelExecutor::finish_slot(Slot& slot, const core::RunResult& result,
@@ -271,16 +229,6 @@ std::uint64_t ParallelExecutor::store_hits() const {
   return store_hits_;
 }
 
-std::uint64_t ParallelExecutor::cache_evictions() const {
-  std::lock_guard lock(mutex_);
-  return cache_evictions_;
-}
-
-std::uint64_t ParallelExecutor::cache_bytes() const {
-  std::lock_guard lock(mutex_);
-  return cache_bytes_;
-}
-
 std::uint64_t ParallelExecutor::run_ns_total() const {
   std::lock_guard lock(mutex_);
   return run_ns_total_;
@@ -302,7 +250,6 @@ void ParallelExecutor::collect_metrics(trace::MetricsRegistry& metrics) const {
     metrics.add_counter("exec.engines_run", engines_run_);
     metrics.add_counter("exec.cache_hits", cache_hits_);
     metrics.add_counter("exec.cache_misses", cache_misses_);
-    metrics.add_counter("exec.cache_evictions", cache_evictions_);
     metrics.add_counter("exec.inflight_coalesced", coalesced_);
     metrics.add_counter("exec.store_hits", store_hits_);
     metrics.add_counter("exec.run_ns_total", run_ns_total_);
@@ -311,16 +258,8 @@ void ParallelExecutor::collect_metrics(trace::MetricsRegistry& metrics) const {
       run_ns_max = std::max(run_ns_max, slot->run_ns);
     metrics.add_counter("exec.run_ns_max", run_ns_max);
     metrics.set_gauge("exec.workers", static_cast<double>(workers_.size()));
-    metrics.set_gauge("exec.cache_bytes", static_cast<double>(cache_bytes_));
   }
   if (store_ != nullptr) store_->collect_metrics(metrics);
-}
-
-void ParallelExecutor::clear_cache() {
-  std::lock_guard lock(mutex_);
-  cache_.clear();
-  lru_.clear();
-  cache_bytes_ = 0;
 }
 
 }  // namespace hs::exec

@@ -1,5 +1,5 @@
 // Parallel sweep executor: run independent simulations concurrently with
-// deterministic aggregation and a two-tier (memory + disk) result cache.
+// deterministic aggregation and a memoized result per job key.
 //
 // Every figure bench and the autotuner sweep configurations by running a
 // serial loop of fresh-engine simulations; the simulations are pure
@@ -11,24 +11,22 @@
 // so callers aggregate in program order and sweep output (tables, CSVs,
 // best-G selection) is byte-identical for any worker count, including 1.
 //
-// The result cache memoizes completed jobs by SimJob::cache_key(): the
-// SUMMA baseline and shared G points re-simulated across fig5/fig6/fig8
-// and the autotuner's verification sweep become map lookups. The in-memory
-// tier is LRU-bounded by a byte budget (long sweeps no longer grow without
-// bound); an optional store::ResultStore adds a durable tier shared across
-// processes — a submit that misses memory consults the disk store before
-// queueing an engine, and every completed engine run is published back.
-// Identical jobs submitted while the first is still queued, running, or
-// being looked up on disk are coalesced onto it (in-flight dedupe), so a
-// duplicate never runs an engine regardless of timing. Jobs whose network
-// model is not describable bypass the cache and simply run.
+// Completed jobs are memoized by SimJob::cache_key() for the executor's
+// lifetime: the SUMMA baseline and shared G points re-simulated across
+// fig5/fig6/fig8 and the autotuner's verification sweep become map
+// lookups. An optional store::ResultStore adds a durable tier shared
+// across processes — a submit that misses memory consults the disk store
+// before queueing an engine, and every completed engine run is published
+// back. Identical jobs submitted while the first is still queued, running,
+// or being looked up on disk are coalesced onto it (in-flight dedupe), so
+// a duplicate never runs an engine regardless of timing. Jobs whose
+// network model is not describable bypass the memo and simply run.
 #pragma once
 
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <exception>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -47,15 +45,8 @@ int default_jobs();
 struct ExecutorOptions {
   /// Worker threads; <= 0 selects default_jobs().
   int jobs = 0;
-  /// Config-keyed result memoization (and in-flight dedupe).
-  bool cache = true;
-  /// Byte budget for the in-memory result cache; 0 = unbounded. The
-  /// default bounds even million-point sweeps (a cached entry is a few
-  /// hundred bytes) while evicting nothing in any workload the repo ships.
-  std::uint64_t cache_bytes = 64ull << 20;
   /// Optional durable tier (see store/result_store.hpp). Shared: several
   /// executors — or several processes — may point at one store directory.
-  /// Requires `cache`.
   std::shared_ptr<store::ResultStore> store;
 };
 
@@ -92,8 +83,8 @@ class ParallelExecutor {
   std::uint64_t jobs_submitted() const;
   /// Jobs that actually built and ran an engine.
   std::uint64_t engines_run() const;
-  /// Jobs served without running an engine: memory-cache and disk-store
-  /// hits plus in-flight coalescing onto an identical queued/running job.
+  /// Jobs served without running an engine: memo and disk-store hits plus
+  /// in-flight coalescing onto an identical queued/running job.
   std::uint64_t cache_hits() const;
   /// Cacheable jobs that found no prior result anywhere and ran an engine.
   std::uint64_t cache_misses() const;
@@ -101,10 +92,6 @@ class ParallelExecutor {
   std::uint64_t coalesced() const;
   /// The disk-store share of cache_hits().
   std::uint64_t store_hits() const;
-  /// Memory-cache entries dropped by the LRU byte budget.
-  std::uint64_t cache_evictions() const;
-  /// Current in-memory cache footprint estimate.
-  std::uint64_t cache_bytes() const;
   /// Total wall-clock nanoseconds workers spent inside run_sim_job.
   std::uint64_t run_ns_total() const;
   /// Wall-clock nanoseconds job `index` spent in run_sim_job (0 for cache
@@ -116,10 +103,6 @@ class ParallelExecutor {
   /// (plus the attached store's store.* counters, when one is set).
   void collect_metrics(trace::MetricsRegistry& metrics) const;
 
-  /// Drop all in-memory memoized results (in-flight jobs and the disk
-  /// store are unaffected).
-  void clear_cache();
-
  private:
   struct Slot {
     SimJob job;
@@ -130,12 +113,6 @@ class ParallelExecutor {
     std::uint64_t run_ns = 0;  // wall time inside run_sim_job
   };
 
-  struct CacheEntry {
-    core::RunResult result;
-    std::uint64_t bytes = 0;
-    std::list<std::string>::iterator lru;  // position in lru_
-  };
-
   void worker_loop();
   void finish_slot(Slot& slot, const core::RunResult& result,
                    std::exception_ptr error);
@@ -144,8 +121,6 @@ class ParallelExecutor {
   void complete_primary_locked(std::size_t index,
                                const core::RunResult& result,
                                std::exception_ptr error);
-  void cache_insert_locked(const std::string& key,
-                           const core::RunResult& result);
 
   mutable std::mutex mutex_;
   std::condition_variable work_cv_;   // workers wait for queue items
@@ -154,22 +129,17 @@ class ParallelExecutor {
   // result() can hand out references while submissions continue.
   std::vector<std::unique_ptr<Slot>> slots_;
   std::deque<std::size_t> queue_;
-  // In-memory tier: key -> entry, with lru_ ordered most-recent-first.
-  std::unordered_map<std::string, CacheEntry> cache_;
-  std::list<std::string> lru_;
+  // Memo: key -> result of every job that completed without error.
+  std::unordered_map<std::string, core::RunResult> cache_;
   // key -> submission indices coalesced onto the in-flight primary job.
   std::unordered_map<std::string, std::vector<std::size_t>> inflight_;
   std::shared_ptr<store::ResultStore> store_;
   std::vector<std::thread> workers_;
   std::size_t outstanding_ = 0;  // submitted, not yet done
-  bool cache_enabled_ = true;
   bool stop_ = false;
-  std::uint64_t cache_byte_budget_ = 0;  // 0 = unbounded
-  std::uint64_t cache_bytes_ = 0;
   std::uint64_t engines_run_ = 0;
   std::uint64_t cache_hits_ = 0;
   std::uint64_t cache_misses_ = 0;
-  std::uint64_t cache_evictions_ = 0;
   std::uint64_t coalesced_ = 0;
   std::uint64_t store_hits_ = 0;
   std::uint64_t run_ns_total_ = 0;

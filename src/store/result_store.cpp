@@ -2,13 +2,10 @@
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
-#include <vector>
 
 #include "common/check.hpp"
 #include "store/fingerprint.hpp"
@@ -61,20 +58,14 @@ bool write_file_atomic(const fs::path& path, const std::string& bytes) {
 }  // namespace
 
 ResultStore::ResultStore(StoreOptions options)
-    : fingerprint_(options.fingerprint.empty() ? simulator_fingerprint()
-                                               : options.fingerprint),
-      byte_budget_(options.byte_budget) {
+    : fingerprint_(simulator_fingerprint()) {
   HS_REQUIRE_MSG(!options.root.empty(), "ResultStore needs a root directory");
   namespace_ = (fs::path(options.root) / fingerprint_).string();
   std::error_code ec;
   fs::create_directories(fs::path(namespace_) / "objects", ec);
   HS_REQUIRE_MSG(!ec, "cannot create store directory " << namespace_ << ": "
                                                        << ec.message());
-  std::lock_guard lock(mutex_);
-  load_index_locked();
 }
-
-ResultStore::~ResultStore() { flush(); }
 
 std::string ResultStore::object_name(const std::string& cache_key) {
   char buffer[17];
@@ -89,99 +80,12 @@ std::string ResultStore::object_path(const std::string& name) const {
       .string();
 }
 
-void ResultStore::load_index_locked() {
-  // The object scan is the source of truth for existence and size; the
-  // index contributes only the LRU clocks. A missing or corrupt index
-  // therefore costs recency information, never entries.
-  std::map<std::string, std::uint64_t> clocks;
-  if (const auto text = read_file(fs::path(namespace_) / "index.json")) {
-    const JsonValue index = parse_json(*text);
-    if (index.is_object() && index.has("clock") &&
-        index.at("clock").is_string())
-      clock_ = std::strtoull(index.at("clock").string().c_str(), nullptr, 10);
-    if (index.is_object() && index.has("entries") &&
-        index.at("entries").is_object())
-      for (const auto& [name, used] : index.at("entries").object())
-        if (used.is_string())
-          clocks[name] =
-              std::strtoull(used.string().c_str(), nullptr, 10);
-  }
-  entries_.clear();
-  bytes_total_ = 0;
-  std::error_code ec;
-  for (const auto& shard :
-       fs::directory_iterator(fs::path(namespace_) / "objects", ec)) {
-    if (!shard.is_directory()) continue;
-    for (const auto& object : fs::directory_iterator(shard.path(), ec)) {
-      const fs::path& path = object.path();
-      if (path.extension() != ".json") continue;  // skips orphan temp files
-      Entry entry;
-      entry.bytes = static_cast<std::uint64_t>(object.file_size(ec));
-      if (ec) continue;
-      const std::string name = path.stem().string();
-      if (const auto used = clocks.find(name); used != clocks.end())
-        entry.last_used = used->second;
-      bytes_total_ += entry.bytes;
-      entries_.emplace(name, entry);
-    }
-  }
-  stats_.bytes = bytes_total_;
-  stats_.entries = entries_.size();
-}
-
-void ResultStore::write_index_locked() {
-  JsonObject clocks;
-  for (const auto& [name, entry] : entries_)
-    clocks[name] = {std::to_string(entry.last_used)};
-  JsonObject index;
-  index["clock"] = {std::to_string(clock_)};
-  index["entries"] = {std::move(clocks)};
-  write_file_atomic(fs::path(namespace_) / "index.json",
-                    write_json(JsonValue{std::move(index)}));
-}
-
-void ResultStore::drop_entry_locked(const std::string& name,
-                                    bool count_eviction) {
-  const auto it = entries_.find(name);
-  if (it == entries_.end()) return;
-  // `name` may alias the map key itself (evict_to_budget_locked passes
-  // victim->first), so build the path before erase frees that string.
-  const std::string path = object_path(name);
-  bytes_total_ -= std::min(bytes_total_, it->second.bytes);
-  entries_.erase(it);
-  std::error_code ignored;
-  fs::remove(path, ignored);
-  if (count_eviction) ++stats_.evictions;
-  stats_.bytes = bytes_total_;
-  stats_.entries = entries_.size();
-}
-
-void ResultStore::evict_to_budget_locked() {
-  if (byte_budget_ == 0) return;
-  while (bytes_total_ > byte_budget_ && !entries_.empty()) {
-    // Least-recently-used; ties (e.g. a fresh scan where every clock is 0)
-    // break on the object name so eviction order is deterministic.
-    auto victim = entries_.begin();
-    for (auto it = std::next(entries_.begin()); it != entries_.end(); ++it)
-      if (it->second.last_used < victim->second.last_used) victim = it;
-    drop_entry_locked(victim->first, /*count_eviction=*/true);
-  }
-}
-
 std::optional<core::RunResult> ResultStore::load(const std::string& cache_key) {
   HS_REQUIRE_MSG(!cache_key.empty(), "ResultStore::load of an empty key");
-  const std::string name = object_name(cache_key);
+  const std::string path = object_path(object_name(cache_key));
   std::lock_guard lock(mutex_);
-  const auto it = entries_.find(name);
-  if (it == entries_.end()) {
-    ++stats_.misses;
-    return std::nullopt;
-  }
-  const auto text = read_file(object_path(name));
+  const auto text = read_file(path);
   if (!text.has_value()) {
-    // Indexed but unreadable: another process evicted it, or the file is
-    // gone. Drop the entry and miss.
-    drop_entry_locked(name, /*count_eviction=*/false);
     ++stats_.misses;
     return std::nullopt;
   }
@@ -195,12 +99,12 @@ std::optional<core::RunResult> ResultStore::load(const std::string& cache_key) {
     // Corrupt bytes or a 64-bit hash collision with a different key:
     // either way the object is useless for this key — drop it so the next
     // save can republish cleanly.
-    drop_entry_locked(name, /*count_eviction=*/false);
+    std::error_code ignored;
+    fs::remove(path, ignored);
     ++stats_.bad_entries;
     ++stats_.misses;
     return std::nullopt;
   }
-  it->second.last_used = ++clock_;
   ++stats_.hits;
   return result;
 }
@@ -208,7 +112,7 @@ std::optional<core::RunResult> ResultStore::load(const std::string& cache_key) {
 void ResultStore::save(const std::string& cache_key,
                        const core::RunResult& result) {
   HS_REQUIRE_MSG(!cache_key.empty(), "ResultStore::save of an empty key");
-  const std::string name = object_name(cache_key);
+  const std::string path = object_path(object_name(cache_key));
   JsonObject object;
   object["key"] = {cache_key};
   object["fingerprint"] = {fingerprint_};
@@ -216,29 +120,34 @@ void ResultStore::save(const std::string& cache_key,
   const std::string bytes = write_json(JsonValue{std::move(object)});
 
   std::lock_guard lock(mutex_);
-  const std::string path = object_path(name);
   std::error_code ec;
   fs::create_directories(fs::path(path).parent_path(), ec);
   if (ec || !write_file_atomic(path, bytes)) return;  // disk full etc.: the
                                                       // store is a cache,
                                                       // degrade silently
-  if (const auto it = entries_.find(name); it != entries_.end())
-    bytes_total_ -= std::min(bytes_total_, it->second.bytes);
-  Entry entry;
-  entry.bytes = bytes.size();
-  entry.last_used = ++clock_;
-  entries_[name] = entry;
-  bytes_total_ += entry.bytes;
   ++stats_.writes;
-  evict_to_budget_locked();
-  stats_.bytes = bytes_total_;
-  stats_.entries = entries_.size();
-  write_index_locked();
 }
 
 StoreStats ResultStore::stats() const {
-  std::lock_guard lock(mutex_);
-  return stats_;
+  StoreStats snapshot;
+  {
+    std::lock_guard lock(mutex_);
+    snapshot = stats_;
+  }
+  std::error_code ec;
+  for (const auto& shard :
+       fs::directory_iterator(fs::path(namespace_) / "objects", ec)) {
+    if (!shard.is_directory(ec)) continue;
+    for (const auto& object : fs::directory_iterator(shard.path(), ec)) {
+      // Skips the temp files of publishes in progress (or crashed).
+      if (object.path().extension() != ".json") continue;
+      const std::uint64_t size = object.file_size(ec);
+      if (ec) continue;  // removed since the directory was listed
+      snapshot.bytes += size;
+      ++snapshot.entries;
+    }
+  }
+  return snapshot;
 }
 
 void ResultStore::collect_metrics(trace::MetricsRegistry& metrics) const {
@@ -246,15 +155,9 @@ void ResultStore::collect_metrics(trace::MetricsRegistry& metrics) const {
   metrics.add_counter("store.hits", snapshot.hits);
   metrics.add_counter("store.misses", snapshot.misses);
   metrics.add_counter("store.writes", snapshot.writes);
-  metrics.add_counter("store.evictions", snapshot.evictions);
   metrics.add_counter("store.bad_entries", snapshot.bad_entries);
   metrics.set_gauge("store.bytes", static_cast<double>(snapshot.bytes));
   metrics.set_gauge("store.entries", static_cast<double>(snapshot.entries));
-}
-
-void ResultStore::flush() {
-  std::lock_guard lock(mutex_);
-  write_index_locked();
 }
 
 }  // namespace hs::store

@@ -105,14 +105,6 @@ TEST(Executor, CachedChainResultEqualsAFreshRun) {
   EXPECT_TRUE(cached == hs::exec::run_sim_job(job));
 }
 
-TEST(Executor, CacheDisabledRunsEveryJob) {
-  ParallelExecutor executor({.jobs = 1, .cache = false});
-  executor.result(executor.submit(small_job(16, 2)));
-  executor.result(executor.submit(small_job(16, 2)));
-  EXPECT_EQ(executor.engines_run(), 2u);
-  EXPECT_EQ(executor.cache_hits(), 0u);
-}
-
 TEST(Executor, UncacheableJobRunsEveryTime) {
   struct Opaque : hs::net::NetworkModel {
     double transfer_time(int, int, std::uint64_t bytes) const override {
@@ -130,14 +122,6 @@ TEST(Executor, UncacheableJobRunsEveryTime) {
   EXPECT_TRUE(executor.result(a) == executor.result(b));
   EXPECT_EQ(executor.engines_run(), 2u);
   EXPECT_EQ(executor.cache_hits(), 0u);
-}
-
-TEST(Executor, ClearCacheForcesRerun) {
-  ParallelExecutor executor({.jobs = 1});
-  executor.result(executor.submit(small_job(16, 2)));
-  executor.clear_cache();
-  executor.result(executor.submit(small_job(16, 2)));
-  EXPECT_EQ(executor.engines_run(), 2u);
 }
 
 TEST(Executor, ErrorsPropagateAndAreNotCached) {

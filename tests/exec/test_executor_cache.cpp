@@ -1,6 +1,6 @@
-// The executor's two-tier result cache: the LRU byte budget on the memory
-// tier (hit/miss/evict counters via MetricsRegistry) and the durable disk
-// tier (populate on run, consult on miss, dedupe during the lookup).
+// The executor's two-tier result cache: the memo (hit/miss counters via
+// MetricsRegistry) and the durable disk tier (populate on run, consult on
+// miss, dedupe during the lookup).
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -13,7 +13,6 @@
 namespace {
 
 namespace fs = std::filesystem;
-using hs::exec::ExecutorOptions;
 using hs::exec::ParallelExecutor;
 using hs::exec::SimJob;
 
@@ -28,41 +27,6 @@ SimJob small_job(int groups, int block = 32) {
   return job;
 }
 
-TEST(ExecutorCache, ByteBudgetEvictsLeastRecentlyUsed) {
-  // Measure one entry's footprint, then set a budget for about two. The
-  // sizer runs HSUMMA (G = 2): its result carries the two-slot per-level
-  // vector, so its entry is the largest of the G = 1, 2, 4 entries below.
-  std::uint64_t entry_bytes = 0;
-  {
-    ParallelExecutor sizer({.jobs = 1});
-    sizer.result(sizer.submit(small_job(2)));
-    entry_bytes = sizer.cache_bytes();
-    ASSERT_GT(entry_bytes, 0u);
-  }
-  ParallelExecutor executor({.jobs = 1, .cache_bytes = 2 * entry_bytes + 1});
-  executor.result(executor.submit(small_job(1)));
-  executor.result(executor.submit(small_job(2)));
-  executor.result(executor.submit(small_job(1)));  // touch: G=1 is now MRU
-  EXPECT_EQ(executor.cache_evictions(), 0u);
-  executor.result(executor.submit(small_job(4)));  // evicts LRU (G=2)
-  EXPECT_EQ(executor.cache_evictions(), 1u);
-  EXPECT_LE(executor.cache_bytes(), 2 * entry_bytes + 1);
-
-  const std::uint64_t engines_before = executor.engines_run();
-  executor.result(executor.submit(small_job(1)));  // still cached
-  EXPECT_EQ(executor.engines_run(), engines_before);
-  executor.result(executor.submit(small_job(2)));  // evicted: must re-run
-  EXPECT_EQ(executor.engines_run(), engines_before + 1);
-}
-
-TEST(ExecutorCache, UnboundedBudgetNeverEvicts) {
-  ParallelExecutor executor({.jobs = 2, .cache_bytes = 0});
-  for (int g : {1, 2, 4, 8, 16}) executor.submit(small_job(g));
-  executor.wait_all();
-  EXPECT_EQ(executor.cache_evictions(), 0u);
-  EXPECT_GT(executor.cache_bytes(), 0u);
-}
-
 TEST(ExecutorCache, MetricsExposeHitMissEvictCounters) {
   ParallelExecutor executor({.jobs = 1});
   executor.result(executor.submit(small_job(2)));
@@ -71,9 +35,6 @@ TEST(ExecutorCache, MetricsExposeHitMissEvictCounters) {
   executor.collect_metrics(metrics);
   EXPECT_EQ(metrics.counter("exec.cache_hits"), 1u);
   EXPECT_EQ(metrics.counter("exec.cache_misses"), 1u);
-  EXPECT_EQ(metrics.counter("exec.cache_evictions"), 0u);
-  EXPECT_TRUE(metrics.has_gauge("exec.cache_bytes"));
-  EXPECT_GT(metrics.gauge("exec.cache_bytes"), 0.0);
 }
 
 class ExecutorStoreTest : public testing::Test {
@@ -138,15 +99,6 @@ TEST_F(ExecutorStoreTest, MemoryHitsDoNotTouchTheDiskTier) {
   EXPECT_EQ(executor.store_hits(), 0u);
   EXPECT_EQ(after_second.hits, after_first.hits);
   EXPECT_EQ(after_second.writes, after_first.writes);
-}
-
-TEST_F(ExecutorStoreTest, CacheOffDisablesTheStoreToo) {
-  ParallelExecutor executor(
-      {.jobs = 1, .cache = false, .store = make_store()});
-  executor.result(executor.submit(small_job(2)));
-  executor.result(executor.submit(small_job(2)));
-  EXPECT_EQ(executor.engines_run(), 2u);
-  EXPECT_EQ(executor.store(), nullptr);
 }
 
 }  // namespace

@@ -1,13 +1,16 @@
 // The content-addressed on-disk result store: durability across instances
-// (process restarts), fingerprint namespace isolation, atomic publishes,
-// corruption tolerance and LRU byte-budget eviction.
+// (process restarts) and between open instances, fingerprint namespace
+// isolation, atomic publishes and corruption tolerance.
 #include "store/result_store.hpp"
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <memory>
 
+#include "exec/executor.hpp"
 #include "store/fingerprint.hpp"
 
 namespace {
@@ -23,6 +26,22 @@ RunResult result_with(double total_time) {
   result.timing.max_comm_time = total_time / 2;
   result.messages = static_cast<std::uint64_t>(total_time * 1000);
   return result;
+}
+
+fs::path object_file(const ResultStore& store, const std::string& key) {
+  const std::string name = ResultStore::object_name(key);
+  return fs::path(store.namespace_dir()) / "objects" / name.substr(0, 2) /
+         (name + ".json");
+}
+
+std::string read_bytes(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), {}};
+}
+
+void write_bytes(const fs::path& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << bytes;
 }
 
 class ResultStoreTest : public testing::Test {
@@ -70,15 +89,45 @@ TEST_F(ResultStoreTest, SurvivesProcessRestart) {
   EXPECT_EQ(reopened.stats().entries, 2u);
 }
 
+TEST_F(ResultStoreTest, OpenStoreSeesAnotherInstancesPublish) {
+  // Two instances on one root model two processes sharing a --cache-dir:
+  // the reader is open before the writer publishes and must still hit.
+  hs::exec::SimJob job;
+  job.platform = hs::net::Platform::by_name("grid5000");
+  job.ranks = 16;
+  job.groups = 4;
+  job.problem = hs::core::ProblemSpec::square(256, 32);
+  auto reader = std::make_shared<ResultStore>(StoreOptions{.root = root_});
+  ResultStore writer({.root = root_});
+  const RunResult fresh = hs::exec::run_sim_job(job);
+  writer.save(job.cache_key(), fresh);
+  const auto seen = reader->load(job.cache_key());
+  ASSERT_TRUE(seen.has_value()) << "the reader missed the writer's object";
+  EXPECT_TRUE(*seen == fresh);
+
+  hs::exec::ParallelExecutor executor({.jobs = 1, .store = reader});
+  EXPECT_TRUE(executor.result(executor.submit(job)) == fresh);
+  EXPECT_EQ(executor.engines_run(), 0u);
+}
+
 TEST_F(ResultStoreTest, FingerprintNamespacesAreInvisibleToEachOther) {
   // A simulator whose physics changed writes to a different namespace; old
-  // results are never consulted (invalidation by invisibility).
-  ResultStore v1({.root = root_, .fingerprint = "simv1"});
-  v1.save("key-a", result_with(1.0));
-  ResultStore v2({.root = root_, .fingerprint = "simv2"});
-  EXPECT_FALSE(v2.load("key-a").has_value());
-  ASSERT_TRUE(v1.load("key-a").has_value());
-  EXPECT_NE(v1.namespace_dir(), v2.namespace_dir());
+  // results are never consulted (invalidation by invisibility). Plant a
+  // valid object under a sibling namespace directory.
+  const fs::path sibling = fs::path(root_) / "simv1";
+  {
+    ResultStore old({.root = root_});
+    old.save("key-a", result_with(1.0));
+    fs::rename(old.namespace_dir(), sibling);
+  }
+  ResultStore store({.root = root_});
+  EXPECT_FALSE(store.load("key-a").has_value());
+  EXPECT_EQ(store.stats().entries, 0u);
+  EXPECT_NE(store.namespace_dir(), sibling.string());
+  // The sibling's object is untouched: moved back, it loads.
+  fs::remove_all(store.namespace_dir());
+  fs::rename(sibling, store.namespace_dir());
+  EXPECT_TRUE(store.load("key-a").has_value());
 }
 
 TEST_F(ResultStoreTest, DefaultFingerprintIsStable) {
@@ -98,28 +147,69 @@ TEST_F(ResultStoreTest, PublishesLeaveNoTempFiles) {
     if (!entry.is_regular_file()) continue;
     EXPECT_EQ(entry.path().extension(), ".json")
         << "stray file: " << entry.path();
-    if (entry.path().filename() != "index.json") ++objects;
+    ++objects;
   }
   EXPECT_EQ(objects, 8u);
 }
 
 TEST_F(ResultStoreTest, CorruptObjectIsDroppedAndCounted) {
+  // A bad result, an object cut to half its bytes, one short by its last
+  // byte and an empty one: each is a miss and one bad entry, is removed,
+  // and the next save heals it.
   ResultStore store({.root = root_});
   store.save("key-a", result_with(1.0));
-  const std::string name = ResultStore::object_name("key-a");
-  const fs::path path = fs::path(store.namespace_dir()) / "objects" /
-                        name.substr(0, 2) / (name + ".json");
-  ASSERT_TRUE(fs::exists(path));
-  {
-    std::ofstream out(path, std::ios::trunc);
-    out << "{\"key\":\"key-a\",\"result\":\"garbage\"}";
+  const fs::path path = object_file(store, "key-a");
+  const std::string bytes = read_bytes(path);
+  ASSERT_FALSE(bytes.empty());
+  const std::string corruptions[] = {
+      "{\"key\":\"key-a\",\"result\":\"garbage\"}",
+      bytes.substr(0, bytes.size() / 2), bytes.substr(0, bytes.size() - 1),
+      ""};
+  std::uint64_t bad = 0;
+  for (const std::string& corrupt : corruptions) {
+    SCOPED_TRACE(corrupt);
+    write_bytes(path, corrupt);
+    EXPECT_FALSE(store.load("key-a").has_value());
+    EXPECT_EQ(store.stats().bad_entries, ++bad);
+    EXPECT_FALSE(fs::exists(path)) << "corrupt object should be removed";
+    store.save("key-a", result_with(4.0));
+    const auto healed = store.load("key-a");
+    ASSERT_TRUE(healed.has_value());
+    EXPECT_EQ(healed->timing.total_time, 4.0);
   }
+}
+
+TEST_F(ResultStoreTest, StrayTempFileIsIgnored) {
+  // A writer that crashed before its rename leaves <name>.json.tmp.<pid>:
+  // not an object, so load misses and stats() skips it.
+  ResultStore store({.root = root_});
+  store.save("key-a", result_with(1.0));
+  const fs::path path = object_file(store, "key-a");
+  const fs::path stray = path.string() + ".tmp.12345";
+  fs::rename(path, stray);
   EXPECT_FALSE(store.load("key-a").has_value());
-  EXPECT_EQ(store.stats().bad_entries, 1u);
-  EXPECT_FALSE(fs::exists(path)) << "corrupt object should be removed";
-  // Republishing heals the slot.
-  store.save("key-a", result_with(4.0));
-  ASSERT_TRUE(store.load("key-a").has_value());
+  const auto stats = store.stats();
+  EXPECT_EQ(stats.bad_entries, 0u);
+  EXPECT_EQ(stats.entries, 0u);
+  EXPECT_EQ(stats.bytes, 0u);
+  EXPECT_TRUE(fs::exists(stray));
+}
+
+TEST_F(ResultStoreTest, LeftoverIndexFileIsIgnored) {
+  // Stores written by earlier versions keep an index.json beside objects/:
+  // it is neither read nor rewritten, and every object still loads.
+  ResultStore store({.root = root_});
+  store.save("key-a", result_with(1.0));
+  store.save("key-b", result_with(2.0));
+  const fs::path index = fs::path(store.namespace_dir()) / "index.json";
+  const std::string stale = "{\"clock\":\"1\",\"entries\":{}}";
+  write_bytes(index, stale);
+  ResultStore reopened({.root = root_});
+  EXPECT_TRUE(reopened.load("key-a").has_value());
+  EXPECT_TRUE(reopened.load("key-b").has_value());
+  reopened.save("key-c", result_with(3.0));
+  EXPECT_EQ(reopened.stats().entries, 3u);
+  EXPECT_EQ(read_bytes(index), stale);
 }
 
 TEST_F(ResultStoreTest, KeyMismatchIsAMissNeverAWrongResult) {
@@ -137,54 +227,6 @@ TEST_F(ResultStoreTest, KeyMismatchIsAMissNeverAWrongResult) {
   EXPECT_FALSE(reopened.load("key-b").has_value());
   EXPECT_EQ(reopened.stats().bad_entries, 1u);
   EXPECT_TRUE(reopened.load("key-a").has_value());
-}
-
-TEST_F(ResultStoreTest, ByteBudgetEvictsLeastRecentlyUsed) {
-  // Entries are a few hundred bytes; a 3-entry budget forces eviction on
-  // the fourth save. key-0 is touched between saves so key-1 is the LRU
-  // victim.
-  ResultStore sizer({.root = root_ + "-sizer"});
-  sizer.save("probe", result_with(1.0));
-  const std::uint64_t entry_bytes = sizer.stats().bytes;
-  ASSERT_GT(entry_bytes, 0u);
-  fs::remove_all(root_ + "-sizer");
-
-  ResultStore store({.root = root_, .byte_budget = 3 * entry_bytes + 2});
-  store.save("key-0", result_with(0.0));
-  store.save("key-1", result_with(1.0));
-  store.save("key-2", result_with(2.0));
-  ASSERT_TRUE(store.load("key-0").has_value());  // bump key-0's clock
-  store.save("key-3", result_with(3.0));
-  EXPECT_EQ(store.stats().evictions, 1u);
-  EXPECT_EQ(store.stats().entries, 3u);
-  EXPECT_LE(store.stats().bytes, 3 * entry_bytes + 2);
-  EXPECT_FALSE(store.load("key-1").has_value()) << "LRU entry should be gone";
-  EXPECT_TRUE(store.load("key-0").has_value());
-  EXPECT_TRUE(store.load("key-2").has_value());
-  EXPECT_TRUE(store.load("key-3").has_value());
-}
-
-TEST_F(ResultStoreTest, LruClocksSurviveRestartViaIndex) {
-  {
-    ResultStore store({.root = root_});
-    store.save("key-0", result_with(0.0));
-    store.save("key-1", result_with(1.0));
-    store.save("key-2", result_with(2.0));
-    ASSERT_TRUE(store.load("key-0").has_value());  // most recently used
-  }  // destructor flushes the index
-  const std::uint64_t entry_bytes = [&] {
-    ResultStore sizer({.root = root_ + "-sizer"});
-    sizer.save("probe", result_with(1.0));
-    return sizer.stats().bytes;
-  }();
-  fs::remove_all(root_ + "-sizer");
-  ResultStore reopened({.root = root_, .byte_budget = 2 * entry_bytes + 1});
-  reopened.save("key-3", result_with(3.0));  // must evict two LRU entries
-  EXPECT_TRUE(reopened.load("key-3").has_value());
-  EXPECT_TRUE(reopened.load("key-0").has_value())
-      << "the recently-used entry should have survived the restart";
-  EXPECT_FALSE(reopened.load("key-1").has_value());
-  EXPECT_FALSE(reopened.load("key-2").has_value());
 }
 
 TEST_F(ResultStoreTest, CollectMetricsExportsCountersAndFootprint) {
