@@ -162,7 +162,7 @@ void emit_trace_artifacts(const trace::Recorder& recorder,
       std::fprintf(stderr, "wrote %s (open in https://ui.perfetto.dev)\n",
                    trace.trace_path.c_str());
     }
-    const trace::CriticalPathReport path =
+    const trace::CriticalPathSplit path =
         trace::analyze_critical_path(recorder);
     std::printf("critical path [%s]: %s\n", label.c_str(),
                 path.summary().c_str());

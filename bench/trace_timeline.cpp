@@ -109,8 +109,7 @@ int bench_main(int argc, char** argv) {
         {run.label, hs::format_seconds(run.result.timing.total_time),
          hs::format_seconds(run.result.timing.max_comm_time),
          hs::format_seconds(path.comp),
-         hs::format_seconds(path.outer_comm + path.inner_comm +
-                            path.flat_comm),
+         hs::format_seconds(path.comm()),
          hs::format_seconds(path.idle)});
   }
   std::printf("\n");

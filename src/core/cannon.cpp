@@ -71,7 +71,7 @@ desim::Task<void> cannon_loop(CannonArgs args) {
   }
 
   for (int step = 0; step < q; ++step) {
-    args.tracer.begin_step(engine, step, trace::Phase::Flat);
+    args.tracer.begin_step(engine, step, -1);
     const double flops = la::gemm_flops(nb, nb, nb);
     {
       trace::PhaseTimer timer(stats.comp_time, engine);

@@ -34,8 +34,9 @@ void check_group_arrangement(grid::GridShape shape, grid::GridShape groups) {
 
 namespace {
 
-/// The blocking (D = 0) schedule. The outer broadcasts are charged to level
-/// slot 0 and the inner ones to slot 1, as a depth-1 chain charges them.
+/// The blocking (D = 0) schedule. The outer broadcasts are charged and
+/// traced at chain level 0 and the inner steps at level 1, as a depth-1
+/// chain charges them.
 desim::Task<void> hsumma_loop(HsummaArgs args) {
   const grid::HierGrid hg(args.comm, args.shape, args.groups);
   mpc::Machine& machine = args.comm.machine();
@@ -67,7 +68,7 @@ desim::Task<void> hsumma_loop(HsummaArgs args) {
   const index_t inner_steps = outer / b;
 
   for (index_t big_step = 0; big_step < outer_steps; ++big_step) {
-    args.tracer.begin_step(engine, big_step, trace::Phase::Outer);
+    args.tracer.begin_step(engine, big_step, 0);
     const index_t pivot = big_step * outer;
 
     // --- outer phase: inter-group broadcasts of the outer blocks -------
@@ -101,8 +102,7 @@ desim::Task<void> hsumma_loop(HsummaArgs args) {
 
     // --- inner phase: intra-group SUMMA over the outer blocks ----------
     for (index_t inner = 0; inner < inner_steps; ++inner) {
-      args.tracer.begin_step(engine, big_step * inner_steps + inner,
-                             trace::Phase::Inner);
+      args.tracer.begin_step(engine, big_step * inner_steps + inner, 1);
       const index_t offset = inner * b;
 
       if (mode == PayloadMode::Real && hg.local_col() == a_local_col)

@@ -46,9 +46,9 @@ struct HsummaArgs {
   /// express.
   int lookahead = 0;
   /// Optional structured trace sink (detached by default). Marks every
-  /// outer step (Phase::Outer) and inner step (Phase::Inner, numbered
-  /// big_step*inner_steps + inner) so collective and compute spans carry
-  /// the phase attribution the critical-path analyzer splits on.
+  /// outer step at chain level 0 and every inner step (numbered
+  /// big_step*inner_steps + inner) at level 1, so collective and compute
+  /// spans carry the level the critical-path analyzer splits on.
   trace::RankTracer tracer;
   /// Block-cyclic layout with distribution block B (core/panel.hpp's
   /// panel_layout) instead of the block-checkerboard one.

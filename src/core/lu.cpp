@@ -57,7 +57,7 @@ desim::Task<void> lu_loop(LuArgs args) {
 
   const index_t steps = args.n / b;
   for (index_t k = 0; k < steps; ++k) {
-    args.tracer.begin_step(engine, k, trace::Phase::Flat);
+    args.tracer.begin_step(engine, k, -1);
     const index_t pivot = k * b;
     const int owner_row = static_cast<int>(pivot / local_rows);
     const int owner_col = static_cast<int>(pivot / local_cols);

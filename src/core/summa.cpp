@@ -68,7 +68,7 @@ desim::Task<void> summa_loop(SummaArgs args) {
   // Every stage is awaited right here, not through a wrapper coroutine,
   // with the rank's trace level stamped for the span the mpc layer records.
   for (index_t q = 0; q < steps; ++q) {
-    args.tracer.begin_step(engine, q, trace::Phase::Flat);
+    args.tracer.begin_step(engine, q, -1);
     const index_t pivot = q * b;  // global position along the k dimension
 
     // Horizontal broadcast of A's pivot column panel along my grid row.

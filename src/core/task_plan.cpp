@@ -15,19 +15,6 @@ namespace hs::core {
 
 namespace {
 
-trace::Phase to_trace_phase(int phase) {
-  if (phase < kPhaseLevelBase) return trace::Phase::Flat;
-  return phase == kPhaseLevelBase ? trace::Phase::Outer : trace::Phase::Inner;
-}
-
-/// The exact chain level the plan's phase encoding carries (kPhaseLevelBase
-/// + level); -1 for flat. Unlike to_trace_phase this is lossless — the
-/// emitted TaskSpans are what lets the critical-path analyzer split depth-L
-/// chains.
-int to_trace_level(int phase) {
-  return phase >= kPhaseLevelBase ? phase - kPhaseLevelBase : -1;
-}
-
 /// One Machine::compute charge wrapped in the kernels' usual trace span.
 desim::Task<void> compute_charge(mpc::Machine& machine, int self, double flops,
                                  trace::RankTracer tracer) {
@@ -52,19 +39,23 @@ desim::Task<void> cannon_rotate_pair(mpc::Comm row, int a_dst, int a_src,
 
 void PlanObserver::task_issued(const desim::TaskGraph& graph, int id) {
   for (const desim::TaskStepMark& mark : graph.spec(id).marks)
-    tracer_.begin_step(engine_, mark.step, to_trace_phase(mark.phase));
+    tracer_.begin_step(engine_, mark.step, mark.level);
 }
 
-void PlanObserver::accrue_wait(double t0, double t1, int phase) {
+void PlanObserver::task_started(const desim::TaskGraph& graph, int id) {
+  const desim::TaskSpec& spec = graph.spec(id);
+  tracer_.set_position(spec.step, spec.level);
+}
+
+void PlanObserver::accrue_wait(double t0, double t1, int level) {
   stats_.comm_time += t1 - t0;
-  if (phase >= kPhaseLevelBase)
-    stats_.add_level_comm(static_cast<std::size_t>(phase - kPhaseLevelBase),
-                          t1 - t0);
+  if (level >= 0)
+    stats_.add_level_comm(static_cast<std::size_t>(level), t1 - t0);
 }
 
 void PlanObserver::flush() {
   if (pending_group_ < 0) return;
-  accrue_wait(pending_start_, pending_end_, pending_phase_);
+  accrue_wait(pending_start_, pending_end_, pending_level_);
   pending_group_ = -1;
 }
 
@@ -80,8 +71,7 @@ void PlanObserver::task_finished(const desim::TaskGraph& graph, int id,
                         spec.kind == desim::TaskKind::Compute
                             ? trace::TaskSpanKind::Compute
                             : trace::TaskSpanKind::Comm,
-                        spec.step, to_trace_phase(spec.phase),
-                        to_trace_level(spec.phase), spec.label});
+                        spec.step, spec.level, spec.label});
 }
 
 void PlanObserver::task_waited(const desim::TaskGraph& graph, int id,
@@ -93,17 +83,16 @@ void PlanObserver::task_waited(const desim::TaskGraph& graph, int id,
     flush();
     if (spec.wait_group >= 0) {
       pending_group_ = spec.wait_group;
-      pending_phase_ = spec.phase;
+      pending_level_ = spec.level;
       pending_start_ = t0;
       pending_end_ = t1;
     } else {
-      accrue_wait(t0, t1, spec.phase);
+      accrue_wait(t0, t1, spec.level);
     }
   }
   if (trace::Recorder* recorder = tracer_.recorder(); recorder != nullptr)
     recorder->add_task({t0, t1, tracer_.rank(), trace::TaskSpanKind::Wait,
-                        spec.step, to_trace_phase(spec.phase),
-                        to_trace_level(spec.phase), spec.label});
+                        spec.step, spec.level, spec.label});
 }
 
 // ---------------------------------------------------------------------------
@@ -175,7 +164,7 @@ desim::Task<void> summa_task_plan(SummaArgs args) {
     bool mark_pending = true;  // step mark rides this rank's first task
     const auto take_mark = [&](desim::TaskSpec& spec) {
       if (mark_pending)
-        spec.marks.push_back({static_cast<long long>(q), kPhaseFlat});
+        spec.marks.push_back({static_cast<long long>(q), -1});
       mark_pending = false;
     };
 
@@ -189,8 +178,7 @@ desim::Task<void> summa_task_plan(SummaArgs args) {
                                desim::TaskGraph::Hook before) {
       desim::TaskSpec spec;
       spec.kind = desim::TaskKind::Comm;
-      spec.phase =
-          split_levels ? kPhaseLevelBase + stage.level() : kPhaseFlat;
+      spec.level = split_levels ? stage.level() : -1;
       spec.channel = stage.comm().context();
       spec.step = q;
       spec.label = stage_label(is_a, stage.level());
@@ -236,7 +224,6 @@ desim::Task<void> summa_task_plan(SummaArgs args) {
 
     desim::TaskSpec c_spec;
     c_spec.kind = desim::TaskKind::Compute;
-    c_spec.phase = kPhaseFlat;
     c_spec.step = q;
     c_spec.label = "rank-b update";
     c_spec.in = {a_region, b_region};
@@ -347,10 +334,9 @@ desim::Task<void> hsumma_task_plan(HsummaArgs args) {
     bool outer_mark_pending = true;
     const auto take_marks = [&](desim::TaskSpec& spec, long long inner_step) {
       if (outer_mark_pending)
-        spec.marks.push_back({static_cast<long long>(s), kPhaseLevelBase});
+        spec.marks.push_back({static_cast<long long>(s), 0});
       outer_mark_pending = false;
-      if (inner_step >= 0)
-        spec.marks.push_back({inner_step, kPhaseLevelBase + 1});
+      if (inner_step >= 0) spec.marks.push_back({inner_step, 1});
     };
 
     int oa_id = -1;
@@ -358,7 +344,7 @@ desim::Task<void> hsumma_task_plan(HsummaArgs args) {
     if (hg.local_col() == a_local_col) {
       desim::TaskSpec spec;
       spec.kind = desim::TaskKind::Comm;
-      spec.phase = kPhaseLevelBase;
+      spec.level = 0;
       spec.channel = hg.group_row_comm().context();
       spec.step = s;
       spec.label = "outer bcast A";
@@ -383,7 +369,7 @@ desim::Task<void> hsumma_task_plan(HsummaArgs args) {
     if (hg.local_row() == b_local_row) {
       desim::TaskSpec spec;
       spec.kind = desim::TaskKind::Comm;
-      spec.phase = kPhaseLevelBase;
+      spec.level = 0;
       spec.channel = hg.group_col_comm().context();
       spec.step = s;
       spec.label = "outer bcast B";
@@ -438,7 +424,7 @@ desim::Task<void> hsumma_task_plan(HsummaArgs args) {
 
       desim::TaskSpec ia_spec;
       ia_spec.kind = desim::TaskKind::Comm;
-      ia_spec.phase = kPhaseLevelBase + 1;
+      ia_spec.level = 1;
       ia_spec.channel = hg.row_comm().context();
       ia_spec.step = g;
       ia_spec.label = "bcast A";
@@ -466,7 +452,7 @@ desim::Task<void> hsumma_task_plan(HsummaArgs args) {
 
       desim::TaskSpec ib_spec;
       ib_spec.kind = desim::TaskKind::Comm;
-      ib_spec.phase = kPhaseLevelBase + 1;
+      ib_spec.level = 1;
       ib_spec.channel = hg.col_comm().context();
       ib_spec.step = g;
       ib_spec.label = "bcast B";
@@ -493,7 +479,7 @@ desim::Task<void> hsumma_task_plan(HsummaArgs args) {
 
       desim::TaskSpec c_spec;
       c_spec.kind = desim::TaskKind::Compute;
-      c_spec.phase = kPhaseLevelBase + 1;
+      c_spec.level = 1;
       c_spec.step = g;
       c_spec.label = "rank-b update";
       // Reading the outer slots is what strands the next outer broadcast
@@ -593,7 +579,6 @@ desim::Task<void> cannon_task_plan(CannonArgs args) {
   if (i > 0) {
     desim::TaskSpec spec;
     spec.kind = desim::TaskKind::Comm;
-    spec.phase = kPhaseFlat;
     spec.label = "skew A";
     spec.in = {a_init_region};
     spec.out = {a_region(0)};
@@ -609,7 +594,6 @@ desim::Task<void> cannon_task_plan(CannonArgs args) {
   if (j > 0) {
     desim::TaskSpec spec;
     spec.kind = desim::TaskKind::Comm;
-    spec.phase = kPhaseFlat;
     spec.label = "skew B";
     spec.in = {b_init_region};
     spec.out = {b_region(0)};
@@ -627,7 +611,6 @@ desim::Task<void> cannon_task_plan(CannonArgs args) {
     if (st > 0) {
       desim::TaskSpec spec;
       spec.kind = desim::TaskKind::Comm;
-      spec.phase = kPhaseFlat;
       spec.step = st;
       spec.label = "rotate A/B";
       spec.in = {a_region((st - 1) % S), b_region((st - 1) % S)};
@@ -644,11 +627,10 @@ desim::Task<void> cannon_task_plan(CannonArgs args) {
 
     desim::TaskSpec c_spec;
     c_spec.kind = desim::TaskKind::Compute;
-    c_spec.phase = kPhaseFlat;
     c_spec.step = st;
     c_spec.label = "block multiply";
     c_spec.in = {a_region(st % S), b_region(st % S)};
-    c_spec.marks = {{static_cast<long long>(st), kPhaseFlat}};
+    c_spec.marks = {{static_cast<long long>(st), -1}};
     const double flops = la::gemm_flops(nb, nb, nb);
     graph.add(
         std::move(c_spec),
@@ -754,7 +736,7 @@ desim::Task<void> lu_task_plan(LuArgs args) {
     bool step_mark_pending = true;
     const auto take_mark = [&](desim::TaskSpec& spec) {
       if (step_mark_pending)
-        spec.marks.push_back({static_cast<long long>(k), kPhaseFlat});
+        spec.marks.push_back({static_cast<long long>(k), -1});
       step_mark_pending = false;
     };
 
@@ -763,7 +745,6 @@ desim::Task<void> lu_task_plan(LuArgs args) {
     if (pg.my_row() == owner_row && pg.my_col() == owner_col) {
       desim::TaskSpec spec;
       spec.kind = desim::TaskKind::Compute;
-      spec.phase = kPhaseFlat;
       spec.priority = 1;
       spec.step = k;
       spec.label = "factor";
@@ -790,7 +771,6 @@ desim::Task<void> lu_task_plan(LuArgs args) {
     if (pg.my_col() == owner_col) {
       desim::TaskSpec spec;
       spec.kind = desim::TaskKind::Comm;
-      spec.phase = kPhaseFlat;
       spec.channel = pg.col_comm().context();
       spec.step = k;
       spec.label = "diag bcast col";
@@ -807,7 +787,6 @@ desim::Task<void> lu_task_plan(LuArgs args) {
     if (pg.my_row() == owner_row) {
       desim::TaskSpec spec;
       spec.kind = desim::TaskKind::Comm;
-      spec.phase = kPhaseFlat;
       spec.channel = pg.row_comm().context();
       spec.step = k;
       spec.label = "diag bcast row";
@@ -828,7 +807,6 @@ desim::Task<void> lu_task_plan(LuArgs args) {
       if (pg.my_col() == owner_col) {
         desim::TaskSpec spec;
         spec.kind = desim::TaskKind::Compute;
-        spec.phase = kPhaseFlat;
         spec.priority = 1;
         spec.step = k;
         spec.label = "L solve";
@@ -854,7 +832,6 @@ desim::Task<void> lu_task_plan(LuArgs args) {
       }
       desim::TaskSpec spec;
       spec.kind = desim::TaskKind::Comm;
-      spec.phase = kPhaseFlat;
       spec.channel = pg.row_comm().context();
       spec.step = k;
       spec.label = "L bcast";
@@ -877,7 +854,6 @@ desim::Task<void> lu_task_plan(LuArgs args) {
       if (pg.my_row() == owner_row) {
         desim::TaskSpec spec;
         spec.kind = desim::TaskKind::Compute;
-        spec.phase = kPhaseFlat;
         spec.priority = 1;
         spec.step = k;
         spec.label = "U solve";
@@ -907,7 +883,6 @@ desim::Task<void> lu_task_plan(LuArgs args) {
       }
       desim::TaskSpec spec;
       spec.kind = desim::TaskKind::Comm;
-      spec.phase = kPhaseFlat;
       spec.channel = pg.col_comm().context();
       spec.step = k;
       spec.label = "U bcast";
@@ -942,7 +917,6 @@ desim::Task<void> lu_task_plan(LuArgs args) {
                                   const char* label) {
         desim::TaskSpec spec;
         spec.kind = desim::TaskKind::Compute;
-        spec.phase = kPhaseFlat;
         spec.step = k;
         spec.label = label;
         spec.in = {l_region, u_region};

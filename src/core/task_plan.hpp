@@ -27,11 +27,21 @@
 // phase of a chain's hierarchical broadcast is its own comm task, and the
 // empty chain is one task per panel. It and hsumma_task_plan serve both
 // operand layouts (core/panel.hpp's panel_layout): the block-cyclic one
-// only changes which rank roots each panel. The kernels keep their
-// blocking loops for the production D = 0 path (a graph materializes
-// O(steps) task records per rank — fine for any D >= 1 window, wasteful
-// for a million-rank blocking run); *_task_plan with lookahead 0 exists so
-// tests can drive the inline scheduler directly.
+// only changes which rank roots each panel. Every task carries its chain
+// level (desim::TaskSpec::level: 0 = outermost, -1 = flat; scalar HSUMMA's
+// outer and inner phases are levels 0 and 1).
+//
+// The kernels keep their blocking loops for the production D = 0 path
+// because a task costs far more host time than a loop iteration, not only
+// because a plan holds O(steps) task records per rank. Measured on the
+// perfbench workloads (Release, one fresh process per run, a 4-core host),
+// running D = 0 through the task plans with the whole plan built took
+// bgp_figures from 3.1-3.4 s and ~80 MB to 18.9 s and 2.5 GB; building,
+// running inline and dropping one step's graph at a time still took
+// 17.0-17.6 s and ~165 MB, and p2p_exascale 31.5 s and 142 MB against
+// 12.3 s and 76 MB. So a window alone does not let the loops go: the cost
+// per task has to fall first. *_task_plan with lookahead 0 exists so tests
+// can drive the inline scheduler directly.
 #pragma once
 
 #include "core/cannon.hpp"
@@ -42,20 +52,13 @@
 
 namespace hs::core {
 
-/// Phase encoding used in TaskSpec::phase / TaskStepMark::phase: flat, or
-/// kPhaseLevelBase + the chain level of a hierarchical broadcast stage
-/// (level 0 = outermost; scalar HSUMMA's outer and inner phases are levels
-/// 0 and 1). Observers accrue level phases into RankStats::level_comm_time;
-/// traces show level 0 as Phase::Outer and deeper levels as Phase::Inner.
-inline constexpr int kPhaseFlat = 0;
-inline constexpr int kPhaseLevelBase = 1;
-
 /// TaskObserver wired to the kernels' stats/trace conventions: exposed
 /// communication (task_waited) accrues comm_time plus the per-level split
-/// by task phase, finished computes accrue comp_time, step marks replay
-/// through the RankTracer at issue points, and every task lands in the
-/// recorder as a trace::TaskSpan. Reads the clock only — attaching a
-/// recorder never perturbs virtual time.
+/// by task level, finished computes accrue comp_time, step marks replay
+/// through the RankTracer at issue points, a starting task moves the rank's
+/// trace position to its (step, level) so the spans its body records carry
+/// them, and every task lands in the recorder as a trace::TaskSpan. Reads
+/// the clock only — attaching a recorder never perturbs virtual time.
 class PlanObserver final : public desim::TaskObserver {
  public:
   PlanObserver(desim::Engine& engine, trace::RankStats& stats,
@@ -63,6 +66,7 @@ class PlanObserver final : public desim::TaskObserver {
       : engine_(engine), stats_(stats), tracer_(tracer) {}
 
   void task_issued(const desim::TaskGraph& graph, int id) override;
+  void task_started(const desim::TaskGraph& graph, int id) override;
   void task_finished(const desim::TaskGraph& graph, int id, desim::SimTime t0,
                      desim::SimTime t1) override;
   void task_waited(const desim::TaskGraph& graph, int id, desim::SimTime t0,
@@ -73,14 +77,14 @@ class PlanObserver final : public desim::TaskObserver {
   void flush();
 
  private:
-  void accrue_wait(double t0, double t1, int phase);
+  void accrue_wait(double t0, double t1, int level);
 
   desim::Engine& engine_;
   trace::RankStats& stats_;
   trace::RankTracer tracer_;
   // Pending fused wait interval (contiguous joins of one wait_group).
   int pending_group_ = -1;
-  int pending_phase_ = kPhaseFlat;
+  int pending_level_ = -1;
   double pending_start_ = 0.0;
   double pending_end_ = 0.0;
 };

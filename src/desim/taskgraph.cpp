@@ -78,6 +78,7 @@ class TaskGraphRunner {
       issue_marks(id);
       if (record.before) record.before();
       const SimTime t0 = engine_.now();
+      if (observer_ != nullptr) observer_->task_started(graph_, id);
       co_await record.body();
       const SimTime t1 = engine_.now();
       state_[static_cast<std::size_t>(id)].complete = true;
@@ -271,6 +272,7 @@ class TaskGraphRunner {
     issue_marks(c);
     if (rec.before) rec.before();
     const SimTime t0 = engine_.now();
+    if (observer_ != nullptr) observer_->task_started(graph_, c);
     co_await rec.body();
     const SimTime t1 = engine_.now();
     st.complete = true;
@@ -281,9 +283,13 @@ class TaskGraphRunner {
   /// Wrapper the forked comm body runs inside: records the true transfer
   /// span and flips the completion flag the instant the body finishes (the
   /// Async gate fires strictly after, so joiners always observe it set).
+  /// The body is lazy: co_await starts it by symmetric transfer, right
+  /// after task_started.
   static Task<void> timed_comm(TaskGraphRunner* self, int id,
                                Task<void> body) {
     const SimTime t0 = self->engine_.now();
+    if (self->observer_ != nullptr)
+      self->observer_->task_started(self->graph_, id);
     co_await std::move(body);
     const SimTime t1 = self->engine_.now();
     self->state(id).complete = true;

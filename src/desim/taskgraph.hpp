@@ -71,16 +71,18 @@ constexpr RegionId region_id(std::string_view family, std::uint64_t index) {
 
 /// A pipeline-step marker attached to a task: observers translate these to
 /// trace step marks when the task is issued (so D=0 inline execution stamps
-/// steps at exactly the legacy program points).
+/// steps at exactly the legacy program points). `level` is the chain level
+/// the step belongs to (0 = outermost), -1 for a flat step.
 struct TaskStepMark {
   long long step = 0;
-  int phase = 0;  // core maps this onto trace::Phase
+  int level = -1;
 };
 
 struct TaskSpec {
   TaskKind kind = TaskKind::Compute;
-  /// Stats/trace category (core encodes flat or a chain level).
-  int phase = 0;
+  /// Hierarchy chain level of the task's broadcast stage (0 = outermost),
+  /// -1 for flat work; stats and traces split communication by it.
+  int level = -1;
   /// Comm FIFO domain (communicator context id); -1 = unserialized.
   int channel = -1;
   /// Compute selection priority (higher first; ties in program order).
@@ -112,6 +114,13 @@ class TaskObserver {
   /// Task issued: inline start, or fork for lookahead >= 1. Step marks on
   /// the task should be emitted here.
   virtual void task_issued(const TaskGraph& graph, int id) {
+    (void)graph;
+    (void)id;
+  }
+  /// The task's body is about to start, in the same synchronous run as
+  /// its first instructions (a forked comm body starts later than its
+  /// issue). Per-task state the body reads at entry belongs here.
+  virtual void task_started(const TaskGraph& graph, int id) {
     (void)graph;
     (void)id;
   }

@@ -113,8 +113,7 @@ double FaultPlan::stretch(int src, int dst, double t0, double base) const {
 
 void FaultPlan::emit_plan_spans(trace::Recorder& recorder) const {
   for (const RankSlowdown& w : slowdowns)
-    recorder.add_fault({w.start, w.end, trace::FaultKind::RankSlowdown,
-                        w.rank, -1, w.factor});
+    recorder.add_fault({w.start, w.end, w.rank, -1, w.factor});
 }
 
 }  // namespace hs::fault

@@ -17,11 +17,6 @@ std::string HockneyModel::describe() const {
          ")";
 }
 
-std::string LogGPModel::describe() const {
-  return "loggp(" + describe_double(latency_) + "," +
-         describe_double(overhead_) + "," + describe_double(gap_) + ")";
-}
-
 std::string NoisyModel::describe() const {
   std::string base = base_->describe();
   if (base.empty()) return {};

@@ -3,9 +3,9 @@
 // A NetworkModel answers one question: how long does a message of `bytes`
 // take from rank `src` to rank `dst` once both endpoints' ports are free.
 // The paper uses Hockney's model T(m) = alpha + m*beta with homogeneous
-// links; we also provide a LogGP-flavoured affine model, topology-aware
-// models (3-D torus as on BlueGene/P, two-level fat-tree/cluster), and a
-// deterministic multiplicative-noise decorator for statistics plumbing.
+// links; we also provide topology-aware models (3-D torus as on
+// BlueGene/P, two-level fat-tree/cluster) and a deterministic
+// multiplicative-noise decorator for statistics plumbing.
 //
 // All models are required to be deterministic functions of (src, dst,
 // bytes) — NoisyModel keeps determinism by hashing (src, dst, sequence
@@ -62,31 +62,6 @@ class HockneyModel final : public NetworkModel {
  private:
   double alpha_;
   double beta_;
-};
-
-/// LogGP-flavoured affine model: T = L + 2*o + (bytes - 1) * G for long
-/// messages (g is folded into port serialization, which the simulator
-/// already enforces). Kept affine so the paper's L(p)/W(p) analysis applies.
-class LogGPModel final : public NetworkModel {
- public:
-  LogGPModel(double latency, double overhead, double gap_per_byte)
-      : latency_(latency), overhead_(overhead), gap_(gap_per_byte) {
-    HS_REQUIRE(latency >= 0.0 && overhead >= 0.0 && gap_per_byte >= 0.0);
-  }
-
-  double transfer_time(int /*src*/, int /*dst*/,
-                       std::uint64_t bytes) const override {
-    const double payload =
-        bytes == 0 ? 0.0 : static_cast<double>(bytes - 1) * gap_;
-    return latency_ + 2.0 * overhead_ + payload;
-  }
-
-  std::string describe() const override;
-
- private:
-  double latency_;
-  double overhead_;
-  double gap_;
 };
 
 /// Multiplicative deterministic noise: T' = T * (1 + sigma * u(src,dst))

@@ -6,7 +6,8 @@
 // the registered kernel set, and the RunResult memory layout — and the
 // on-disk store folds it into its namespace (store_root/<fingerprint>/...),
 // so a simulator change never *corrupts* old results: it simply makes them
-// invisible, and the stale namespace ages out under the byte budget.
+// invisible. Nothing bounds the directory; the stale namespace stays until
+// the directory is deleted to start over.
 //
 // Bump kSimulatorSalt whenever a change alters simulated results without
 // changing any cache_key byte (engine scheduling order, collective cost

@@ -138,9 +138,8 @@ std::string collective_args(const CollectiveSpan& span) {
                      ",\"root\":" + std::to_string(span.root) +
                      ",\"bytes\":" + std::to_string(span.bytes) +
                      ",\"step\":" + std::to_string(span.step) +
-                     ",\"phase\":\"";
-  args += to_string(span.phase);
-  args += "\",\"closed_form\":";
+                     ",\"level\":" + std::to_string(span.level) +
+                     ",\"closed_form\":";
   args += span.closed_form ? "true" : "false";
   if (span.algo >= 0) args += ",\"algo_id\":" + std::to_string(span.algo);
   return args;
@@ -205,8 +204,8 @@ void write_session(EventSink& sink, const TraceSession& session,
         sink.emit(complete_event(
             pid_ranks, tid, span.start, span.end, "compute", "compute",
             "\"flops\":" + fmt_double(span.flops) +
-                ",\"step\":" + std::to_string(span.step) + ",\"phase\":\"" +
-                std::string(to_string(span.phase)) + "\""));
+                ",\"step\":" + std::to_string(span.step) +
+                ",\"level\":" + std::to_string(span.level)));
       } else {
         const CollectiveSpan& span = recorder.collectives()[item.index];
         sink.emit(complete_event(pid_ranks, tid, span.start, span.end,
@@ -220,8 +219,8 @@ void write_session(EventSink& sink, const TraceSession& session,
   for (const StepMark& mark : recorder.steps()) {
     if (mark.rank < 0 || static_cast<std::size_t>(mark.rank) >= per_rank.size())
       continue;
-    std::string name = "step " + std::to_string(mark.step) + " (" +
-                       std::string(to_string(mark.phase)) + ")";
+    std::string name = "step " + std::to_string(mark.step) + " (level " +
+                       std::to_string(mark.level) + ")";
     sink.emit("{\"ph\":\"i\",\"s\":\"t\",\"pid\":" +
               std::to_string(pid_ranks) + ",\"tid\":" +
               std::to_string(tid_base[static_cast<std::size_t>(mark.rank)]) +
@@ -310,14 +309,14 @@ void write_session(EventSink& sink, const TraceSession& session,
     for (std::size_t i = 0; i < fault_items.size(); ++i) {
       const FaultSpan& span = recorder.faults()[fault_items[i].index];
       const int tid = fault_tid_base + fault_lanes[i];
-      std::string name(to_string(span.kind));
+      std::string name = "rank-slowdown";
       if (span.a >= 0) {
         name += span.b >= 0 ? " " + std::to_string(span.a) + "\xE2\x86\x92" +
                                   std::to_string(span.b)
                             : " rank " + std::to_string(span.a);
       }
-      std::string args = "\"kind\":\"" + std::string(to_string(span.kind)) +
-                         "\",\"a\":" + std::to_string(span.a) +
+      std::string args = "\"kind\":\"rank-slowdown\",\"a\":" +
+                         std::to_string(span.a) +
                          ",\"b\":" + std::to_string(span.b) +
                          ",\"factor\":" + fmt_double(span.factor);
       if (span.start < span.end) {
@@ -374,8 +373,8 @@ void write_session(EventSink& sink, const TraceSession& session,
             pid_tasks, task_tid + lanes[i], item.start, item.end, name,
             std::string("task-") + std::string(kind),
             "\"kind\":\"" + std::string(kind) +
-                "\",\"step\":" + std::to_string(span.step) + ",\"phase\":\"" +
-                std::string(to_string(span.phase)) + "\""));
+                "\",\"step\":" + std::to_string(span.step) +
+                ",\"level\":" + std::to_string(span.level)));
       }
       task_tid += lane_count;
     }

@@ -4,7 +4,8 @@
 // (https://ui.perfetto.dev) and chrome://tracing load directly:
 //
 //   * one process per session ("<label> ranks"), one thread group per rank
-//     holding the rank's collective/compute spans plus step markers;
+//     holding the rank's collective/compute spans plus step markers, each
+//     naming its step and chain level ("level":-1 is flat);
 //     overlapping spans on a rank (communication/computation overlap forks)
 //     are spread across nesting-safe sub-lanes, so every exported track is
 //     properly nested;

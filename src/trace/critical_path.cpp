@@ -22,55 +22,33 @@ struct WorkSpan {
   std::size_t index = 0;  // into the recorder's computes()/collectives()
 };
 
-/// The chain level a collective span's time is attributed to: the explicit
-/// stamp when the kernel provided one, else the legacy phase marks (Outer
-/// is level 0, Inner level 1 — the two-level special case), else -1 (flat).
-int effective_level(const CollectiveSpan& span) {
-  if (span.level >= 0) return span.level;
-  switch (span.phase) {
-    case Phase::Outer: return 0;
-    case Phase::Inner: return 1;
-    case Phase::Flat: return -1;
-  }
-  return -1;
+/// The paper's two-level names for a split: level 0 ("outer") and the sum
+/// of every deeper level ("inner").
+double outer_of(const CriticalPathSplit& split) {
+  return split.level_comm.empty() ? 0.0 : split.level_comm.front();
 }
 
-PathCategory comm_category(int level) {
-  if (level == 0) return PathCategory::OuterComm;
-  if (level >= 1) return PathCategory::InnerComm;
-  return PathCategory::FlatComm;
+double inner_of(const CriticalPathSplit& split) {
+  double sum = 0.0;
+  for (std::size_t l = 1; l < split.level_comm.size(); ++l)
+    sum += split.level_comm[l];
+  return sum;
 }
 
 }  // namespace
 
-std::string_view to_string(PathCategory category) {
-  switch (category) {
-    case PathCategory::Comp: return "comp";
-    case PathCategory::OuterComm: return "outer-comm";
-    case PathCategory::InnerComm: return "inner-comm";
-    case PathCategory::FlatComm: return "flat-comm";
-    case PathCategory::Idle: return "idle";
-  }
-  return "unknown";
-}
-
-double CriticalPathSplit::of(PathCategory category) const {
-  switch (category) {
-    case PathCategory::Comp: return comp;
-    case PathCategory::OuterComm: return outer_comm;
-    case PathCategory::InnerComm: return inner_comm;
-    case PathCategory::FlatComm: return flat_comm;
-    case PathCategory::Idle: return idle;
-  }
-  return 0.0;
+double CriticalPathSplit::comm() const {
+  double sum = 0.0;
+  for (const double level : level_comm) sum += level;
+  return sum + flat_comm;
 }
 
 std::string CriticalPathSplit::summary() const {
   std::ostringstream os;
   os << "critical path " << hs::format_seconds(total()) << " = comp "
      << hs::format_seconds(comp) << " + outer "
-     << hs::format_seconds(outer_comm) << " + inner "
-     << hs::format_seconds(inner_comm) << " + flat "
+     << hs::format_seconds(outer_of(*this)) << " + inner "
+     << hs::format_seconds(inner_of(*this)) << " + flat "
      << hs::format_seconds(flat_comm) << " + idle "
      << hs::format_seconds(idle) << " (" << segments.size() << " segments)";
   // Two levels are fully described by the outer/inner head line (kept
@@ -91,10 +69,11 @@ Table CriticalPathSplit::breakdown_table() const {
     table.add_row({name, hs::format_seconds(value),
                    denom > 0.0 ? hs::format_ratio(value / denom) : "-"});
   };
-  for (PathCategory category :
-       {PathCategory::Comp, PathCategory::OuterComm, PathCategory::InnerComm,
-        PathCategory::FlatComm, PathCategory::Idle})
-    add(std::string(to_string(category)), of(category));
+  add("comp", comp);
+  add("outer-comm", outer_of(*this));
+  add("inner-comm", inner_of(*this));
+  add("flat-comm", flat_comm);
+  add("idle", idle);
   if (depth() > 2)
     for (int l = 0; l < depth(); ++l)
       add("level-" + std::to_string(l) + "-comm",
@@ -201,8 +180,7 @@ CriticalPathSplit analyze_critical_path(const Recorder& recorder) {
         }
       }
     }
-    const int level = effective_level(coll);
-    push(hop_start, t, comm_category(level), rank, coll.step, level,
+    push(hop_start, t, PathCategory::Comm, rank, coll.step, coll.level,
          std::string(to_string(coll.op)));
     t = hop_start;
     rank = hop_rank;
@@ -217,16 +195,17 @@ CriticalPathSplit analyze_critical_path(const Recorder& recorder) {
     const double duration = segment.duration();
     switch (segment.category) {
       case PathCategory::Comp: report.comp += duration; break;
-      case PathCategory::OuterComm: report.outer_comm += duration; break;
-      case PathCategory::InnerComm: report.inner_comm += duration; break;
-      case PathCategory::FlatComm: report.flat_comm += duration; break;
       case PathCategory::Idle: report.idle += duration; break;
-    }
-    if (segment.level >= 0) {
-      if (static_cast<std::size_t>(segment.level) >= report.level_comm.size())
-        report.level_comm.resize(static_cast<std::size_t>(segment.level) + 1,
-                                 0.0);
-      report.level_comm[static_cast<std::size_t>(segment.level)] += duration;
+      case PathCategory::Comm:
+        if (segment.level < 0) {
+          report.flat_comm += duration;
+          break;
+        }
+        if (static_cast<std::size_t>(segment.level) >= report.level_comm.size())
+          report.level_comm.resize(static_cast<std::size_t>(segment.level) + 1,
+                                   0.0);
+        report.level_comm[static_cast<std::size_t>(segment.level)] += duration;
+        break;
     }
   }
   return report;

@@ -8,15 +8,12 @@
 // flat broadcast for 0.1 s of level-0 + 0.15 s of level-1 broadcast".
 //
 // Communication attribution is per *chain level*, so a depth-L hierarchy
-// gets an L-entry split (level_comm), not a fixed outer/inner pair. The
-// classic two-level decomposition is the L = 2 special case: level 0 is the
-// inter-group ("outer") phase, level 1 the intra-group ("inner") phase, and
-// the outer_comm/inner_comm sums report exactly those — for deeper chains
-// inner_comm aggregates every level >= 1. Spans carry their level
-// explicitly when the kernel stamps one (the chain kernel's blocking loop
-// does); unstamped spans fall back to the Outer/Inner phase marks. That
-// fallback is what splits scalar HSUMMA's collective spans, whose step
-// marks carry phases but not levels.
+// gets an L-entry split (level_comm), not a fixed outer/inner pair; a comm
+// segment takes the level its collective span carries, and level -1 is
+// flat comm. The classic two-level decomposition is the L = 2 special
+// case: level 0 is the inter-group ("outer") phase, level 1 the
+// intra-group ("inner") phase. The summary and the breakdown table print
+// "outer" as level 0 and "inner" as the sum of every level >= 1.
 //
 // The walk hops between ranks through collectives: a collective completes
 // when its last participant arrives, so the path continues on the
@@ -31,7 +28,6 @@
 #pragma once
 
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/table.hpp"
@@ -40,11 +36,9 @@ namespace hs::trace {
 
 class Recorder;
 
-/// OuterComm is communication at chain level 0, InnerComm at any level
-/// >= 1; FlatComm is level-less (non-hierarchical algorithms). The
-/// PathSegment::level field carries the exact level.
-enum class PathCategory { Comp, OuterComm, InnerComm, FlatComm, Idle };
-std::string_view to_string(PathCategory category);
+/// What a path segment spends its time on; a Comm segment's level says
+/// which chain level (-1 = flat).
+enum class PathCategory { Comp, Comm, Idle };
 
 /// One hop of the critical path, in virtual time. Chronological order.
 struct PathSegment {
@@ -53,7 +47,7 @@ struct PathSegment {
   PathCategory category = PathCategory::Idle;
   int rank = -1;          // rank the segment is charged to
   long long step = -1;    // kernel pivot step, -1 = unmarked
-  int level = -1;         // chain level for comm segments; -1 otherwise
+  int level = -1;         // chain level of a comm segment; -1 = flat/none
   std::string label;      // "compute", collective op name, or "idle"
   double duration() const { return end - start; }
 };
@@ -63,18 +57,17 @@ struct PathSegment {
 struct CriticalPathSplit {
   std::vector<PathSegment> segments;  // chronological, tiling [start, end]
   double comp = 0.0;
-  double outer_comm = 0.0;  // comm at level 0
-  double inner_comm = 0.0;  // comm at every level >= 1
-  double flat_comm = 0.0;
+  double flat_comm = 0.0;  // comm at level -1
   double idle = 0.0;
   /// Communication time per chain level, outermost first; empty for flat
-  /// runs. level_comm[0] == outer_comm and the tail sums to inner_comm.
+  /// runs.
   std::vector<double> level_comm;
   double start_time = 0.0;
   double end_time = 0.0;
 
   double total() const { return end_time - start_time; }
-  double of(PathCategory category) const;
+  /// All communication on the path: every level plus flat.
+  double comm() const;
   /// Number of chain levels the path's communication touched.
   int depth() const { return static_cast<int>(level_comm.size()); }
 
@@ -89,9 +82,6 @@ struct CriticalPathSplit {
   /// than two levels get one extra row per level.
   Table breakdown_table() const;
 };
-
-/// The pre-generalization name; the depth <= 2 fields behave identically.
-using CriticalPathReport = CriticalPathSplit;
 
 /// Extract the critical path from `recorder`'s events. Returns an empty
 /// split (no segments, total() == 0) if the recorder holds no spans.

@@ -14,27 +14,11 @@ std::string_view to_string(CollectiveOp op) {
   return "unknown";
 }
 
-std::string_view to_string(Phase phase) {
-  switch (phase) {
-    case Phase::Flat: return "flat";
-    case Phase::Outer: return "outer";
-    case Phase::Inner: return "inner";
-  }
-  return "unknown";
-}
-
 std::string_view to_string(TaskSpanKind kind) {
   switch (kind) {
     case TaskSpanKind::Comm: return "comm";
     case TaskSpanKind::Compute: return "compute";
     case TaskSpanKind::Wait: return "wait";
-  }
-  return "unknown";
-}
-
-std::string_view to_string(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::RankSlowdown: return "rank-slowdown";
   }
   return "unknown";
 }

@@ -4,9 +4,14 @@
 // per-rank *spans* for every collective call (operation, broadcast
 // algorithm, communicator context, collective sequence number, root,
 // payload bytes, virtual start/end), per-rank compute charges,
-// pivot-step/phase markers emitted by the kernels, every committed wire
+// pivot-step markers emitted by the kernels, every committed wire
 // transfer, and — in ClosedForm mode — one synthetic site span per
 // collective, so timelines cover both CollectiveModes.
+//
+// Every span, step mark and task span names its place in the hierarchy by
+// one number, the broadcast chain level (0 = outermost; scalar HSUMMA's
+// inter-group phase is level 0 and its intra-group phase level 1), with -1
+// for flat work.
 //
 // Hard invariant: recording must not perturb the simulation. Every hook
 // only *reads* the engine clock (desim::Engine::now()) and appends to a
@@ -19,6 +24,9 @@
 // their destructors run when the enclosing scope of the coroutine frame
 // exits, even across co_await suspensions, so a guard wrapping
 // `co_await bcast(...)` brackets exactly the virtual interval of the call.
+// A guard takes its rank's (step, level) when it is built, so a span keeps
+// the position its call started in even while other tasks of the rank move
+// that position before the call ends.
 #pragma once
 
 #include <cstdint>
@@ -45,13 +53,6 @@ enum class CollectiveOp {
 };
 std::string_view to_string(CollectiveOp op);
 
-/// Which algorithmic phase a rank is in, as reported by the kernels: flat
-/// algorithms stay in Flat; HSUMMA alternates between the inter-group
-/// (Outer) and intra-group (Inner) broadcast phases of the paper's
-/// Tables I/II.
-enum class Phase { Flat, Outer, Inner };
-std::string_view to_string(Phase phase);
-
 /// One collective call on one rank: entry to gate-fire, in virtual time.
 struct CollectiveSpan {
   double start = 0.0;
@@ -64,10 +65,8 @@ struct CollectiveSpan {
   int root = -1;        // world rank of the root
   std::uint64_t bytes = 0;  // per-member payload bytes
   long long step = -1;  // kernel pivot step at call time; -1 = unmarked
-  Phase phase = Phase::Flat;
-  /// Hierarchy chain level of the enclosing broadcast stage (0 =
-  /// outermost), stamped from the rank's current level state; -1 when the
-  /// kernel reports no level (flat runs, scalar HSUMMA and task plans).
+  /// Hierarchy chain level of the rank when the call started (0 =
+  /// outermost); -1 = flat.
   int level = -1;
   bool closed_form = false;
 };
@@ -79,16 +78,16 @@ struct ComputeSpan {
   int rank = -1;
   double flops = 0.0;
   long long step = -1;
-  Phase phase = Phase::Flat;
   int level = -1;  // see CollectiveSpan::level
 };
 
-/// A kernel's "pivot step k begins" marker.
+/// A kernel's "pivot step k begins" marker, at the chain level the step
+/// belongs to (-1 = flat).
 struct StepMark {
   double time = 0.0;
   int rank = -1;
   long long step = -1;
-  Phase phase = Phase::Flat;
+  int level = -1;
 };
 
 /// One committed point-to-point wire transfer.
@@ -134,28 +133,17 @@ struct TaskSpan {
   int rank = -1;
   TaskSpanKind kind = TaskSpanKind::Comm;
   long long step = -1;
-  Phase phase = Phase::Flat;
-  /// Hierarchy chain level of the task's broadcast stage (exact — derived
-  /// from the task plan's phase encoding); -1 for flat/legacy tasks.
-  int level = -1;
+  int level = -1;  // the task's chain level (desim::TaskSpec::level)
   const char* label = "";  // static storage (TaskSpec::label)
 };
 
-/// Fault-event taxonomy (mirrors fault::FaultPlan's window kind, kept
-/// mpc/fault-independent here for the same layering reason as
-/// CollectiveOp), rendered as a dedicated Perfetto track by
-/// write_chrome_trace. One kind today; the enum keeps the span-chunk
-/// record layout.
-enum class FaultKind { RankSlowdown };
-std::string_view to_string(FaultKind kind);
-
-/// One fault window over [start, end) with `factor` as the multiplier
-/// (start == end renders as an instant). `a` is the slowed rank; `b` is a
-/// second rank, -1 when absent.
+/// One rank-slowdown window of a fault::FaultPlan over [start, end) with
+/// `factor` as the multiplier (start == end renders as an instant),
+/// rendered as a dedicated Perfetto track by write_chrome_trace. `a` is the
+/// slowed rank; `b` is a second rank, -1 when absent.
 struct FaultSpan {
   double start = 0.0;
   double end = 0.0;
-  FaultKind kind = FaultKind::RankSlowdown;
   int a = -1;
   int b = -1;
   double factor = 0.0;
@@ -176,43 +164,45 @@ struct FaultSpan {
 ///     exceeds the budget, everything buffered is spilled to the sink's
 ///     on-disk chunk file and the vectors are cleared, bounding recorder
 ///     RSS for arbitrarily long runs (see trace/stream_sink.hpp for the
-///     format, loader and Chrome-trace converter).
+///     format and loader).
 class Recorder {
  public:
-  /// Update rank `rank`'s current (step, phase) and record a marker.
-  /// Subsequent collective/compute spans on that rank are stamped with the
-  /// new state.
-  void begin_step(double now, int rank, long long step, Phase phase) {
-    RankState& state = state_of(rank);
-    state.step = step;
-    state.phase = phase;
+  /// A rank's place in the run: the pivot step and chain level (-1 =
+  /// flat) that spans starting now carry.
+  struct Position {
+    long long step = -1;
+    int level = -1;
+  };
+
+  /// Move rank `rank` to (step, level) and record a marker there.
+  void begin_step(double now, int rank, long long step, int level) {
+    set_position(rank, step, level);
     if (!rank_sampled(rank)) return;
-    steps_.push_back({now, rank, step, phase});
+    steps_.push_back({now, rank, step, level});
     note_span(sizeof(StepMark));
   }
 
-  /// Update rank `rank`'s current hierarchy chain level (-1 = none);
-  /// subsequent collective/compute spans on that rank carry it.
+  /// Move rank `rank` to (step, level) without a marker (a task runtime
+  /// entering one of its tasks).
+  void set_position(int rank, long long step, int level) {
+    state_of(rank) = {step, level};
+  }
+
+  /// Move rank `rank` to chain level `level` (-1 = flat) within its step.
   void set_level(int rank, int level) { state_of(rank).level = level; }
 
-  /// Record a finished collective span; step/phase/level are stamped from
-  /// the caller rank's current state.
-  void add_collective(CollectiveSpan span) {
-    const RankState& state = state_of(span.rank);
-    span.step = state.step;
-    span.phase = state.phase;
-    span.level = state.level;
+  /// Rank `rank`'s current position; the span guards stamp it at entry.
+  Position position(int rank) { return state_of(rank); }
+
+  /// Record a finished collective span as given (the guard stamped it).
+  void add_collective(const CollectiveSpan& span) {
     if (!rank_sampled(span.rank)) return;
     collectives_.push_back(span);
     note_span(sizeof(CollectiveSpan));
   }
 
-  /// Record a finished compute span; stamped like add_collective.
-  void add_compute(ComputeSpan span) {
-    const RankState& state = state_of(span.rank);
-    span.step = state.step;
-    span.phase = state.phase;
-    span.level = state.level;
+  /// Record a finished compute span as given (the guard stamped it).
+  void add_compute(const ComputeSpan& span) {
     if (!rank_sampled(span.rank)) return;
     computes_.push_back(span);
     note_span(sizeof(ComputeSpan));
@@ -278,9 +268,9 @@ class Recorder {
 
   // --- raw restore (chunk loader) -----------------------------------------
 
-  /// Append a span verbatim: no state stamping, no sampling, no spill
-  /// accounting. Used by load_span_chunks to reconstruct a recorder from a
-  /// chunk file; not meant for recording hooks.
+  /// Append a span verbatim: no sampling, no spill accounting. Used by
+  /// load_span_chunks to reconstruct a recorder from a chunk file; not
+  /// meant for recording hooks.
   void restore(const CollectiveSpan& span) { collectives_.push_back(span); }
   void restore(const ComputeSpan& span) { computes_.push_back(span); }
   void restore(const StepMark& mark) { steps_.push_back(mark); }
@@ -323,12 +313,7 @@ class Recorder {
   }
 
  private:
-  struct RankState {
-    long long step = -1;
-    Phase phase = Phase::Flat;
-    int level = -1;
-  };
-  RankState& state_of(int rank) {
+  Position& state_of(int rank) {
     const auto index =
         static_cast<std::size_t>(rank < 0 ? 0 : rank);
     if (index >= states_.size()) states_.resize(index + 1);
@@ -351,7 +336,7 @@ class Recorder {
   std::vector<SiteSpan> sites_;
   std::vector<FaultSpan> faults_;
   std::vector<TaskSpan> tasks_;
-  std::vector<RankState> states_;
+  std::vector<Position> states_;
   RankSampleSet sample_;
   hs::Histogram exposed_wait_hist_;
   SpanChunkWriter* stream_ = nullptr;
@@ -372,15 +357,22 @@ class RankTracer {
   Recorder* recorder() const noexcept { return recorder_; }
   int rank() const noexcept { return rank_; }
 
-  /// Mark the start of pivot step `step` in `phase` at the current virtual
-  /// time.
-  void begin_step(desim::Engine& engine, long long step, Phase phase) const {
+  /// Mark the start of pivot step `step` at chain level `level` (-1 =
+  /// flat) at the current virtual time; spans starting afterwards carry
+  /// both.
+  void begin_step(desim::Engine& engine, long long step, int level) const {
     if (recorder_ != nullptr)
-      recorder_->begin_step(engine.now(), rank_, step, phase);
+      recorder_->begin_step(engine.now(), rank_, step, level);
   }
 
-  /// Set this rank's current hierarchy chain level (-1 = none); spans
-  /// recorded afterwards carry it. Pure state, no event is stored.
+  /// Move this rank to (step, level) without a marker. Pure state, no
+  /// event is stored.
+  void set_position(long long step, int level) const {
+    if (recorder_ != nullptr) recorder_->set_position(rank_, step, level);
+  }
+
+  /// Set this rank's current hierarchy chain level (-1 = flat); spans
+  /// starting afterwards carry it. Pure state, no event is stored.
   void set_level(int level) const {
     if (recorder_ != nullptr) recorder_->set_level(rank_, level);
   }
@@ -391,13 +383,18 @@ class RankTracer {
 };
 
 /// RAII span over one collective call. Construct with the span's identity
-/// fields filled in (start/end are stamped here); the destructor records it.
+/// fields filled in (start, step and level are stamped here, end by the
+/// destructor, which records it).
 class CollectiveSpanGuard {
  public:
   CollectiveSpanGuard(Recorder* recorder, desim::Engine& engine,
                       const CollectiveSpan& span)
       : recorder_(recorder), engine_(&engine), span_(span) {
-    if (recorder_ != nullptr) span_.start = engine.now();
+    if (recorder_ == nullptr) return;
+    span_.start = engine.now();
+    const Recorder::Position at = recorder_->position(span_.rank);
+    span_.step = at.step;
+    span_.level = at.level;
   }
   CollectiveSpanGuard(const CollectiveSpanGuard&) = delete;
   CollectiveSpanGuard& operator=(const CollectiveSpanGuard&) = delete;
@@ -413,7 +410,8 @@ class CollectiveSpanGuard {
   CollectiveSpan span_;
 };
 
-/// RAII span over one Machine::compute charge.
+/// RAII span over one Machine::compute charge, stamped like
+/// CollectiveSpanGuard.
 class ComputeSpanGuard {
  public:
   ComputeSpanGuard(const RankTracer& tracer, desim::Engine& engine,
@@ -423,6 +421,9 @@ class ComputeSpanGuard {
     span_.rank = tracer.rank();
     span_.flops = flops;
     span_.start = engine.now();
+    const Recorder::Position at = recorder_->position(span_.rank);
+    span_.step = at.step;
+    span_.level = at.level;
   }
   ComputeSpanGuard(const ComputeSpanGuard&) = delete;
   ComputeSpanGuard& operator=(const ComputeSpanGuard&) = delete;

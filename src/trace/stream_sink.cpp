@@ -1,12 +1,12 @@
 #include "trace/stream_sink.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <mutex>
 #include <unordered_set>
 #include <vector>
 
 #include "common/check.hpp"
-#include "trace/chrome_trace.hpp"
 #include "trace/recorder.hpp"
 
 namespace hs::trace {
@@ -14,7 +14,7 @@ namespace hs::trace {
 namespace {
 
 // Record kind tags. Append-only: existing values are part of the on-disk
-// format ("HSSPANS1") and must not be renumbered.
+// format and must not be renumbered.
 enum class RecordKind : std::uint8_t {
   Collective = 0,
   Compute = 1,
@@ -155,7 +155,6 @@ void write_record(FieldWriter& w, const CollectiveSpan& s) {
   w.i32(s.root);
   w.u64(s.bytes);
   w.i64(s.step);
-  w.u8(static_cast<std::uint8_t>(s.phase));
   w.i32(s.level);
   w.u8(s.closed_form ? 1 : 0);
 }
@@ -167,7 +166,6 @@ void write_record(FieldWriter& w, const ComputeSpan& s) {
   w.i32(s.rank);
   w.f64(s.flops);
   w.i64(s.step);
-  w.u8(static_cast<std::uint8_t>(s.phase));
   w.i32(s.level);
 }
 
@@ -176,7 +174,7 @@ void write_record(FieldWriter& w, const StepMark& s) {
   w.f64(s.time);
   w.i32(s.rank);
   w.i64(s.step);
-  w.u8(static_cast<std::uint8_t>(s.phase));
+  w.i32(s.level);
 }
 
 void write_record(FieldWriter& w, const WireSpan& s) {
@@ -206,7 +204,6 @@ void write_record(FieldWriter& w, const FaultSpan& s) {
   w.u8(static_cast<std::uint8_t>(RecordKind::Fault));
   w.f64(s.start);
   w.f64(s.end);
-  w.u8(static_cast<std::uint8_t>(s.kind));
   w.i32(s.a);
   w.i32(s.b);
   w.f64(s.factor);
@@ -219,7 +216,6 @@ void write_record(FieldWriter& w, const TaskSpan& s) {
   w.i32(s.rank);
   w.u8(static_cast<std::uint8_t>(s.kind));
   w.i64(s.step);
-  w.u8(static_cast<std::uint8_t>(s.phase));
   w.i32(s.level);
   w.str(s.label == nullptr ? std::string_view() : std::string_view(s.label));
 }
@@ -263,9 +259,13 @@ std::uint64_t load_span_chunks(const std::string& path, Recorder& out) {
   HS_REQUIRE_MSG(in.good(), "cannot open span chunk file '" << path << "'");
   std::vector<char> data((std::istreambuf_iterator<char>(in)),
                          std::istreambuf_iterator<char>());
-  HS_REQUIRE_MSG(data.size() >= kSpanChunkMagic.size() &&
-                     std::string_view(data.data(), kSpanChunkMagic.size()) ==
-                         kSpanChunkMagic,
+  const std::string_view magic(
+      data.data(), std::min(data.size(), kSpanChunkMagic.size()));
+  HS_REQUIRE_MSG(magic != "HSSPANS1",
+                 "'" << path << "' is an HSSPANS1 span chunk file; this "
+                        "reader decodes only " << kSpanChunkMagic
+                     << " (re-record the trace)");
+  HS_REQUIRE_MSG(magic == kSpanChunkMagic,
                  "'" << path << "' is not a span chunk file (bad magic)");
   FieldReader r(std::move(data));
   for (std::size_t i = 0; i < kSpanChunkMagic.size(); ++i) r.u8();
@@ -286,7 +286,6 @@ std::uint64_t load_span_chunks(const std::string& path, Recorder& out) {
         s.root = r.i32();
         s.bytes = r.u64();
         s.step = r.i64();
-        s.phase = read_enum<Phase>(r, "phase", path);
         s.level = r.i32();
         s.closed_form = r.u8() != 0;
         out.restore(s);
@@ -299,7 +298,6 @@ std::uint64_t load_span_chunks(const std::string& path, Recorder& out) {
         s.rank = r.i32();
         s.flops = r.f64();
         s.step = r.i64();
-        s.phase = read_enum<Phase>(r, "phase", path);
         s.level = r.i32();
         out.restore(s);
         break;
@@ -309,7 +307,7 @@ std::uint64_t load_span_chunks(const std::string& path, Recorder& out) {
         s.time = r.f64();
         s.rank = r.i32();
         s.step = r.i64();
-        s.phase = read_enum<Phase>(r, "phase", path);
+        s.level = r.i32();
         out.restore(s);
         break;
       }
@@ -342,7 +340,6 @@ std::uint64_t load_span_chunks(const std::string& path, Recorder& out) {
         FaultSpan s;
         s.start = r.f64();
         s.end = r.f64();
-        s.kind = read_enum<FaultKind>(r, "fault kind", path);
         s.a = r.i32();
         s.b = r.i32();
         s.factor = r.f64();
@@ -356,7 +353,6 @@ std::uint64_t load_span_chunks(const std::string& path, Recorder& out) {
         s.rank = r.i32();
         s.kind = read_enum<TaskSpanKind>(r, "task span kind", path);
         s.step = r.i64();
-        s.phase = read_enum<Phase>(r, "phase", path);
         s.level = r.i32();
         s.label = intern_label(r.str());
         out.restore(s);
@@ -369,15 +365,6 @@ std::uint64_t load_span_chunks(const std::string& path, Recorder& out) {
     }
     ++loaded;
   }
-  return loaded;
-}
-
-std::uint64_t convert_span_chunks_to_chrome(const std::string& chunk_path,
-                                            std::ostream& out,
-                                            std::string_view label) {
-  Recorder recorder;
-  const std::uint64_t loaded = load_span_chunks(chunk_path, recorder);
-  write_chrome_trace(out, recorder, label);
   return loaded;
 }
 

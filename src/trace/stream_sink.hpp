@@ -4,23 +4,22 @@
 // its buffered spans to disk whenever they exceed the RSS budget, so a
 // traced run's memory stays O(budget + ranks) no matter how long it runs or
 // how many ranks are sampled. The on-disk format is a compact append-only
-// record stream ("HSSPANS1"): one byte of record kind, then the span's
-// fields in fixed-width little-endian, task labels length-prefixed. No
-// framing or compression — the point is cheap sequential writes from inside
-// the simulation loop; the file is only ever read back whole.
+// record stream ("HSSPANS2"): one byte of record kind, then the span's
+// fields in fixed-width little-endian, task labels length-prefixed. Spans,
+// step marks and task spans store their chain level as an i32 (-1 = flat).
+// No framing or compression — the point is cheap sequential writes from
+// inside the simulation loop; the file is only ever read back whole.
 //
-// Reading back:
-//   * load_span_chunks() reconstructs a Recorder (labels are interned into
-//     a process-lifetime pool so TaskSpan::label stays a stable
-//     const char*), after which the usual analyses — critical path,
-//     Chrome-trace export — apply unchanged;
-//   * convert_span_chunks_to_chrome() is the one-call chunk -> Perfetto
-//     converter built on top of that.
+// load_span_chunks() reconstructs a Recorder (labels are interned into a
+// process-lifetime pool so TaskSpan::label stays a stable const char*),
+// after which the usual analyses — critical path, Chrome-trace export —
+// apply unchanged. Chunk files are run artifacts written beside a trace,
+// not a store: the reader decodes only the current version and rejects an
+// older one with a message that asks to re-record it.
 #pragma once
 
 #include <cstdint>
 #include <fstream>
-#include <iosfwd>
 #include <string>
 #include <string_view>
 
@@ -30,7 +29,7 @@ class Recorder;
 
 /// Magic bytes at the start of every chunk file (8 bytes, includes the
 /// format version).
-inline constexpr std::string_view kSpanChunkMagic = "HSSPANS1";
+inline constexpr std::string_view kSpanChunkMagic = "HSSPANS2";
 
 /// Append-only span chunk file writer. The file is opened lazily on the
 /// first spill, so constructing a writer that never spills leaves no file
@@ -60,16 +59,10 @@ class SpanChunkWriter {
   std::uint64_t spans_ = 0;
 };
 
-/// Load a chunk file back into `out` (via Recorder::restore — no stamping,
-/// no sampling). Returns the number of spans loaded. Aborts (HS_REQUIRE) on
-/// a bad magic or a truncated record.
+/// Load a chunk file back into `out` (via Recorder::restore — no
+/// sampling). Returns the number of spans loaded. Throws PreconditionError
+/// on a bad or older magic, a truncated record or an out-of-range enum
+/// byte.
 std::uint64_t load_span_chunks(const std::string& path, Recorder& out);
-
-/// One-call converter: load `chunk_path` and write a Chrome-trace JSON
-/// document to `out`, so Perfetto export works for streamed runs exactly as
-/// for in-memory ones. Returns the number of spans converted.
-std::uint64_t convert_span_chunks_to_chrome(const std::string& chunk_path,
-                                            std::ostream& out,
-                                            std::string_view label = "sim");
 
 }  // namespace hs::trace

@@ -245,6 +245,56 @@ TEST(TaskGraph, OverlappedObserverSeesOnlyExposedWaits) {
   EXPECT_EQ(exposed, 0.0);
 }
 
+// Logs "start <id>" from the observer and "body <id>" from each body's
+// first instruction, so the log shows what ran in between.
+struct StartLog : TaskObserver {
+  std::vector<std::string> events;
+  void task_started(const TaskGraph&, int id) override {
+    events.push_back("start " + std::to_string(id));
+  }
+};
+
+TaskGraph::Body logged(Engine& engine, double duration, StartLog& log,
+                       int id) {
+  return [&engine, duration, &log, id]() -> Task<void> {
+    return [](Engine& e, double d, StartLog& l, int i) -> Task<void> {
+      l.events.push_back("body " + std::to_string(i));
+      co_await e.sleep(d);
+    }(engine, duration, log, id);
+  };
+}
+
+TEST(TaskGraph, ObserverSeesEachTaskStartRightBeforeItsBody) {
+  // Two steps of (comm, comm, compute): at D >= 1 the comms are forked and
+  // their bodies start after other tasks were issued, yet each body still
+  // runs straight after its own task_started, for every lowering.
+  for (const int lookahead : {0, 1, 2}) {
+    SCOPED_TRACE("D=" + std::to_string(lookahead));
+    Engine engine;
+    TaskGraph graph;
+    StartLog log;
+    int id = 0;
+    for (int q = 0; q < 2; ++q) {
+      graph.add(comm_spec({}, {region_id("a", q)}, 0),
+                logged(engine, 0.5, log, id++));
+      graph.add(comm_spec({}, {region_id("b", q)}, 1),
+                logged(engine, 0.25, log, id++));
+      graph.add(compute_spec({region_id("a", q), region_id("b", q)}),
+                logged(engine, 1.0, log, id++));
+    }
+    engine.spawn([](Engine& e, TaskGraph& g, int d, StartLog& l)
+                     -> Task<void> {
+      co_await run_task_graph(e, g, d, &l);
+    }(engine, graph, lookahead, log));
+    engine.run();
+    ASSERT_EQ(log.events.size(), 2u * static_cast<std::size_t>(id));
+    for (std::size_t i = 0; i < log.events.size(); i += 2) {
+      ASSERT_EQ(log.events[i].rfind("start ", 0), 0u) << log.events[i];
+      EXPECT_EQ(log.events[i + 1], "body " + log.events[i].substr(6));
+    }
+  }
+}
+
 TEST(TaskGraph, EqualGraphsProduceBitIdenticalSchedules) {
   auto build_and_run = [](int lookahead) {
     Engine engine;

@@ -26,14 +26,6 @@ TEST(Hockney, RejectsNegativeParameters) {
   EXPECT_THROW(hs::net::HockneyModel(0.0, -1.0), hs::PreconditionError);
 }
 
-TEST(LogGP, MatchesDefinition) {
-  hs::net::LogGPModel model(2e-6, 1e-6, 1e-9);
-  // L + 2o + (m-1) G
-  EXPECT_DOUBLE_EQ(model.transfer_time(0, 1, 1), 2e-6 + 2e-6);
-  EXPECT_DOUBLE_EQ(model.transfer_time(0, 1, 1001), 4e-6 + 1000.0 * 1e-9);
-  EXPECT_DOUBLE_EQ(model.transfer_time(0, 1, 0), 4e-6);
-}
-
 TEST(Noisy, DeterministicForSameSeed) {
   auto base = std::make_shared<hs::net::HockneyModel>(1e-5, 1e-9);
   hs::net::NoisyModel a(base, 0.2, 7);

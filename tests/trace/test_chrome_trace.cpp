@@ -207,6 +207,68 @@ TEST(ChromeTrace, TaskRuntimeSpansGetTheirOwnProcessTrack) {
   expect_tracks_nest(doc);
 }
 
+TEST(ChromeTrace, SpansAndStepMarksPrintTheirLevel) {
+  // The exact spelling: every span prints "level":<int> (-1 = flat) after
+  // its step, and a step mark's name carries its level.
+  Recorder recorder;
+  recorder.begin_step(0.0, 0, 7, 0);
+  hs::trace::CollectiveSpan coll;
+  coll.rank = 0;
+  coll.end = 1.0;
+  coll.step = 7;
+  coll.level = 2;
+  recorder.add_collective(coll);
+  hs::trace::ComputeSpan comp;
+  comp.rank = 0;
+  comp.start = 1.0;
+  comp.end = 2.0;
+  comp.step = 8;
+  recorder.add_compute(comp);
+  hs::trace::TaskSpan task;
+  task.rank = 0;
+  task.end = 1.0;
+  task.step = 7;
+  task.level = 1;
+  task.label = "bcast A";
+  recorder.add_task(task);
+  std::ostringstream out;
+  hs::trace::write_chrome_trace(out, recorder);
+  const std::string doc = out.str();
+  EXPECT_NE(doc.find("\"step\":7,\"level\":2,\"closed_form\":false"),
+            std::string::npos)
+      << doc;
+  EXPECT_NE(doc.find("\"step\":8,\"level\":-1}"), std::string::npos) << doc;
+  EXPECT_NE(doc.find("\"name\":\"step 7 (level 0)\""), std::string::npos)
+      << doc;
+  EXPECT_NE(doc.find("\"kind\":\"comm\",\"step\":7,\"level\":1}"),
+            std::string::npos)
+      << doc;
+  EXPECT_EQ(doc.find("phase"), std::string::npos) << doc;
+}
+
+TEST(ChromeTrace, ChainBroadcastsShowTheirLevels) {
+  // A 2x2x2 chain on an 8x8 grid broadcasts at levels 0..3; every bcast
+  // event says which, and none is flat.
+  Recorder recorder;
+  hs::exec::SimJob job;
+  job.platform = hs::net::Platform::by_name("grid5000");
+  job.collective_mode = hs::mpc::CollectiveMode::ClosedForm;
+  job.algorithm = hs::core::Algorithm::Hsumma;
+  job.ranks = 64;
+  job.hierarchy = hs::core::GroupHierarchy({2, 2, 2});
+  job.problem = hs::core::ProblemSpec::square(512, 32);
+  job.recorder = &recorder;
+  hs::exec::run_sim_job(job);
+  const JsonValue doc = export_and_parse(recorder, "chain");
+  std::map<int, int> per_level;
+  for (const JsonValue& event : doc.at("traceEvents").array())
+    if (event.at("ph").string() == "X" && event.at("name").string() == "bcast")
+      ++per_level[static_cast<int>(event.at("args").at("level").number())];
+  ASSERT_EQ(per_level.size(), 4u);
+  for (int level = 0; level < 4; ++level)
+    EXPECT_GT(per_level[level], 0) << "level " << level;
+}
+
 TEST(ChromeTrace, MultipleSessionsGetDistinctProcesses) {
   const Recorder summa = record_run(hs::core::Algorithm::Summa, 1,
                                     hs::mpc::CollectiveMode::ClosedForm);

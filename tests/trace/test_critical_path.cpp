@@ -2,13 +2,16 @@
 // runs of the non-overlapped kernels the path is exact: its segments tile
 // [start, end] of the run, so the category sums must reproduce total_time
 // to addition round-off, and the comm attribution must stay within the
-// TimingReport's per-phase maxima.
+// TimingReport's per-level maxima. At any look-ahead depth every
+// collective span carries the step and chain level of the task it ran in.
 #include "trace/critical_path.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
 
+#include "common/table.hpp"
 #include "exec/sim_job.hpp"
 #include "trace/recorder.hpp"
 
@@ -16,7 +19,7 @@ namespace {
 
 using hs::core::RunResult;
 using hs::trace::analyze_critical_path;
-using hs::trace::CriticalPathReport;
+using hs::trace::CriticalPathSplit;
 using hs::trace::PathCategory;
 using hs::trace::Recorder;
 
@@ -54,7 +57,13 @@ RunResult record_chain_run(const hs::core::GroupHierarchy& chain, int ranks,
   return hs::exec::run_sim_job(job);
 }
 
-void expect_tiles_exactly(const CriticalPathReport& path,
+double level_sum(const CriticalPathSplit& path) {
+  double sum = 0.0;
+  for (const double level : path.level_comm) sum += level;
+  return sum;
+}
+
+void expect_tiles_exactly(const CriticalPathSplit& path,
                           const RunResult& result) {
   ASSERT_FALSE(path.segments.empty());
   // Chronological, gap-free chain.
@@ -67,15 +76,14 @@ void expect_tiles_exactly(const CriticalPathReport& path,
   }
   // The acceptance bound: categories decompose total_time to 1e-9.
   EXPECT_NEAR(sum, result.timing.total_time, 1e-9);
-  EXPECT_NEAR(path.comp + path.outer_comm + path.inner_comm +
-                  path.flat_comm + path.idle,
+  EXPECT_NEAR(path.comp + path.flat_comm + level_sum(path) + path.idle,
               result.timing.total_time, 1e-9);
   EXPECT_NEAR(path.total(), result.timing.total_time, 1e-9);
 }
 
 TEST(CriticalPath, EmptyRecorderYieldsEmptyReport) {
   Recorder recorder;
-  const CriticalPathReport path = analyze_critical_path(recorder);
+  const CriticalPathSplit path = analyze_critical_path(recorder);
   EXPECT_TRUE(path.segments.empty());
   EXPECT_DOUBLE_EQ(path.total(), 0.0);
 }
@@ -84,11 +92,10 @@ TEST(CriticalPath, SummaPathIsFlatCommPlusComp) {
   Recorder recorder;
   const RunResult result =
       record_run(hs::core::Algorithm::Summa, 1, recorder);
-  const CriticalPathReport path = analyze_critical_path(recorder);
+  const CriticalPathSplit path = analyze_critical_path(recorder);
   expect_tiles_exactly(path, result);
-  // Flat kernel: no outer/inner phases on the path.
-  EXPECT_DOUBLE_EQ(path.outer_comm, 0.0);
-  EXPECT_DOUBLE_EQ(path.inner_comm, 0.0);
+  // Flat kernel: no chain level on the path.
+  EXPECT_EQ(path.depth(), 0);
   EXPECT_GT(path.flat_comm, 0.0);
   EXPECT_GT(path.comp, 0.0);
   EXPECT_LE(path.flat_comm, result.timing.max_comm_time + 1e-9);
@@ -98,25 +105,25 @@ TEST(CriticalPath, HsummaDecompositionMatchesTimingReport) {
   Recorder recorder;
   const RunResult result =
       record_run(hs::core::Algorithm::Hsumma, 4, recorder);
-  const CriticalPathReport path = analyze_critical_path(recorder);
+  const CriticalPathSplit path = analyze_critical_path(recorder);
   expect_tiles_exactly(path, result);
-  // Hierarchical kernel: the path's comm is split outer/inner only.
+  // Hierarchical kernel: the path's comm is split between the outer (0)
+  // and inner (1) levels only.
   EXPECT_DOUBLE_EQ(path.flat_comm, 0.0);
-  EXPECT_GT(path.outer_comm, 0.0);
-  EXPECT_GT(path.inner_comm, 0.0);
+  ASSERT_EQ(path.depth(), 2);
+  EXPECT_GT(path.level_comm[0], 0.0);
+  EXPECT_GT(path.level_comm[1], 0.0);
   // In lockstep closed form every rank sits inside some collective whenever
   // the chain is in a comm phase, so the chain's total comm reproduces the
   // slowest rank's comm budget exactly.
-  EXPECT_NEAR(path.outer_comm + path.inner_comm,
-              result.timing.max_comm_time, 1e-9);
-  // Per-phase attribution differs between the two views: participation in
+  EXPECT_NEAR(path.comm(), result.timing.max_comm_time, 1e-9);
+  // Per-level attribution differs between the two views: participation in
   // the outer broadcasts rotates across ranks, so the chain (which crosses
   // every step's A and B broadcast) holds at least as much outer time as
   // any single rank charged, while ranks skipping an outer step absorb the
   // wait inside the next inner collective instead.
-  // The report's outer and inner phases are level slots 0 and 1.
-  EXPECT_GE(path.outer_comm, result.timing.level_comm(0) - 1e-9);
-  EXPECT_LE(path.inner_comm, result.timing.level_comm(1) + 1e-9);
+  EXPECT_GE(path.level_comm[0], result.timing.level_comm(0) - 1e-9);
+  EXPECT_LE(path.level_comm[1], result.timing.level_comm(1) + 1e-9);
   // Every segment carries a rank and the comm segments carry step marks.
   for (const auto& segment : path.segments)
     if (segment.category != PathCategory::Idle) {
@@ -133,25 +140,16 @@ TEST(CriticalPath, DepthFourChainSplitsPerLevel) {
   Recorder recorder;
   const RunResult result =
       record_chain_run(hs::core::GroupHierarchy({4, 4, 4}), 256, recorder);
-  const CriticalPathReport path = analyze_critical_path(recorder);
+  const CriticalPathSplit path = analyze_critical_path(recorder);
   expect_tiles_exactly(path, result);
   ASSERT_EQ(path.depth(), 4);
-  // The vector split refines outer/inner: level 0 IS the outer phase and
-  // the deeper levels partition the inner aggregate.
-  EXPECT_DOUBLE_EQ(path.level_comm[0], path.outer_comm);
-  double tail = 0.0, level_sum = 0.0;
-  for (int l = 0; l < path.depth(); ++l) {
+  for (int l = 0; l < path.depth(); ++l)
     EXPECT_GT(path.level_comm[static_cast<std::size_t>(l)], 0.0)
         << "level " << l;
-    level_sum += path.level_comm[static_cast<std::size_t>(l)];
-    if (l >= 1) tail += path.level_comm[static_cast<std::size_t>(l)];
-  }
-  EXPECT_NEAR(tail, path.inner_comm, 1e-12);
-  EXPECT_NEAR(path.comp + level_sum + path.flat_comm + path.idle,
-              result.timing.total_time, 1e-9);
+  EXPECT_DOUBLE_EQ(path.flat_comm, 0.0);
   // Lockstep closed form: the chain's comm total is the slowest rank's
   // comm budget, just like the two-level case.
-  EXPECT_NEAR(level_sum, result.timing.max_comm_time, 1e-9);
+  EXPECT_NEAR(level_sum(path), result.timing.max_comm_time, 1e-9);
   // The TimingReport carries the matching per-level maxima.
   ASSERT_EQ(result.timing.max_level_comm_time.size(), 4u);
   // Deep chains surface the per-level split in the human-facing views.
@@ -168,14 +166,18 @@ TEST(CriticalPath, DepthTwoSummaryStaysByteCompatible) {
   const RunResult result =
       record_run(hs::core::Algorithm::Hsumma, 4, recorder);
   (void)result;
-  const CriticalPathReport path = analyze_critical_path(recorder);
+  const CriticalPathSplit path = analyze_critical_path(recorder);
   ASSERT_EQ(path.depth(), 2);
-  EXPECT_DOUBLE_EQ(path.level_comm[0], path.outer_comm);
-  EXPECT_NEAR(path.level_comm[1], path.inner_comm, 1e-12);
   const std::string summary = path.summary();
   EXPECT_EQ(summary.find("level"), std::string::npos);
   EXPECT_EQ(summary.find('\n'), std::string::npos);  // single head line
   EXPECT_EQ(summary.rfind("critical path ", 0), 0u);
+  // "outer" is level 0 and "inner" level 1.
+  EXPECT_NE(summary.find(" + outer " + hs::format_seconds(path.level_comm[0]) +
+                         " + inner " + hs::format_seconds(path.level_comm[1]) +
+                         " + flat "),
+            std::string::npos)
+      << summary;
 }
 
 TEST(CriticalPath, PointToPointPathStillTiles) {
@@ -185,7 +187,7 @@ TEST(CriticalPath, PointToPointPathStillTiles) {
   const RunResult result =
       record_run(hs::core::Algorithm::Hsumma, 4, recorder,
                  hs::mpc::CollectiveMode::PointToPoint);
-  const CriticalPathReport path = analyze_critical_path(recorder);
+  const CriticalPathSplit path = analyze_critical_path(recorder);
   ASSERT_FALSE(path.segments.empty());
   for (std::size_t i = 1; i < path.segments.size(); ++i)
     EXPECT_NEAR(path.segments[i].start, path.segments[i - 1].end, 1e-12);
@@ -199,13 +201,90 @@ TEST(CriticalPath, SummaryAndTableNameEveryCategory) {
   const RunResult result =
       record_run(hs::core::Algorithm::Hsumma, 4, recorder);
   (void)result;
-  const CriticalPathReport path = analyze_critical_path(recorder);
+  const CriticalPathSplit path = analyze_critical_path(recorder);
   const std::string summary = path.summary();
   EXPECT_NE(summary.find("comp"), std::string::npos);
   EXPECT_NE(summary.find("outer"), std::string::npos);
   EXPECT_NE(summary.find("inner"), std::string::npos);
-  EXPECT_DOUBLE_EQ(path.of(PathCategory::Comp), path.comp);
-  EXPECT_DOUBLE_EQ(path.of(PathCategory::OuterComm), path.outer_comm);
+  std::ostringstream table;
+  path.breakdown_table().print(table);
+  for (const char* category :
+       {"comp", "outer-comm", "inner-comm", "flat-comm", "idle"})
+    EXPECT_NE(table.str().find(category), std::string::npos) << category;
+}
+
+// One 8x8 run at look-ahead depth 1, ClosedForm, with a recorder.
+RunResult record_lookahead_run(const hs::core::GroupHierarchy& chain,
+                               int groups, Recorder& recorder) {
+  hs::exec::SimJob job;
+  job.platform = hs::net::Platform::by_name("grid5000");
+  job.collective_mode = hs::mpc::CollectiveMode::ClosedForm;
+  job.algorithm = hs::core::Algorithm::Hsumma;
+  job.ranks = 64;
+  job.groups = groups;
+  job.hierarchy = chain;
+  job.problem = hs::core::ProblemSpec::square(512, 32);
+  job.lookahead = 1;
+  job.recorder = &recorder;
+  return hs::exec::run_sim_job(job);
+}
+
+// Every collective span lies inside a comm task span of its rank with the
+// same step and level: forked broadcasts of several steps and levels are
+// in flight on a rank at once, and each span keeps its own task's place.
+void expect_spans_carry_their_task(const Recorder& recorder) {
+  ASSERT_FALSE(recorder.collectives().empty());
+  std::vector<std::vector<const hs::trace::TaskSpan*>> comm_tasks(
+      static_cast<std::size_t>(recorder.rank_count()));
+  for (const hs::trace::TaskSpan& task : recorder.tasks())
+    if (task.kind == hs::trace::TaskSpanKind::Comm)
+      comm_tasks[static_cast<std::size_t>(task.rank)].push_back(&task);
+  int unmatched = 0;
+  for (const hs::trace::CollectiveSpan& span : recorder.collectives()) {
+    bool matched = false;
+    for (const hs::trace::TaskSpan* task :
+         comm_tasks[static_cast<std::size_t>(span.rank)])
+      matched = matched ||
+                (task->start <= span.start && span.end <= task->end &&
+                 task->step == span.step && task->level == span.level);
+    if (!matched && ++unmatched <= 3)
+      ADD_FAILURE() << "rank " << span.rank << " span [" << span.start
+                    << ", " << span.end << "] step " << span.step
+                    << " level " << span.level
+                    << " lies in no comm task of that step and level";
+  }
+  EXPECT_EQ(unmatched, 0);
+}
+
+TEST(CriticalPath, LookaheadSpansCarryTheirTasksStepAndLevel) {
+  {
+    SCOPED_TRACE("scalar HSUMMA, G=4");
+    Recorder recorder;
+    record_lookahead_run(hs::core::GroupHierarchy(), 4, recorder);
+    expect_spans_carry_their_task(recorder);
+    // Outer broadcasts at level 0, inner ones at level 1, nothing flat.
+    int per_level[2] = {0, 0};
+    int other = 0;
+    for (const hs::trace::CollectiveSpan& span : recorder.collectives()) {
+      if (span.level == 0 || span.level == 1)
+        ++per_level[span.level];
+      else
+        ++other;
+    }
+    EXPECT_EQ(other, 0);
+    EXPECT_GT(per_level[0], 0);
+    EXPECT_GT(per_level[1], 0);
+  }
+  {
+    SCOPED_TRACE("2x2x2 chain");
+    Recorder recorder;
+    record_lookahead_run(hs::core::GroupHierarchy({2, 2, 2}), 1, recorder);
+    expect_spans_carry_their_task(recorder);
+    const CriticalPathSplit path = analyze_critical_path(recorder);
+    EXPECT_EQ(path.flat_comm, 0.0);
+    EXPECT_GE(path.depth(), 1);
+    EXPECT_GT(level_sum(path), 0.0);
+  }
 }
 
 }  // namespace

@@ -19,7 +19,6 @@ using hs::trace::CollectiveOp;
 using hs::trace::CollectiveSpan;
 using hs::trace::CollectiveSpanGuard;
 using hs::trace::ComputeSpanGuard;
-using hs::trace::Phase;
 using hs::trace::RankTracer;
 using hs::trace::Recorder;
 
@@ -56,14 +55,14 @@ TEST(Recorder, StepStateStampsSubsequentSpans) {
   Recorder recorder;
   RankTracer tracer(&recorder, 2);
   auto program = [&]() -> Task<void> {
-    tracer.begin_step(engine, 7, Phase::Outer);
+    tracer.begin_step(engine, 7, 0);
     {
       CollectiveSpan span;
       span.rank = 2;
       CollectiveSpanGuard guard(&recorder, engine, span);
       co_await engine.sleep(1.0);
     }
-    tracer.begin_step(engine, 8, Phase::Inner);
+    tracer.begin_step(engine, 8, 1);
     {
       ComputeSpanGuard guard(tracer, engine, 99.0);
       co_await engine.sleep(0.5);
@@ -74,21 +73,53 @@ TEST(Recorder, StepStateStampsSubsequentSpans) {
 
   ASSERT_EQ(recorder.steps().size(), 2u);
   EXPECT_EQ(recorder.steps()[0].step, 7);
-  EXPECT_EQ(recorder.steps()[0].phase, Phase::Outer);
+  EXPECT_EQ(recorder.steps()[0].level, 0);
+  EXPECT_EQ(recorder.steps()[1].level, 1);
   ASSERT_EQ(recorder.collectives().size(), 1u);
   EXPECT_EQ(recorder.collectives()[0].step, 7);
-  EXPECT_EQ(recorder.collectives()[0].phase, Phase::Outer);
+  EXPECT_EQ(recorder.collectives()[0].level, 0);
   ASSERT_EQ(recorder.computes().size(), 1u);
   EXPECT_EQ(recorder.computes()[0].step, 8);
-  EXPECT_EQ(recorder.computes()[0].phase, Phase::Inner);
+  EXPECT_EQ(recorder.computes()[0].level, 1);
   EXPECT_DOUBLE_EQ(recorder.computes()[0].flops, 99.0);
+}
+
+TEST(Recorder, SpansKeepThePositionTheyStartedIn) {
+  // A rank's position moves while a span is open (another task of the rank
+  // starts): the span keeps the (step, level) it was built in.
+  Engine engine;
+  Recorder recorder;
+  RankTracer tracer(&recorder, 1);
+  auto program = [&]() -> Task<void> {
+    tracer.set_position(4, 2);
+    CollectiveSpan span;
+    span.rank = 1;
+    CollectiveSpanGuard collective(&recorder, engine, span);
+    ComputeSpanGuard compute(tracer, engine, 1.0);
+    tracer.set_position(5, -1);
+    tracer.set_level(3);
+    co_await engine.sleep(1.0);
+  };
+  engine.spawn(program());
+  engine.run();
+
+  EXPECT_TRUE(recorder.steps().empty());  // set_position marks nothing
+  ASSERT_EQ(recorder.collectives().size(), 1u);
+  EXPECT_EQ(recorder.collectives()[0].step, 4);
+  EXPECT_EQ(recorder.collectives()[0].level, 2);
+  ASSERT_EQ(recorder.computes().size(), 1u);
+  EXPECT_EQ(recorder.computes()[0].step, 4);
+  EXPECT_EQ(recorder.computes()[0].level, 2);
+  EXPECT_EQ(recorder.position(1).step, 5);
+  EXPECT_EQ(recorder.position(1).level, 3);
 }
 
 TEST(Recorder, DetachedGuardsAreNoOps) {
   Engine engine;
   RankTracer detached;  // no recorder
   auto program = [&]() -> Task<void> {
-    detached.begin_step(engine, 0, Phase::Flat);
+    detached.begin_step(engine, 0, -1);
+    detached.set_position(0, -1);
     CollectiveSpanGuard guard(nullptr, engine, CollectiveSpan{});
     ComputeSpanGuard compute(detached, engine, 1.0);
     co_await engine.sleep(1.0);

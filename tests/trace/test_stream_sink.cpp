@@ -1,11 +1,13 @@
 // Streaming span sink: the chunk file must round-trip every span kind
 // bit-for-bit, the recorder's buffered footprint must stay bounded by the
-// budget while it spills, and the chunk -> Chrome-trace converter must
-// produce the same document as exporting the in-memory recorder.
+// budget while it spills, a reloaded chunk must export the same Chrome
+// trace as the in-memory recorder, and the reader must reject older
+// versions, out-of-range enum bytes and every truncated record.
 #include "trace/stream_sink.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
@@ -23,9 +25,6 @@ namespace {
 using hs::trace::CollectiveOp;
 using hs::trace::CollectiveSpan;
 using hs::trace::ComputeSpan;
-using hs::trace::FaultKind;
-using hs::trace::FaultSpan;
-using hs::trace::Phase;
 using hs::trace::Recorder;
 using hs::trace::SiteSpan;
 using hs::trace::SpanChunkWriter;
@@ -38,10 +37,10 @@ std::string temp_path(const char* name) {
   return testing::TempDir() + "/" + name;
 }
 
-// One of every record kind, with distinctive field values.
-void fill(Recorder& recorder) {
-  recorder.begin_step(0.25, 3, 7, Phase::Outer);
-  recorder.set_level(3, 2);
+// One of every record kind, with distinctive field values; every record
+// that carries a chain level carries `level`.
+void fill(Recorder& recorder, int level = 2) {
+  recorder.begin_step(0.25, 3, 7, level);
   CollectiveSpan coll;
   coll.start = 0.5;
   coll.end = 0.75;
@@ -52,6 +51,8 @@ void fill(Recorder& recorder) {
   coll.seq = 9;
   coll.root = 2;
   coll.bytes = 4096;
+  coll.step = 7;
+  coll.level = level;
   coll.closed_form = true;
   recorder.add_collective(coll);
   ComputeSpan comp;
@@ -59,30 +60,32 @@ void fill(Recorder& recorder) {
   comp.end = 1.0;
   comp.rank = 3;
   comp.flops = 1.5e9;
+  comp.step = 8;
+  comp.level = level;
   recorder.add_compute(comp);
   recorder.add_transfer({1.0, 1.25, 3, 5, 512, 4, 11});
   recorder.add_site(
       {1.25, 1.5, CollectiveOp::Reduce, 4, 10, 6, 8192, 16});
-  recorder.add_fault({0.0, 2.0, FaultKind::RankSlowdown, 3, -1, 2.5});
+  recorder.add_fault({0.0, 2.0, 3, -1, 2.5});
   TaskSpan task;
   task.start = 1.5;
   task.end = 1.75;
   task.rank = 3;
   task.kind = TaskSpanKind::Comm;
   task.step = 7;
-  task.phase = Phase::Inner;
-  task.level = 1;
+  task.level = level;
   task.label = "bcast-a";
   recorder.add_task(task);
 }
 
 TEST(StreamSink, RoundTripsEverySpanKind) {
   const std::string path = temp_path("roundtrip.spans");
-  Recorder recorded;
-  {
+  for (const int level : {-1, 0, 1, 5}) {
+    SCOPED_TRACE("level " + std::to_string(level));
+    Recorder recorded;
     SpanChunkWriter writer(path);
     recorded.set_stream(&writer, 1u << 20);  // big budget: one final spill
-    fill(recorded);
+    fill(recorded, level);
     const Recorder before = recorded;  // snapshot pre-spill contents
     recorded.flush_stream();
     writer.finish();
@@ -96,7 +99,7 @@ TEST(StreamSink, RoundTripsEverySpanKind) {
     EXPECT_EQ(loaded.steps()[0].time, 0.25);
     EXPECT_EQ(loaded.steps()[0].rank, 3);
     EXPECT_EQ(loaded.steps()[0].step, 7);
-    EXPECT_EQ(loaded.steps()[0].phase, Phase::Outer);
+    EXPECT_EQ(loaded.steps()[0].level, level);
 
     ASSERT_EQ(loaded.collectives().size(), 1u);
     const CollectiveSpan& coll = loaded.collectives()[0];
@@ -110,14 +113,14 @@ TEST(StreamSink, RoundTripsEverySpanKind) {
     EXPECT_EQ(coll.seq, orig.seq);
     EXPECT_EQ(coll.root, orig.root);
     EXPECT_EQ(coll.bytes, orig.bytes);
-    EXPECT_EQ(coll.step, 7);          // stamped from rank state
-    EXPECT_EQ(coll.phase, Phase::Outer);
-    EXPECT_EQ(coll.level, 2);         // stamped from set_level
+    EXPECT_EQ(coll.step, 7);
+    EXPECT_EQ(coll.level, level);
     EXPECT_EQ(coll.closed_form, true);
 
     ASSERT_EQ(loaded.computes().size(), 1u);
     EXPECT_EQ(loaded.computes()[0].flops, 1.5e9);
-    EXPECT_EQ(loaded.computes()[0].level, 2);
+    EXPECT_EQ(loaded.computes()[0].step, 8);
+    EXPECT_EQ(loaded.computes()[0].level, level);
 
     ASSERT_EQ(loaded.wires().size(), 1u);
     EXPECT_EQ(loaded.wires()[0].src, 3);
@@ -132,12 +135,14 @@ TEST(StreamSink, RoundTripsEverySpanKind) {
     EXPECT_EQ(loaded.sites()[0].root, 6);
 
     ASSERT_EQ(loaded.faults().size(), 1u);
-    EXPECT_EQ(loaded.faults()[0].kind, FaultKind::RankSlowdown);
+    EXPECT_EQ(loaded.faults()[0].a, 3);
+    EXPECT_EQ(loaded.faults()[0].b, -1);
     EXPECT_EQ(loaded.faults()[0].factor, 2.5);
 
     ASSERT_EQ(loaded.tasks().size(), 1u);
     EXPECT_EQ(loaded.tasks()[0].kind, TaskSpanKind::Comm);
-    EXPECT_EQ(loaded.tasks()[0].level, 1);
+    EXPECT_EQ(loaded.tasks()[0].step, 7);
+    EXPECT_EQ(loaded.tasks()[0].level, level);
     EXPECT_EQ(std::string(loaded.tasks()[0].label), "bcast-a");
   }
   std::remove(path.c_str());
@@ -202,8 +207,10 @@ TEST(StreamSink, ChromeConversionMatchesInMemoryExport) {
 
     std::ostringstream expected;
     hs::trace::write_chrome_trace(expected, reference, "sim");
+    Recorder loaded;
+    EXPECT_EQ(hs::trace::load_span_chunks(path, loaded), 7u);
     std::ostringstream converted;
-    EXPECT_EQ(hs::trace::convert_span_chunks_to_chrome(path, converted), 7u);
+    hs::trace::write_chrome_trace(converted, loaded, "sim");
     EXPECT_EQ(converted.str(), expected.str());
     EXPECT_FALSE(converted.str().empty());
   }
@@ -219,6 +226,23 @@ TEST(StreamSink, LoadRejectsBadMagic) {
   Recorder loaded;
   EXPECT_THROW(hs::trace::load_span_chunks(path, loaded),
                hs::PreconditionError);
+
+  // The previous version of the format is named, not decoded: its records
+  // carried bytes this one does not.
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << "HSSPANS1";
+  }
+  try {
+    hs::trace::load_span_chunks(path, loaded);
+    ADD_FAILURE() << "loaded an HSSPANS1 chunk";
+  } catch (const hs::PreconditionError& error) {
+    const std::string message = error.what();
+    EXPECT_NE(message.find("HSSPANS1"), std::string::npos) << message;
+    EXPECT_NE(message.find("HSSPANS2"), std::string::npos) << message;
+    EXPECT_NE(message.find("re-record"), std::string::npos) << message;
+  }
+  EXPECT_TRUE(loaded.empty());
   std::remove(path.c_str());
 }
 
@@ -234,10 +258,10 @@ std::string chunk_bytes(const Recorder& recorder, const std::string& path) {
 
 // A chunk whose only corruption is one enum byte set past the last
 // enumerator must be rejected like an unknown record kind, for each of the
-// four enum fields the format stores. The collective op bytes 1 and 3..8
-// named collectives the library no longer offers: a chunk written before
-// they went must still load the ops that remain unchanged and reject those
-// with the field/offset message, never decode them as a different op.
+// two enum fields the format stores. The collective op bytes 1 and 3..8
+// name no op (they named collectives the library no longer offers): the
+// reader loads the two ops that remain and rejects the others with the
+// field/offset message, never decoding them as a different op.
 TEST(StreamSink, LoadRejectsOutOfRangeEnumBytes) {
   const std::string path = temp_path("bad_enum.spans");
   // Each case fills one recorder with a single span whose enum field holds
@@ -249,23 +273,11 @@ TEST(StreamSink, LoadRejectsOutOfRangeEnumBytes) {
          span.op = static_cast<CollectiveOp>(value);
          r.restore(span);
        }},
-      {"phase",
-       [](Recorder& r, int value) {
-         ComputeSpan span;
-         span.phase = static_cast<Phase>(value);
-         r.restore(span);
-       }},
       {"task span kind",
        [](Recorder& r, int value) {
          TaskSpan span;
          span.label = "t";
          span.kind = static_cast<TaskSpanKind>(value);
-         r.restore(span);
-       }},
-      {"fault kind",
-       [](Recorder& r, int value) {
-         FaultSpan span;
-         span.kind = static_cast<FaultKind>(value);
          r.restore(span);
        }},
   };
@@ -332,6 +344,63 @@ TEST(StreamSink, LoadRejectsOutOfRangeEnumBytes) {
       }
     }
   }
+  std::remove(path.c_str());
+}
+
+// Every proper prefix of a chunk holding one record of each kind: a prefix
+// that ends on a record boundary loads exactly the whole records it holds,
+// any other one throws, and none reads past its end.
+TEST(StreamSink, LoadRejectsEveryTruncatedRecord) {
+  const std::string path = temp_path("truncated.spans");
+  Recorder full;
+  fill(full, 5);
+  // The writer emits records kind by kind in this order, so the first j
+  // records of the chunk are the first j kinds of `full`.
+  const std::vector<void (*)(const Recorder&, Recorder&)> kinds = {
+      [](const Recorder& f, Recorder& r) { r.restore(f.collectives()[0]); },
+      [](const Recorder& f, Recorder& r) { r.restore(f.computes()[0]); },
+      [](const Recorder& f, Recorder& r) { r.restore(f.steps()[0]); },
+      [](const Recorder& f, Recorder& r) { r.restore(f.wires()[0]); },
+      [](const Recorder& f, Recorder& r) { r.restore(f.sites()[0]); },
+      [](const Recorder& f, Recorder& r) { r.restore(f.faults()[0]); },
+      [](const Recorder& f, Recorder& r) { r.restore(f.tasks()[0]); },
+  };
+  // boundary[j] = the byte size of a chunk holding the first j records.
+  std::vector<std::size_t> boundary = {hs::trace::kSpanChunkMagic.size()};
+  Recorder prefix;
+  for (const auto& add : kinds) {
+    add(full, prefix);
+    boundary.push_back(chunk_bytes(prefix, path).size());
+  }
+  const std::string bytes = chunk_bytes(full, path);
+  ASSERT_EQ(bytes.size(), boundary.back());
+
+  int rejected = 0;
+  for (std::size_t size = 0; size < bytes.size(); ++size) {
+    SCOPED_TRACE("prefix of " + std::to_string(size) + " bytes");
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(size));
+    }
+    Recorder loaded;
+    const auto at = std::find(boundary.begin(), boundary.end(), size);
+    if (at == boundary.end()) {
+      EXPECT_THROW(hs::trace::load_span_chunks(path, loaded),
+                   hs::PreconditionError);
+      ++rejected;
+      continue;
+    }
+    const auto records = static_cast<std::uint64_t>(at - boundary.begin());
+    ASSERT_EQ(hs::trace::load_span_chunks(path, loaded), records);
+    Recorder expected;
+    for (std::uint64_t j = 0; j < records; ++j)
+      kinds[static_cast<std::size_t>(j)](full, expected);
+    std::ostringstream got, want;
+    hs::trace::write_chrome_trace(got, loaded);
+    hs::trace::write_chrome_trace(want, expected);
+    EXPECT_EQ(got.str(), want.str());
+  }
+  EXPECT_EQ(rejected, static_cast<int>(bytes.size()) - 7);
   std::remove(path.c_str());
 }
 
