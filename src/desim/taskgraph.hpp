@@ -27,17 +27,27 @@
 //     no forking at all, so the schedule is the kernel's classic blocking
 //     loop, bit-identical in virtual time.
 //   * lookahead >= 1 treats compute tasks as the rank's CPU occupancy:
-//     computes run one at a time, picked among ready computes by
-//     (priority desc, program order asc); communication tasks are forked
-//     (desim::Async) as soon as their dependencies complete, but only at
-//     deterministic decision points — dependency-join instants and compute
-//     boundaries — so the schedule depends only on the DAG and the engine's
-//     (time, seq) order, never on host scheduling.
+//     computes run one at a time, the best ready compute (all deps
+//     complete) first, else the best candidate (all compute deps
+//     complete), each by (priority desc, program order asc); a candidate
+//     first joins its outstanding comm closure. Communication tasks are
+//     forked (desim::Async) as soon as their dependencies complete, but
+//     only at deterministic decision points — dependency-join instants and
+//     compute boundaries — so the schedule depends only on the DAG and the
+//     engine's (time, seq) order, never on host scheduling. The runner
+//     keeps those choices in ready sets: each task counts its incomplete
+//     deps and incomplete compute deps, a completion counts itself off its
+//     successors, and a task whose count reaches zero enters a heap (ready
+//     comms by id; ready and candidate computes by rank), so a decision
+//     costs O(log live tasks), not a pass over the plan.
 //
-// Determinism: every loop in the scheduler iterates tasks in id order and
-// all forks go through Async::start (engine seq order), so equal graphs
-// produce bit-identical schedules — the property the D=0/D=1 legacy
-// goldens in tests/core/test_taskplan_goldens.cpp pin down.
+// Determinism: the heaps order by total keys (id, or (priority, id)) and
+// all forks go through Async::start (engine seq order). Async::start only
+// schedules a fork, so no task completes, and no ready set grows, during a
+// fork pass: a heap pass makes exactly the choices an id-ordered scan of
+// the plan would. Equal graphs produce bit-identical schedules — the
+// property the D=0/D=1 legacy goldens in tests/core/test_taskplan_goldens.cpp
+// and the random-plan digests in tests/desim/test_taskgraph.cpp pin down.
 #pragma once
 
 #include <cstdint>
@@ -148,7 +158,8 @@ class TaskObserver {
 /// One rank's task DAG: build with add() in program order, then run once
 /// with run_task_graph. Dependencies are resolved eagerly at add() time
 /// from the region declarations, so tests can inspect deps(id) without
-/// running anything.
+/// running anything; spec(id) then keeps no `in`, `out` or `after` list,
+/// since deps(id) holds what they resolved to.
 class TaskGraph {
  public:
   /// Task body factory; called exactly once, when the task is issued.
@@ -189,6 +200,7 @@ class TaskGraph {
   }
 
   std::vector<Record> tasks_;
+  bool ran_ = false;  // set when run_task_graph takes the graph
   // Builder-only bookkeeping (region -> writer/readers, channel -> last).
   std::vector<std::pair<RegionId, RegionState>> regions_;
   std::vector<std::pair<int, int>> channel_last_;  // (channel, task id)
@@ -198,7 +210,7 @@ class TaskGraph {
 /// lookahead == 0 executes inline in program order; lookahead >= 1 runs the
 /// dependency-driven overlapping scheduler (the window itself is encoded in
 /// the graph's buffer-slot regions). The graph is consumed: bodies are
-/// invoked once and the graph must not be run again.
+/// invoked once, and running it again throws PreconditionError.
 Task<void> run_task_graph(Engine& engine, TaskGraph& graph, int lookahead,
                           TaskObserver* observer = nullptr);
 
