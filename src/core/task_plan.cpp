@@ -148,9 +148,11 @@ desim::Task<void> summa_task_plan(SummaArgs args) {
     b_panels.emplace_back(b, local_n, mode);
   }
 
-  desim::TaskGraph graph;
   std::vector<int> prev_comm;  // previous step's comm ids (D<=1 coupling)
-  for (index_t q = 0; q < steps; ++q) {
+  index_t q = 0;
+  // One pivot step per pull.
+  desim::TaskGraph graph([&](desim::TaskGraph& plan) {
+    if (q == steps) return false;
     const int slot = static_cast<int>(q % slots);
     const index_t pivot = q * b;
     const PanelOwner a_owner = panel_owner(pivot, a_kb, args.shape.cols);
@@ -192,7 +194,7 @@ desim::Task<void> summa_task_plan(SummaArgs args) {
       PanelBuffer& panel = is_a ? a_panels[static_cast<std::size_t>(slot)]
                                 : b_panels[static_cast<std::size_t>(slot)];
       // The chains outlive the graph: they live in this frame.
-      const int id = graph.add(
+      const int id = plan.add(
           std::move(spec),
           [&comm = stage.comm(), root = stage.root(), &panel, &args] {
             return mpc::bcast(comm, root, panel.buf(), args.bcast_algo);
@@ -242,7 +244,7 @@ desim::Task<void> summa_task_plan(SummaArgs args) {
       else
         c_before = std::move(b_copy);
     }
-    graph.add(
+    plan.add(
         std::move(c_spec),
         [&machine, self, flops, tracer = args.tracer] {
           return compute_charge(machine, self, flops, tracer);
@@ -256,7 +258,9 @@ desim::Task<void> summa_task_plan(SummaArgs args) {
           stats.flops += static_cast<std::uint64_t>(flops);
         });
     prev_comm = std::move(step_comm);
-  }
+    ++q;
+    return true;
+  });
 
   PlanObserver observer(engine, stats, args.tracer);
   co_await desim::run_task_graph(engine, graph, D, &observer);
@@ -311,9 +315,11 @@ desim::Task<void> hsumma_task_plan(HsummaArgs args) {
     b_inners.emplace_back(b, local_n, mode);
   }
 
-  desim::TaskGraph graph;
   int last_compute = -1;  // C(s-1, last): the D<=1 big-step drain barrier
-  for (index_t s = 0; s < outer_steps; ++s) {
+  index_t s = 0;
+  // One big step (its outer broadcasts and all its inner steps) per pull.
+  desim::TaskGraph graph([&](desim::TaskGraph& plan) {
+    if (s == outer_steps) return false;
     const index_t pivot = s * outer;
     const PanelOwner a_owner = panel_owner(pivot, a_kb, args.shape.cols);
     const int a_group_col = a_owner.root / local_shape.cols;
@@ -357,7 +363,7 @@ desim::Task<void> hsumma_task_plan(HsummaArgs args) {
                   col0 = a_owner.offset, local_m, outer] {
           panel.view().copy_from(args.local->a.block(0, col0, local_m, outer));
         };
-      oa_id = graph.add(
+      oa_id = plan.add(
           std::move(spec),
           [&hg, &args, &panel = a_outers[static_cast<std::size_t>(oslot)],
            a_group_col] {
@@ -388,7 +394,7 @@ desim::Task<void> hsumma_task_plan(HsummaArgs args) {
                   row0 = b_owner.offset, outer, local_n] {
           panel.view().copy_from(args.local->b.block(row0, 0, outer, local_n));
         };
-      ob_id = graph.add(
+      ob_id = plan.add(
           std::move(spec),
           [&hg, &args, &panel = b_outers[static_cast<std::size_t>(oslot)],
            b_group_row] {
@@ -441,7 +447,7 @@ desim::Task<void> hsumma_task_plan(HsummaArgs args) {
           panel.view().copy_from(
               outer_panel.view().block(0, offset, local_m, b));
         };
-      const int ia_id = graph.add(
+      const int ia_id = plan.add(
           std::move(ia_spec),
           [&hg, &args, &panel = a_inners[static_cast<std::size_t>(islot)],
            a_local_col] {
@@ -468,7 +474,7 @@ desim::Task<void> hsumma_task_plan(HsummaArgs args) {
           panel.view().copy_from(
               outer_panel.view().block(offset, 0, b, local_n));
         };
-      const int ib_id = graph.add(
+      const int ib_id = plan.add(
           std::move(ib_spec),
           [&hg, &args, &panel = b_inners[static_cast<std::size_t>(islot)],
            b_local_row] {
@@ -486,7 +492,7 @@ desim::Task<void> hsumma_task_plan(HsummaArgs args) {
       // behind this big step's updates (write-after-read on the slot ring).
       c_spec.in = {ai_region, bi_region, ao_region, bo_region};
       const double flops = la::gemm_flops(local_m, local_n, b);
-      last_compute = graph.add(
+      last_compute = plan.add(
           std::move(c_spec),
           [&machine, self, flops, tracer = args.tracer] {
             return compute_charge(machine, self, flops, tracer);
@@ -502,7 +508,9 @@ desim::Task<void> hsumma_task_plan(HsummaArgs args) {
       prev_ia = ia_id;
       prev_ib = ib_id;
     }
-  }
+    ++s;
+    return true;
+  });
 
   PlanObserver observer(engine, stats, args.tracer);
   co_await desim::run_task_graph(engine, graph, D, &observer);
@@ -570,44 +578,46 @@ desim::Task<void> cannon_task_plan(CannonArgs args) {
     return desim::region_id("cannon.b", static_cast<std::uint64_t>(st));
   };
 
-  desim::TaskGraph graph;
   const desim::RegionId a_init_region = desim::region_id("cannon.ainit", 0);
   const desim::RegionId b_init_region = desim::region_id("cannon.binit", 0);
 
-  // Skew alignment: A(i,j) -> (i, j-i), B(i,j) -> (i-j, j), as single
-  // distance-i/j rotations (tags 1 and 2, matching the classic loop).
-  if (i > 0) {
-    desim::TaskSpec spec;
-    spec.kind = desim::TaskKind::Comm;
-    spec.label = "skew A";
-    spec.in = {a_init_region};
-    spec.out = {a_region(0)};
-    const int left = (j - i + q) % q;
-    const int right = (j + i) % q;
-    graph.add(std::move(spec), [&pg, &a_init, &send_buf, &recv_buf, &a_data,
-                                left, right]() -> desim::Task<void> {
-      return pg.row_comm().sendrecv(left, send_buf(a_init), right,
-                                    recv_buf(a_data(0)), /*send_tag=*/1,
-                                    /*recv_tag=*/1);
-    });
-  }
-  if (j > 0) {
-    desim::TaskSpec spec;
-    spec.kind = desim::TaskKind::Comm;
-    spec.label = "skew B";
-    spec.in = {b_init_region};
-    spec.out = {b_region(0)};
-    const int up = (i - j + q) % q;
-    const int down = (i + j) % q;
-    graph.add(std::move(spec), [&pg, &b_init, &send_buf, &recv_buf, &b_data,
-                                up, down]() -> desim::Task<void> {
-      return pg.col_comm().sendrecv(up, send_buf(b_init), down,
-                                    recv_buf(b_data(0)), /*send_tag=*/2,
-                                    /*recv_tag=*/2);
-    });
-  }
+  int st = 0;
+  // One step per pull; the skews ride step 0.
+  desim::TaskGraph graph([&](desim::TaskGraph& plan) {
+    if (st == q) return false;
+    // Skew alignment: A(i,j) -> (i, j-i), B(i,j) -> (i-j, j), as single
+    // distance-i/j rotations (tags 1 and 2, matching the classic loop).
+    if (st == 0 && i > 0) {
+      desim::TaskSpec spec;
+      spec.kind = desim::TaskKind::Comm;
+      spec.label = "skew A";
+      spec.in = {a_init_region};
+      spec.out = {a_region(0)};
+      const int left = (j - i + q) % q;
+      const int right = (j + i) % q;
+      plan.add(std::move(spec), [&pg, &a_init, &send_buf, &recv_buf,
+                                 &a_data, left, right]() -> desim::Task<void> {
+        return pg.row_comm().sendrecv(left, send_buf(a_init), right,
+                                      recv_buf(a_data(0)), /*send_tag=*/1,
+                                      /*recv_tag=*/1);
+      });
+    }
+    if (st == 0 && j > 0) {
+      desim::TaskSpec spec;
+      spec.kind = desim::TaskKind::Comm;
+      spec.label = "skew B";
+      spec.in = {b_init_region};
+      spec.out = {b_region(0)};
+      const int up = (i - j + q) % q;
+      const int down = (i + j) % q;
+      plan.add(std::move(spec), [&pg, &b_init, &send_buf, &recv_buf,
+                                 &b_data, up, down]() -> desim::Task<void> {
+        return pg.col_comm().sendrecv(up, send_buf(b_init), down,
+                                      recv_buf(b_data(0)), /*send_tag=*/2,
+                                      /*recv_tag=*/2);
+      });
+    }
 
-  for (int st = 0; st < q; ++st) {
     if (st > 0) {
       desim::TaskSpec spec;
       spec.kind = desim::TaskKind::Comm;
@@ -615,14 +625,14 @@ desim::Task<void> cannon_task_plan(CannonArgs args) {
       spec.label = "rotate A/B";
       spec.in = {a_region((st - 1) % S), b_region((st - 1) % S)};
       spec.out = {a_region(st % S), b_region(st % S)};
-      graph.add(std::move(spec),
-                [&pg, &send_buf, &recv_buf, &a_data, &b_data, st, i, j, q] {
-                  return cannon_rotate_pair(
-                      pg.row_comm(), (j - 1 + q) % q, (j + 1) % q,
-                      send_buf(a_data(st - 1)), recv_buf(a_data(st)),
-                      pg.col_comm(), (i - 1 + q) % q, (i + 1) % q,
-                      send_buf(b_data(st - 1)), recv_buf(b_data(st)));
-                });
+      plan.add(std::move(spec),
+               [&pg, &send_buf, &recv_buf, &a_data, &b_data, st, i, j, q] {
+                 return cannon_rotate_pair(
+                     pg.row_comm(), (j - 1 + q) % q, (j + 1) % q,
+                     send_buf(a_data(st - 1)), recv_buf(a_data(st)),
+                     pg.col_comm(), (i - 1 + q) % q, (i + 1) % q,
+                     send_buf(b_data(st - 1)), recv_buf(b_data(st)));
+               });
     }
 
     desim::TaskSpec c_spec;
@@ -632,7 +642,7 @@ desim::Task<void> cannon_task_plan(CannonArgs args) {
     c_spec.in = {a_region(st % S), b_region(st % S)};
     c_spec.marks = {{static_cast<long long>(st), -1}};
     const double flops = la::gemm_flops(nb, nb, nb);
-    graph.add(
+    plan.add(
         std::move(c_spec),
         [&machine, self, flops, tracer = args.tracer] {
           return compute_charge(machine, self, flops, tracer);
@@ -646,7 +656,9 @@ desim::Task<void> cannon_task_plan(CannonArgs args) {
           }
           stats.flops += static_cast<std::uint64_t>(flops);
         });
-  }
+    ++st;
+    return true;
+  });
 
   PlanObserver observer(engine, stats, args.tracer);
   co_await desim::run_task_graph(engine, graph, D, &observer);
@@ -702,9 +714,11 @@ desim::Task<void> lu_task_plan(LuArgs args) {
   const index_t my_first_block =
       static_cast<index_t>(pg.my_col()) * local_cols / b;
 
-  desim::TaskGraph graph;
   const index_t steps = args.n / b;
-  for (index_t k = 0; k < steps; ++k) {
+  index_t k = 0;
+  // One panel step per pull.
+  desim::TaskGraph graph([&](desim::TaskGraph& plan) {
+    if (k == steps) return false;
     const index_t pivot = k * b;
     const int owner_row = static_cast<int>(pivot / local_rows);
     const int owner_col = static_cast<int>(pivot / local_cols);
@@ -753,7 +767,7 @@ desim::Task<void> lu_task_plan(LuArgs args) {
       take_mark(spec);
       const double flops = 2.0 / 3.0 * static_cast<double>(b) *
                            static_cast<double>(b) * static_cast<double>(b);
-      graph.add(
+      plan.add(
           std::move(spec),
           [&machine, self, flops, tracer = args.tracer] {
             return compute_charge(machine, self, flops, tracer);
@@ -777,7 +791,7 @@ desim::Task<void> lu_task_plan(LuArgs args) {
       spec.in = {diag_region};
       spec.out = {diag_region};
       take_mark(spec);
-      graph.add(std::move(spec),
+      plan.add(std::move(spec),
                 [&pg, &args, &diag = diag_slots[static_cast<std::size_t>(ks)],
                  owner_row] {
                   return mpc::bcast(pg.col_comm(), owner_row, diag.buf(),
@@ -793,7 +807,7 @@ desim::Task<void> lu_task_plan(LuArgs args) {
       spec.in = {diag_region};
       spec.out = {diag_region};
       take_mark(spec);
-      graph.add(std::move(spec),
+      plan.add(std::move(spec),
                 [&pg, &args, &diag = diag_slots[static_cast<std::size_t>(ks)],
                  owner_col] {
                   return mpc::bcast(pg.row_comm(), owner_col, diag.buf(),
@@ -814,7 +828,7 @@ desim::Task<void> lu_task_plan(LuArgs args) {
         spec.out = {acol(k), l_region};
         const double flops = static_cast<double>(trailing_rows) *
                              static_cast<double>(b) * static_cast<double>(b);
-        graph.add(
+        plan.add(
             std::move(spec),
             [&machine, self, flops, tracer = args.tracer] {
               return compute_charge(machine, self, flops, tracer);
@@ -838,7 +852,7 @@ desim::Task<void> lu_task_plan(LuArgs args) {
       spec.in = {l_region};
       spec.out = {l_region};
       take_mark(spec);
-      graph.add(std::move(spec),
+      plan.add(std::move(spec),
                 [&row_chain, &args,
                  &l_panel = l_slots[static_cast<std::size_t>(ks)], owner_col,
                  trailing_rows] {
@@ -862,7 +876,7 @@ desim::Task<void> lu_task_plan(LuArgs args) {
         spec.out.push_back(u_region);
         const double flops = static_cast<double>(trailing_cols) *
                              static_cast<double>(b) * static_cast<double>(b);
-        graph.add(
+        plan.add(
             std::move(spec),
             [&machine, self, flops, tracer = args.tracer] {
               return compute_charge(machine, self, flops, tracer);
@@ -889,7 +903,7 @@ desim::Task<void> lu_task_plan(LuArgs args) {
       spec.in = {u_region};
       spec.out = {u_region};
       take_mark(spec);
-      graph.add(std::move(spec),
+      plan.add(std::move(spec),
                 [&col_chain, &args, mode,
                  &u_panel = u_slots[static_cast<std::size_t>(ks)], owner_row,
                  trailing_cols, b] {
@@ -922,7 +936,7 @@ desim::Task<void> lu_task_plan(LuArgs args) {
         spec.in = {l_region, u_region};
         spec.out = std::move(out);
         const double flops = la::gemm_flops(trailing_rows, cols, b);
-        graph.add(
+        plan.add(
             std::move(spec),
             [&machine, self, flops, tracer = args.tracer] {
               return compute_charge(machine, self, flops, tracer);
@@ -959,7 +973,9 @@ desim::Task<void> lu_task_plan(LuArgs args) {
                    "trailing update");
       }
     }
-  }
+    ++k;
+    return true;
+  });
 
   PlanObserver observer(engine, stats, args.tracer);
   co_await desim::run_task_graph(engine, graph, D, &observer);

@@ -31,17 +31,24 @@
 // level (desim::TaskSpec::level: 0 = outermost, -1 = flat; scalar HSUMMA's
 // outer and inner phases are levels 0 and 1).
 //
+// Each builder is a step source (desim::TaskGraph::Source): one call adds
+// one step's tasks — a SUMMA pivot step with all its chain stages, an
+// HSUMMA big step with its outer broadcasts and every inner step, a Cannon
+// step (the skews ride step 0), an LU panel step. The panels, chains and
+// slot rings stay in the plan's coroutine frame, where the task bodies
+// reference them, and the runner keeps D + 1 steps live (D = 0 pulls one
+// step at a time), so a rank holds O(D) task records, not one per task of
+// the whole plan.
+//
 // The kernels keep their blocking loops for the production D = 0 path
-// because a task costs far more host time than a loop iteration, not only
-// because a plan holds O(steps) task records per rank. Measured on the
-// perfbench workloads (Release, one fresh process per run, a 4-core host),
-// running D = 0 through the task plans with the whole plan built took
-// bgp_figures from 3.1-3.4 s and ~80 MB to 18.9 s and 2.5 GB; building,
-// running inline and dropping one step's graph at a time still took
-// 17.0-17.6 s and ~165 MB, and p2p_exascale 31.5 s and 142 MB against
-// 12.3 s and 76 MB. So a window alone does not let the loops go: the cost
-// per task has to fall first. *_task_plan with lookahead 0 exists so tests
-// can drive the inline scheduler directly.
+// because a task costs far more host time than a loop iteration. Routing
+// D = 0 through these plans (inline, one step live) took the perfbench
+// bgp_figures workload from 2.3 s and 80 MB to 13.0 s and 271 MB, and
+// p2p_exascale from 7.5 s and 76 MB to 26.4 s and 251 MB (Release, a
+// 4-core host, three interleaved pairs each), and at D >= 1 a simulated
+// event costs 5-11x its host time at D = 0. So the window alone does not
+// let the loops go: the cost per task has to fall first. *_task_plan with
+// lookahead 0 exists so tests can drive the inline scheduler directly.
 #pragma once
 
 #include "core/cannon.hpp"

@@ -9,25 +9,41 @@ namespace hs::desim {
 Task<void> Engine::supervise(Task<void> inner, std::size_t index) {
   try {
     // A coroutine's parameters live as long as its frame, and supervisors_
-    // keeps this frame until the engine dies. The task moves into a local
-    // so its frame (and every frame it owns, such as a forked broadcast's)
-    // is freed the moment it finishes.
+    // keeps this frame until its slot serves another spawn. The task moves
+    // into a local so its frame (and every frame it owns, such as a forked
+    // broadcast's) is freed the moment it finishes.
     Task<void> task = std::move(inner);
     co_await std::move(task);
   } catch (...) {
     if (!failure_) failure_ = std::current_exception();
   }
   records_[index].done = true;
+  free_slots_.push_back(index);
+}
+
+void Engine::start_process(SimTime start, Task<void> task,
+                           ProcessRecord record) {
+  std::size_t index = records_.size();
+  if (free_slots_.empty()) {
+    records_.push_back(std::move(record));
+    supervisors_.emplace_back();
+  } else {
+    // A finished process's slot: its supervise frame sits at its final
+    // suspend point, so dropping it first lets the next frame reuse its
+    // pool block.
+    index = free_slots_.back();
+    free_slots_.pop_back();
+    records_[index] = std::move(record);
+    supervisors_[index] = Task<void>{};
+  }
+  supervisors_[index] = supervise(std::move(task), index);
+  schedule_at(start, supervisors_[index].raw_handle());
 }
 
 void Engine::spawn_at(SimTime start, Task<void> task, std::string name) {
   HS_REQUIRE(task.valid());
   HS_REQUIRE_MSG(start >= now_, "spawn in the past");
-  const std::size_t index = records_.size();
-  records_.push_back({std::move(name), -1, -1, false});
-  Task<void> wrapper = supervise(std::move(task), index);
-  schedule_at(start, wrapper.raw_handle());
-  supervisors_.push_back(std::move(wrapper));
+  start_process(start, std::move(task), {std::move(name), -1, -1, false});
 }
 
 void Engine::spawn_indexed(Task<void> task, std::string_view prefix,
@@ -44,11 +60,8 @@ void Engine::spawn_indexed(Task<void> task, std::string_view prefix,
     prefix_id = static_cast<std::int32_t>(name_prefixes_.size());
     name_prefixes_.emplace_back(prefix);
   }
-  const std::size_t record = records_.size();
-  records_.push_back({std::string{}, prefix_id, index, false});
-  Task<void> wrapper = supervise(std::move(task), record);
-  schedule_at(now_, wrapper.raw_handle());
-  supervisors_.push_back(std::move(wrapper));
+  start_process(now_, std::move(task),
+                {std::string{}, prefix_id, index, false});
 }
 
 std::string Engine::record_name(const ProcessRecord& record) const {

@@ -172,8 +172,13 @@ class Engine {
   std::string record_name(const ProcessRecord& record) const;
 
   // Wraps a user task so completion and failure are recorded in O(1)
-  // without scanning all processes per event.
+  // without scanning all processes per event. A finished process's slot
+  // (its record, supervisor Task and supervise frame) goes to free_slots_
+  // and serves the next spawn, so a run that forks a task per step holds
+  // slots for its live processes only.
   Task<void> supervise(Task<void> inner, std::size_t index);
+  /// Supervises `task` in a free slot (or a new one) and schedules it.
+  void start_process(SimTime start, Task<void> task, ProcessRecord record);
 
   // Same-timestamp coalescing: simulated workloads are heavily
   // time-synchronized (a collective completion fires every participant's
@@ -243,6 +248,7 @@ class Engine {
   std::vector<ProcessRecord> records_;
   std::vector<std::string> name_prefixes_;  // interned spawn_indexed prefixes
   std::vector<Task<void>> supervisors_;
+  std::vector<std::size_t> free_slots_;  // finished processes' slots
   std::exception_ptr failure_;
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 0;

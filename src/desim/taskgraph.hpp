@@ -41,18 +41,44 @@
 //     comms by id; ready and candidate computes by rank), so a decision
 //     costs O(log live tasks), not a pass over the plan.
 //
+// Pulled steps: a graph built with a step Source holds only a window of its
+// plan. The source adds one step's tasks per call, in program order, so
+// task ids stay global and add() resolves exactly the deps it would for a
+// whole plan. Before each decision the runner retires every leading step
+// whose tasks are all complete and pulls until the oldest unretired step s
+// and every step up to s + D exist (D = lookahead; D = 0 runs pull one
+// step at a time). When no compute is ready or a candidate, it pulls one
+// more step before it concludes that none is left. Pulls and retirements
+// happen only at the runner's own decision points, never while a task's
+// body or completion runs. A retired id counts as complete and issued: a
+// dep on it is satisfied when its successor is pulled, and heap entries
+// for it drop as they surface. Records live in a ring whose slots keep
+// their vectors' capacity, so a rank holds O(D) records instead of one per
+// task of the plan. A graph whose tasks were all added before the run has
+// no source; it runs as one step and keeps every record, so spec() and
+// deps() still answer after the run.
+//
 // Determinism: the heaps order by total keys (id, or (priority, id)) and
 // all forks go through Async::start (engine seq order). Async::start only
 // schedules a fork, so no task completes, and no ready set grows, during a
 // fork pass: a heap pass makes exactly the choices an id-ordered scan of
-// the plan would. Equal graphs produce bit-identical schedules — the
-// property the D=0/D=1 legacy goldens in tests/core/test_taskplan_goldens.cpp
-// and the random-plan digests in tests/desim/test_taskgraph.cpp pin down.
+// the plan would. Pulling more never changes a decision as long as no
+// task past the window could be picked: unpulled tasks have larger ids
+// than every pulled one, so they lose every tie, and the plan builders'
+// slot rings (at most D + 1 slots, each rewritten only after its last
+// reader ran) keep every task of step s + D + 1 waiting, through
+// write-after-read chains, on step s, the oldest live one; a window of D
+// steps, or of one, moves schedules the tests below pin. Equal graphs
+// produce bit-identical schedules — the property the D=0/D=1 legacy
+// goldens in tests/core/test_taskplan_goldens.cpp, the per-builder digests
+// in tests/core/test_taskplan_digests.cpp and the random-plan digests in
+// tests/desim/test_taskgraph.cpp pin down.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
@@ -159,34 +185,55 @@ class TaskObserver {
 /// with run_task_graph. Dependencies are resolved eagerly at add() time
 /// from the region declarations, so tests can inspect deps(id) without
 /// running anything; spec(id) then keeps no `in`, `out` or `after` list,
-/// since deps(id) holds what they resolved to.
+/// since deps(id) holds what they resolved to. A graph constructed with a
+/// Source is built step by step while it runs (see "Pulled steps" above):
+/// only the ids the runner has not retired answer spec() and deps().
 class TaskGraph {
  public:
-  /// Task body factory; called exactly once, when the task is issued.
+  /// Task body factory; called exactly once, when the task is issued. The
+  /// task it returns must not refer to the factory itself: a capturing
+  /// coroutine lambda would, and records move when the window grows.
   using Body = std::function<Task<void>()>;
   /// Host-side hooks around the body: `before` runs synchronously at issue
   /// time (Real-mode staging copies), `after` synchronously at completion
   /// (Real-mode GEMM application — virtual time does not advance in either).
   using Hook = std::function<void()>;
+  /// Adds the next step's tasks through add() and returns true, or returns
+  /// false, adding nothing, when no step is left.
+  using Source = std::function<bool(TaskGraph&)>;
+
+  TaskGraph() = default;
+  explicit TaskGraph(Source source) : source_(std::move(source)) {}
 
   int add(TaskSpec spec, Body body, Hook before = {}, Hook after = {});
 
-  int size() const noexcept { return static_cast<int>(tasks_.size()); }
-  const TaskSpec& spec(int id) const { return tasks_[check_id(id)].spec; }
+  /// Ids handed out so far (the next add returns this).
+  int size() const noexcept { return size_; }
+  const TaskSpec& spec(int id) const { return at(check_id(id)).spec; }
   /// Resolved dependencies: sorted, deduplicated, all < id.
   const std::vector<int>& deps(int id) const {
-    return tasks_[check_id(id)].deps;
+    return at(check_id(id)).deps;
   }
 
  private:
   friend class TaskGraphRunner;
 
+  /// A task and, while it runs, its scheduler state.
   struct Record {
     TaskSpec spec;
     Body body;
     Hook before;
     Hook after;
     std::vector<int> deps;
+    std::vector<int> succ;  // successors pulled while this task was live
+    int pending = 0;          // incomplete deps
+    int pending_compute = 0;  // incomplete compute deps
+    long long step = 0;       // the runner's pull index
+    std::uint32_t visited = 0;  // comm_closure's epoch stamp
+    bool compute = false;
+    bool issued = false;  // comm forked, or compute picked
+    bool complete = false;
+    Async async;
   };
 
   struct RegionState {
@@ -194,12 +241,24 @@ class TaskGraph {
     std::vector<int> readers;  // since the last write
   };
 
-  std::size_t check_id(int id) const {
-    HS_REQUIRE_MSG(id >= 0 && id < size(), "task id " << id << " out of range");
-    return static_cast<std::size_t>(id);
+  int check_id(int id) const {
+    HS_REQUIRE_MSG(id >= first_ && id < size_,
+                   "task id " << id << " out of range [" << first_ << ", "
+                              << size_ << ")");
+    return id;
+  }
+  Record& at(int id) {
+    return ring_[static_cast<std::size_t>(id) & (ring_.size() - 1)];
+  }
+  const Record& at(int id) const {
+    return ring_[static_cast<std::size_t>(id) & (ring_.size() - 1)];
   }
 
-  std::vector<Record> tasks_;
+  // Records of ids [first_, size_), at id mod the ring's power-of-two size.
+  std::vector<Record> ring_;
+  int first_ = 0;  // oldest live id; the runner retires the ids below it
+  int size_ = 0;
+  Source source_;
   bool ran_ = false;  // set when run_task_graph takes the graph
   // Builder-only bookkeeping (region -> writer/readers, channel -> last).
   std::vector<std::pair<RegionId, RegionState>> regions_;
@@ -208,9 +267,10 @@ class TaskGraph {
 
 /// Drive `graph` to completion inside the calling rank coroutine.
 /// lookahead == 0 executes inline in program order; lookahead >= 1 runs the
-/// dependency-driven overlapping scheduler (the window itself is encoded in
-/// the graph's buffer-slot regions). The graph is consumed: bodies are
-/// invoked once, and running it again throws PreconditionError.
+/// dependency-driven overlapping scheduler (the look-ahead itself is
+/// encoded in the graph's buffer-slot regions; a Source graph also keeps
+/// lookahead + 1 steps live). The graph is consumed: bodies are invoked
+/// once, and running it again throws PreconditionError.
 Task<void> run_task_graph(Engine& engine, TaskGraph& graph, int lookahead,
                           TaskObserver* observer = nullptr);
 

@@ -116,6 +116,60 @@ TEST(Engine, DeadlockDetectedAndNamed) {
   }
 }
 
+// A finished process's slot serves the next spawn. Forks that finished
+// before the stuck process and after it must leave the diagnosis to the
+// stuck one alone.
+TEST(Engine, DeadlockAfterSlotReuseNamesOnlyTheStuckProcess) {
+  Engine engine;
+  Gate gate(engine);  // never fired
+  auto child = [&]() -> Task<void> { co_await engine.sleep(1.0); };
+  auto stuck = [&]() -> Task<void> { co_await gate.wait(); };
+  auto parent = [&]() -> Task<void> {
+    for (int i = 0; i < 64; ++i) {
+      hs::desim::Async forked = hs::desim::Async::start(engine, child());
+      co_await forked.wait();
+    }
+    engine.spawn(stuck(), "stuck-process");
+    for (int i = 0; i < 64; ++i) engine.spawn_indexed(child(), "late", i);
+    co_await engine.sleep(2.0);
+  };
+  engine.spawn_indexed(parent(), "parent", 0);
+  try {
+    engine.run();
+    FAIL() << "expected DeadlockError";
+  } catch (const DeadlockError& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("1 process(es)"), std::string::npos) << message;
+    EXPECT_NE(message.find("stuck-process"), std::string::npos) << message;
+    EXPECT_EQ(message.find("late"), std::string::npos) << message;
+    EXPECT_EQ(message.find("parent"), std::string::npos) << message;
+  }
+}
+
+TEST(Engine, ForkThrowingInAReusedSlotAbortsTheRunWithItsException) {
+  Engine engine;
+  auto child = [&]() -> Task<void> { co_await engine.sleep(1.0); };
+  auto failing = [&]() -> Task<void> {
+    co_await engine.sleep(1.0);
+    throw std::runtime_error("fork 64 failed");
+  };
+  auto parent = [&]() -> Task<void> {
+    for (int i = 0; i < 64; ++i) {
+      hs::desim::Async forked = hs::desim::Async::start(engine, child());
+      co_await forked.wait();
+    }
+    hs::desim::Async forked = hs::desim::Async::start(engine, failing());
+    co_await forked.wait();
+  };
+  engine.spawn(parent());
+  try {
+    engine.run();
+    FAIL() << "expected the fork's exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "fork 64 failed");
+  }
+}
+
 TEST(Engine, CountsProcessedEvents) {
   Engine engine;
   auto proc = [&]() -> Task<void> {

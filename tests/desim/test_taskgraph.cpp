@@ -356,6 +356,87 @@ TEST(TaskGraph, PriorityInversionThroughACommStallsLoudly) {
   }
 }
 
+TEST(TaskGraph, PriorityInversionThroughAStepSourceStallsLoudly) {
+  // The same plan pulled in two steps, {e, c2} and {d, c}: at D = 1 both
+  // are in the window from the first decision, so the runner makes the
+  // same pick and must stall the same way.
+  Engine engine;
+  int step = 0;
+  TaskGraph graph([&engine, &step](TaskGraph& plan) {
+    if (step == 0) {
+      plan.add(comm_spec({}, {region_id("e", 0)}, 0), timed(engine, 1.0));
+      plan.add(compute_spec({region_id("e", 0)}), timed(engine, 1.0));
+    } else if (step == 1) {
+      TaskSpec d = comm_spec({}, {region_id("d", 0)}, 1);
+      d.after = {1};
+      plan.add(std::move(d), timed(engine, 1.0));
+      TaskSpec c = compute_spec({region_id("d", 0)});
+      c.priority = 1;
+      plan.add(std::move(c), timed(engine, 1.0));
+    } else {
+      return false;
+    }
+    ++step;
+    return true;
+  });
+  engine.spawn([](Engine& e, TaskGraph& g) -> Task<void> {
+    co_await run_task_graph(e, g, 1);
+  }(engine, graph));
+  try {
+    engine.run();
+    FAIL() << "the plan ran to completion";
+  } catch (const hs::PreconditionError& error) {
+    EXPECT_NE(std::string_view(error.what())
+                  .find("task plan stalled awaiting deps of task 3"),
+              std::string_view::npos)
+        << error.what();
+  }
+}
+
+TEST(TaskGraph, StepSourceRetiresStepsAndKeepsIdsGlobal) {
+  // Ten steps of a two-slot pipeline pulled one at a time: ids run on
+  // across steps, deps resolve as in a whole plan, the schedule matches the
+  // same plan added up front, and the retired ids stop answering.
+  const auto add_step = [](TaskGraph& plan, Engine& engine, int q) {
+    plan.add(comm_spec({}, {region_id("panel", q % 2)}, 0),
+             timed(engine, 0.5));
+    plan.add(compute_spec({region_id("panel", q % 2)}), timed(engine, 1.0));
+  };
+  for (const int lookahead : {0, 1, 2}) {
+    SCOPED_TRACE("D=" + std::to_string(lookahead));
+    Engine whole_engine;
+    TaskGraph whole;
+    for (int q = 0; q < 10; ++q) add_step(whole, whole_engine, q);
+    whole_engine.spawn([](Engine& e, TaskGraph& g, int d) -> Task<void> {
+      co_await run_task_graph(e, g, d);
+    }(whole_engine, whole, lookahead));
+    whole_engine.run();
+
+    Engine engine;
+    int q = 0;
+    std::vector<std::vector<int>> comm_deps;  // as resolved at each pull
+    TaskGraph pulled([&](TaskGraph& plan) {
+      if (q == 10) return false;
+      add_step(plan, engine, q++);
+      comm_deps.push_back(plan.deps(plan.size() - 2));
+      return true;
+    });
+    engine.spawn([](Engine& e, TaskGraph& g, int d) -> Task<void> {
+      co_await run_task_graph(e, g, d);
+    }(engine, pulled, lookahead));
+    engine.run();
+    EXPECT_EQ(engine.now(), whole_engine.now());
+    ASSERT_EQ(pulled.size(), whole.size());
+    ASSERT_EQ(comm_deps.size(), 10u);
+    for (int step = 0; step < 10; ++step)
+      EXPECT_EQ(comm_deps[static_cast<std::size_t>(step)],
+                whole.deps(2 * step))
+          << "step " << step;
+    EXPECT_EQ(whole.deps(18), std::vector<int>({14, 15, 16}));
+    EXPECT_THROW((void)pulled.spec(19), hs::PreconditionError);
+  }
+}
+
 TEST(TaskGraph, RunningAGraphTwiceThrows) {
   // A second run would invoke every body again and double the schedule.
   for (const int lookahead : {0, 1}) {
